@@ -324,6 +324,9 @@ main(int argc, char **argv)
     TraceObserver tracer;
     if (tracing)
         opts.observer = &tracer;
+    if (tracing && !kTelemetryEnabled)
+        std::fprintf(stderr, "--trace/--flitlog: built with "
+                             "HNOC_TELEMETRY=OFF, no flit events recorded\n");
 
     std::vector<std::string> labels;
     std::vector<SimPointResult> results;

@@ -19,7 +19,6 @@
 #define HNOC_NOC_CHANNEL_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/bitops.hh"
 #include "common/hot_arena.hh"
@@ -27,7 +26,6 @@
 #include "common/ring_buffer.hh"
 #include "noc/active_set.hh"
 #include "noc/flit.hh"
-#include "telemetry/metrics.hh"
 
 namespace hnoc
 {
@@ -60,26 +58,18 @@ class Channel
     void
     sendFlit(const Flit &flit, Cycle now)
     {
-        bool paired = false;
         if (now == lastSendCycle_) {
             ++sendsThisCycle_;
             if (sendsThisCycle_ > lanes_)
                 panic("channel %d oversubscribed (%d lanes)", id_, lanes_);
-            if (sendsThisCycle_ == 2) {
+            if (sendsThisCycle_ == 2)
                 ++pairedCycles_;
-                paired = true;
-            }
         } else {
             lastSendCycle_ = now;
             sendsThisCycle_ = 1;
             ++busyCycles_;
         }
         ++flitsSent_;
-        if (kTelemetryEnabled && telemetry_) {
-            telemetry_->add(Ctr::LinkFlits, telRouter_, telPort_);
-            if (paired)
-                telemetry_->add(Ctr::LinkPaired, telRouter_, telPort_);
-        }
         flitPipe_.push_back(
             {now + static_cast<Cycle>(flitDelay_), flit});
         slot_.markBusy();
@@ -115,14 +105,6 @@ class Channel
         return n;
     }
 
-    /** Collect flits arriving at @p now. @return count delivered. */
-    int
-    deliverFlits(Cycle now, std::vector<Flit> &out)
-    {
-        return deliverFlitsTo(now,
-                              [&](const Flit &f) { out.push_back(f); });
-    }
-
     /** Deliver credits arriving at @p now straight to @p sink (called
      *  as sink(VcId)). @return count delivered. */
     template <typename Sink>
@@ -138,14 +120,6 @@ class Channel
         if (idle())
             slot_.markIdle();
         return n;
-    }
-
-    /** Collect credits arriving at @p now. @return count delivered. */
-    int
-    deliverCredits(Cycle now, std::vector<VcId> &out)
-    {
-        return deliverCreditsTo(now,
-                                [&](VcId vc) { out.push_back(vc); });
     }
 
     bool
@@ -272,19 +246,6 @@ class Channel
                    sizeof(TimedCredit);
     }
 
-    /**
-     * Attach a metrics registry; link-flit counters are attributed to
-     * the driving router's (router, out-port) pair. Pass nullptr to
-     * detach.
-     */
-    void
-    setTelemetry(MetricRegistry *reg, int driver_router, int driver_port)
-    {
-        telemetry_ = reg;
-        telRouter_ = driver_router;
-        telPort_ = driver_port;
-    }
-
   private:
     struct TimedFlit
     {
@@ -309,8 +270,7 @@ class Channel
     }
 
     // Hot-first member order (§6g): everything the per-cycle send /
-    // deliver path touches sits at the front of the object; the
-    // telemetry attachment trio trails as the cold tail.
+    // deliver path touches sits at the front of the object.
     int id_;
     int widthBits_;
     int lanes_;
@@ -326,10 +286,6 @@ class Channel
     std::uint64_t flitsSent_ = 0;
     std::uint64_t busyCycles_ = 0;
     std::uint64_t pairedCycles_ = 0;
-
-    MetricRegistry *telemetry_ = nullptr;
-    int telRouter_ = -1;
-    int telPort_ = -1;
 };
 
 } // namespace hnoc

@@ -16,22 +16,6 @@ namespace hnoc
 namespace
 {
 
-/** HNOC_ALWAYS_STEP=1 forces the exhaustive per-cycle loop. */
-bool
-alwaysStepFromEnv()
-{
-    const char *v = std::getenv("HNOC_ALWAYS_STEP");
-    return v && *v && !(v[0] == '0' && v[1] == '\0');
-}
-
-/** HNOC_BLOCK_TILES=<n> overrides the block-size knob (0 = config). */
-int
-blockTilesFromEnv()
-{
-    const char *v = std::getenv("HNOC_BLOCK_TILES");
-    return v && *v ? std::atoi(v) : 0;
-}
-
 /** Per-block L2 working-set budget for block auto-sizing. Half a
  *  typical 1-2 MB private L2: the block's hot state must share the
  *  cache with packets, scratch, and the next block's prefetches. */
@@ -63,7 +47,7 @@ Network::Network(const NetworkConfig &config)
         clockGHz_ = FrequencyModel::networkFrequencyGHz(max_vcs);
     }
 
-    alwaysStep_ = config_.alwaysStep || alwaysStepFromEnv();
+    alwaysStep_ = config_.alwaysStep;
 
     // The blocked step order delivers cross-block traffic in per-block
     // passes; a zero-delay channel could make a same-cycle send
@@ -243,9 +227,7 @@ Network::setupBlocks()
 {
     int n_routers = topo_->numRouters();
 
-    int tiles = blockTilesFromEnv();
-    if (tiles <= 0)
-        tiles = config_.blockTiles;
+    int tiles = config_.blockTiles;
     if (tiles <= 0) {
         // Auto-size: fit one block's component state (routers +
         // channels + NIs, measured from the real footprints) in the
@@ -385,32 +367,22 @@ Network::enqueuePacket(NodeId src, NodeId dst, int num_flits,
         // Alternate dimension orders deterministically by packet id.
         pkt->yxRouted = (pkt->id & 1) != 0;
     }
-    // Arm the blame ledger last: `*pkt = Packet{}` above resets the
-    // pointer on arena recycle, so detached runs carry none.
-    if (kTelemetryEnabled && blame_)
-        pkt->blame = blame_->acquire();
     nis_[static_cast<std::size_t>(src)]->enqueue(pkt);
     ++packetsInjected_;
     ++livePackets_;
-    if (kTelemetryEnabled && telemetry_) {
-        telemetry_->add(Ctr::PacketsInjected);
-        telemetry_->gaugeMax(Gauge::PeakInFlight,
-                             static_cast<std::uint64_t>(livePackets_));
-    }
-    if (kTelemetryEnabled && recorder_)
-        recorder_->record(FrKind::Inject, cycle_, src, -1, -1, pkt->id,
-                          true);
-    if (observer_)
-        observer_->onPacketCreated(*pkt, cycle_);
+    // The Inject event arms the blame ledger: `*pkt = Packet{}` above
+    // resets the pointer on arena recycle, so detached runs carry none.
+    if (Probe *pr = probe())
+        pr->inject(cycle_, *pkt, livePackets_, config_.linkLatency);
     return pkt;
 }
 
 void
-Network::setObserver(NetworkObserver *observer)
+Network::rewireProbe()
 {
-    observer_ = observer;
+    probe_ = attached_.attached() ? &attached_ : nullptr;
     for (auto &r : routers_)
-        r.setObserver(observer);
+        r.setProbe(probe_);
 }
 
 std::unique_ptr<MetricRegistry>
@@ -441,13 +413,8 @@ Network::makeMetricRegistry(Cycle epoch_cycles) const
 void
 Network::attachTelemetry(MetricRegistry *reg)
 {
-    telemetry_ = reg;
-    for (auto &r : routers_)
-        r.setTelemetry(reg);
-    for (ChannelEnds &e : ends_) {
-        if (e.driverIsRouter)
-            e.chan->setTelemetry(reg, e.driverRouter, e.driverPort);
-    }
+    attached_.registry = reg;
+    rewireProbe();
     if (reg)
         reg->beginWindow(cycle_);
 }
@@ -455,17 +422,9 @@ Network::attachTelemetry(MetricRegistry *reg)
 void
 Network::detachTelemetry()
 {
-    if (telemetry_)
-        telemetry_->finish();
+    if (attached_.registry)
+        attached_.registry->finish();
     attachTelemetry(nullptr);
-}
-
-void
-Network::attachFlightRecorder(FlightRecorder *fr)
-{
-    recorder_ = fr;
-    for (auto &r : routers_)
-        r.setFlightRecorder(fr);
 }
 
 void
@@ -530,14 +489,6 @@ Network::makeBlameCollector() const
     return bc;
 }
 
-void
-Network::attachBlame(BlameCollector *b)
-{
-    blame_ = b;
-    for (auto &r : routers_)
-        r.setBlame(b);
-}
-
 MemoryAudit
 Network::memoryAudit() const
 {
@@ -582,12 +533,12 @@ Network::memoryAudit() const
         a.add("hot_arena_pad",
               hotArena_.reservedBytes() - hotArena_.used(), 1);
 
-    if (telemetry_)
-        a.add("metric_registry", telemetry_->footprintBytes(), 1);
-    if (recorder_)
-        a.add("flight_recorder", recorder_->footprintBytes(), 1);
-    if (blame_)
-        a.add("blame_collector", blame_->footprintBytes(), 1);
+    if (attached_.registry)
+        a.add("metric_registry", attached_.registry->footprintBytes(), 1);
+    if (attached_.recorder)
+        a.add("flight_recorder", attached_.recorder->footprintBytes(), 1);
+    if (attached_.blame)
+        a.add("blame_collector", attached_.blame->footprintBytes(), 1);
     return a;
 }
 
@@ -766,13 +717,13 @@ Network::postmortemJson(const std::string &reason) const
         w.keyValue("error", audit_err);
     w.endObject();
 
-    if (recorder_) {
+    if (attached_.recorder) {
         w.key("flight_recorder");
-        recorder_->writeJson(w);
+        attached_.recorder->writeJson(w);
     }
-    if (telemetry_) {
+    if (attached_.registry) {
         w.key("telemetry");
-        telemetry_->writeJson(w);
+        attached_.registry->writeJson(w);
     }
     w.endObject();
     return w.str();
@@ -834,58 +785,20 @@ Network::step()
                 *nis_[static_cast<std::size_t>(e.sinkNode)];
             e.chan->deliverFlitsTo(now, [&](const Flit &f) {
                 ++flitsDelivered_;
-                if (kTelemetryEnabled && telemetry_)
-                    telemetry_->add(Ctr::FlitsEjected);
-                // Head delivery fixes the tail-serialization bound:
-                // the remaining flits drain through this one ejection
-                // channel at <= eff flits/cycle (2 only when pairing
-                // can ride a wide local link), so the tail cannot
-                // eject before headEjectAt + ceil(n/eff) - 1.
-                if (kTelemetryEnabled && f.isHead() && f.pkt->blame) {
-                    BlameLedger *bl = f.pkt->blame;
-                    bl->headEjectAt = now;
-                    int eff =
-                        (config_.intraPacketPairing &&
-                         e.chan->lanes() > 1)
-                            ? 2
-                            : 1;
-                    bl->minSerCycles = static_cast<std::uint64_t>(
-                        (f.pkt->numFlits + eff - 1) / eff - 1);
-                }
+                if (Probe *pr = probe())
+                    pr->flitEject(now, f, config_.intraPacketPairing &&
+                                              e.chan->lanes() > 1);
                 Packet *done = ni.receiveFlit(f, now);
                 if (done) {
                     ++packetsDelivered_;
                     --livePackets_;
                     lastDelivery_ = now;
-                    if (kTelemetryEnabled && telemetry_) {
-                        telemetry_->add(Ctr::PacketsDelivered);
-                        telemetry_->histAdd(
-                            Hist::PacketLatencyCycles,
-                            static_cast<double>(now - done->createdAt));
-                        telemetry_->histAdd(
-                            Hist::NetworkLatencyCycles,
-                            static_cast<double>(now - done->injectedAt));
-                    }
-                    if (kTelemetryEnabled && recorder_)
-                        recorder_->record(FrKind::Eject, now, done->dst,
-                                          -1, -1, done->id, true);
-                    if (observer_)
-                        observer_->onPacketDelivered(*done, now);
+                    if (Probe *pr = probe())
+                        pr->eject(now, *done);
                     if (client_)
                         client_->onPacketDelivered(*this, *done, now);
-                    // Commit after the client callback so tests can
-                    // inspect the finished ledger from the callback.
-                    if (kTelemetryEnabled && done->blame) {
-                        if (blame_) {
-                            blame_->commit(done->id, done->src,
-                                           done->dst, done->createdAt,
-                                           done->injectedAt,
-                                           done->ejectedAt,
-                                           *done->blame);
-                            blame_->release(done->blame);
-                        }
-                        done->blame = nullptr;
-                    }
+                    if (Probe *pr = probe())
+                        pr->retire(*done);
                     freePacket(done);
                 }
             });
@@ -1027,9 +940,9 @@ Network::step()
         }
     }
 
-    if (kTelemetryEnabled && telemetry_) {
+    if (Probe *pr = probe()) {
         ProfScope s(prof, ProfPhase::TelemetryTick);
-        telemetry_->tick(now);
+        pr->tick(now);
     }
 
     ++cycle_;

@@ -17,15 +17,12 @@
 #include "noc/flit.hh"
 #include "noc/network_config.hh"
 #include "noc/network_interface.hh"
-#include "noc/observer.hh"
+#include "noc/probe.hh"
 #include "noc/router.hh"
 #include "noc/routing.hh"
 #include "noc/topology.hh"
 #include "power/router_power.hh"
-#include "telemetry/blame.hh"
-#include "telemetry/flight_recorder.hh"
 #include "telemetry/health.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/profiler.hh"
 
 namespace hnoc
@@ -74,17 +71,17 @@ class Network
     void setClient(NetworkClient *client) { client_ = client; }
 
     /**
-     * @return true when the exhaustive per-cycle loop is in force
-     * (config alwaysStep or the HNOC_ALWAYS_STEP environment escape
-     * hatch) instead of active-set scheduling. Results are
-     * bit-identical either way; the escape hatch exists to prove it.
+     * @return true when the exhaustive per-cycle reference loop
+     * (config alwaysStep) is in force instead of active-set
+     * scheduling. Results are bit-identical either way; the reference
+     * loop exists to prove it.
      */
     bool alwaysStep() const { return alwaysStep_; }
 
     /**
      * @return routers per spatial block of the cache-blocked step
-     * order (§6g), after resolving config.blockTiles, the
-     * HNOC_BLOCK_TILES environment override, and L2 auto-sizing.
+     * order (§6g), after resolving config.blockTiles and L2
+     * auto-sizing.
      * Results are bit-identical for every block size.
      */
     int blockTiles() const { return blockTiles_; }
@@ -92,8 +89,13 @@ class Network
     /** @return block count of the cache-blocked step order. */
     int numBlocks() const { return numBlocks_; }
 
-    /** Install a flit-event observer on every router (nullptr clears). */
-    void setObserver(NetworkObserver *observer);
+    /** Install a flit-event observer (nullptr clears). */
+    void
+    setObserver(NetworkObserver *observer)
+    {
+        attached_.observer = observer;
+        rewireProbe();
+    }
 
     /** Advance one clock cycle. */
     void step();
@@ -187,9 +189,9 @@ class Network
     makeMetricRegistry(Cycle epoch_cycles = 1000) const;
 
     /**
-     * Attach @p reg to every router and router-driven channel and
-     * start its measurement window at the current cycle. Pass nullptr
-     * (or call detachTelemetry) to stop collecting.
+     * Attach @p reg as a probe consumer and start its measurement
+     * window at the current cycle. Pass nullptr (or call
+     * detachTelemetry) to stop collecting.
      */
     void attachTelemetry(MetricRegistry *reg);
 
@@ -197,17 +199,19 @@ class Network
     void detachTelemetry();
 
     /** @return the attached registry, or nullptr. */
-    MetricRegistry *telemetry() const { return telemetry_; }
+    MetricRegistry *telemetry() const { return attached_.registry; }
 
-    /**
-     * Attach a flight recorder to every router plus the network's
-     * inject/eject hooks (nullptr to detach). Like the registry hooks,
-     * the cost while detached is one branch per event.
-     */
-    void attachFlightRecorder(FlightRecorder *fr);
+    /** Attach a flight recorder as a probe consumer (nullptr to
+     *  detach). */
+    void
+    attachFlightRecorder(FlightRecorder *fr)
+    {
+        attached_.recorder = fr;
+        rewireProbe();
+    }
 
     /** @return the attached flight recorder, or nullptr. */
-    FlightRecorder *flightRecorder() const { return recorder_; }
+    FlightRecorder *flightRecorder() const { return attached_.recorder; }
 
     /**
      * Attach a self-profiler to the step loop and every router
@@ -229,16 +233,20 @@ class Network
     std::unique_ptr<BlameCollector> makeBlameCollector() const;
 
     /**
-     * Attach a blame collector to every router and arm per-packet
+     * Attach a blame collector as a probe consumer, arming per-packet
      * ledger allocation (nullptr to detach). Report-only: attribution
-     * never alters simulated behavior, and the hooks compile out under
-     * -DHNOC_TELEMETRY=OFF. Packets already in flight at attach time
-     * carry no ledger and are skipped at delivery.
+     * never alters simulated behavior. Packets already in flight at
+     * attach time carry no ledger and are skipped at delivery.
      */
-    void attachBlame(BlameCollector *b);
+    void
+    attachBlame(BlameCollector *b)
+    {
+        attached_.blame = b;
+        rewireProbe();
+    }
 
     /** @return the attached blame collector, or nullptr. */
-    BlameCollector *blame() const { return blame_; }
+    BlameCollector *blame() const { return attached_.blame; }
 
     /**
      * Per-component steady-state memory breakdown: routers (SoA core
@@ -293,6 +301,12 @@ class Network
     };
 
     void build();
+    /** Point probe_ and every router at attached_ or nullptr. */
+    void rewireProbe();
+
+    /** The live probe; folds to nullptr under HNOC_TELEMETRY=OFF. */
+    Probe *probe() const { return kTelemetryEnabled ? probe_ : nullptr; }
+
     Channel *makeChannel(int width_bits, int flit_delay, int credit_delay);
     void setupBlocks();
     void packHotArena();
@@ -358,11 +372,9 @@ class Network
     std::vector<ActiveList> blockNis_;
 
     NetworkClient *client_ = nullptr;
-    NetworkObserver *observer_ = nullptr;
-    MetricRegistry *telemetry_ = nullptr;
-    FlightRecorder *recorder_ = nullptr;
+    Probe attached_;          ///< event consumers, as attached
+    Probe *probe_ = nullptr;  ///< &attached_ while it has a consumer
     Profiler *profiler_ = nullptr;
-    BlameCollector *blame_ = nullptr;
 
     Cycle cycle_ = 0;
     Cycle measureStart_ = 0;

@@ -124,10 +124,9 @@ struct NetworkConfig
     SaPolicy saPolicy = SaPolicy::RoundRobin;
 
     /**
-     * Force the exhaustive per-cycle loop instead of active-set
-     * scheduling (also switchable via the HNOC_ALWAYS_STEP
-     * environment variable). Results are bit-identical either way;
-     * this is the escape hatch for A/B-ing the scheduler.
+     * Force the exhaustive per-cycle reference loop instead of
+     * active-set scheduling. Results are bit-identical either way;
+     * tests and microbenchmarks set this to A/B the scheduler.
      */
     bool alwaysStep = false;
 
@@ -136,7 +135,6 @@ struct NetworkConfig
      * tile-major step order (§6g). 0 (the default) auto-sizes blocks
      * to fit a per-block working set in L2, rounded to whole mesh
      * rows; values >= numRouters() collapse to one whole-chip block.
-     * Also switchable via the HNOC_BLOCK_TILES environment variable.
      * Results are bit-identical for every block size.
      */
     int blockTiles = 0;

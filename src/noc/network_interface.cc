@@ -2,8 +2,6 @@
 
 #include "common/logging.hh"
 #include "noc/network.hh"
-#include "telemetry/blame.hh"
-#include "telemetry/metrics.hh"
 
 namespace hnoc
 {
@@ -57,14 +55,8 @@ NetworkInterface::stepInject(Cycle now)
             else
                 flit.type = FlitType::Body;
 
-            if (s.nextSeq == 0) {
+            if (s.nextSeq == 0)
                 pkt->injectedAt = now;
-                // Zero-load head path starts with the injection link;
-                // the per-hop terms accrue at each SA grant.
-                if (kTelemetryEnabled && pkt->blame)
-                    pkt->blame->minHeadCycles +=
-                        static_cast<std::uint64_t>(inj_->flitDelay());
-            }
 
             --credits_[static_cast<std::size_t>(vc)];
             inj_->sendFlit(flit, now);

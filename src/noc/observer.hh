@@ -2,7 +2,8 @@
  * @file
  * Observer hooks for flit-level events: packet injection/ejection and
  * per-router flit arrival/departure. Used for debugging, trace dumps
- * and per-hop latency analysis; costs nothing when unset.
+ * and per-hop latency analysis. A Probe consumer: costs nothing when
+ * unset, and never called under -DHNOC_TELEMETRY=OFF.
  */
 
 #ifndef HNOC_NOC_OBSERVER_HH

@@ -50,13 +50,8 @@ Router::receiveFlit(PortId p, Flit flit, Cycle now)
     ++flitCount_;
     slot_.markBusy();
     ++activity_.bufferWrites;
-    if (kTelemetryEnabled && telemetry_)
-        telemetry_->add(Ctr::BufferWrites, id_, p, flit.vc);
-    if (kTelemetryEnabled && recorder_)
-        recorder_->record(FrKind::FlitIn, now, id_, p, flit.vc,
-                          flit.pkt ? flit.pkt->id : 0, flit.isHead());
-    if (observer_)
-        observer_->onFlitArrive(id_, p, flit, now);
+    if (Probe *pr = probe())
+        pr->flitIn(now, id_, p, flit);
 }
 
 void
@@ -67,8 +62,8 @@ Router::receiveCredit(PortId p, VcId vc, Cycle now)
     if (credits >= bufferDepth_ * 4) // generous sanity bound
         panic("router %d port %d vc %d: credit overflow", id_, p, vc);
     ++credits;
-    if (kTelemetryEnabled && recorder_)
-        recorder_->record(FrKind::CreditIn, now, id_, p, vc);
+    if (Probe *pr = probe())
+        pr->creditIn(now, id_, p, vc);
 }
 
 void
@@ -106,19 +101,18 @@ Router::step(Cycle now)
         switchAllocate(now);
     }
 
-    // After SA has settled the cycle, every head still pending is by
-    // definition stalled for exactly one cycle; classify and charge
-    // it. Detached cost: one constant-foldable branch.
-    if (kTelemetryEnabled && blame_)
-        blamePass(now);
-
     // Occupancy sample for the Fig 1/2 heat maps. A zero sample is a
     // no-op on both accumulators, so skipping flitless cycles under
     // active-set scheduling loses nothing.
     int occ = flitCount_;
     occupancySum_ += occ;
-    if (kTelemetryEnabled && telemetry_)
-        telemetry_->occupancySample(id_, occ);
+    if (Probe *pr = probe()) {
+        // After SA has settled the cycle, every head still pending is
+        // by definition stalled for exactly one cycle.
+        if (pr->chargesStalls())
+            stallPass(now, *pr);
+        pr->occupancy(id_, occ);
+    }
     if (flitCount_ == 0)
         slot_.markIdle(); // drained every buffered flit this cycle
 }
@@ -143,19 +137,13 @@ Router::routeCompute(Cycle now)
                       id_, static_cast<unsigned long long>(
                                head.pkt ? head.pkt->id : 0));
             core_.pkt[si] = head.pkt;
-            // Route-pending blame, charged as a lump: the head has
+            // Route-pending stall, charged as a lump: the head has
             // been the front flit since headArrive (refreshHead keeps
             // that exact, including behind a draining predecessor),
             // and the earliest possible RC cycle is headArrive + 1.
-            if (kTelemetryEnabled && blame_ && head.pkt->blame) {
-                Cycle waited = now - core_.headArrive[si] - 1;
-                if (waited > 0) {
-                    head.pkt->blame->charge(BlameCause::RoutePending,
-                                            waited);
-                    blame_->charge(id_, INVALID_PORT,
-                                   BlameCause::RoutePending, waited);
-                }
-            }
+            if (Probe *pr = probe())
+                pr->stall(id_, INVALID_PORT, BlameCause::RoutePending,
+                          head.pkt, now - core_.headArrive[si] - 1);
             bitops::maskSet(core_.activeMask, s);
             bitops::maskClear(core_.rcMask, s);
             bitops::maskSet(core_.vaReqMask, s);
@@ -229,15 +217,9 @@ Router::vcAllocate(Cycle now)
                 bitops::maskClear(core_.vaReqMask, s);
                 bitops::maskSet(core_.saReq(core_.outPort[si]), s);
             }
-            if (kTelemetryEnabled && telemetry_ && v < 0)
-                telemetry_->add(Ctr::VaConflicts, id_, s / core_.vcs,
-                                s % core_.vcs);
-            if (kTelemetryEnabled && recorder_)
-                recorder_->record(v < 0 ? FrKind::VaDeny
-                                        : FrKind::VaGrant,
-                                  now, id_, s / core_.vcs,
-                                  s % core_.vcs,
-                                  core_.pkt[si] ? core_.pkt[si]->id : 0);
+            if (Probe *pr = probe())
+                pr->vcAlloc(now, id_, s / core_.vcs, s % core_.vcs,
+                            core_.pkt[si], v >= 0);
             return true;
         });
 }
@@ -299,15 +281,6 @@ Router::switchAllocatePort(PortId o, Cycle now)
         --op.credits[static_cast<std::size_t>(out_vc)];
         flit.vc = out_vc;
         op.chan->sendFlit(flit, now);
-        // Zero-load head-path accounting: this hop contributes one
-        // switch cycle plus the channel delay, priced on the route
-        // actually taken (detours included).
-        if (kTelemetryEnabled && blame_ && flit.isHead() &&
-            flit.pkt->blame)
-            flit.pkt->blame->minHeadCycles +=
-                1 + static_cast<std::uint64_t>(op.chan->flitDelay());
-        if (observer_)
-            observer_->onFlitDepart(id_, o, flit, now);
 
         ++pg;
         core_.saGrantOut[in_port] = o;
@@ -315,17 +288,9 @@ Router::switchAllocatePort(PortId o, Cycle now)
         ++activity_.bufferReads;
         ++activity_.xbarTraversals;
         ++activity_.arbOps;
-        if (kTelemetryEnabled && telemetry_) {
-            telemetry_->add(Ctr::XbarGrants, id_, o);
-            telemetry_->add(Ctr::BufferReads, id_, in_port);
-        }
-        if (kTelemetryEnabled && recorder_) {
-            recorder_->record(FrKind::FlitOut, now, id_, o, flit.vc,
-                              flit.pkt ? flit.pkt->id : 0,
-                              flit.isHead());
-            recorder_->record(FrKind::CreditOut, now, id_, in_port,
-                              s % core_.vcs);
-        }
+        if (Probe *pr = probe())
+            pr->flitOut(now, id_, o, in_port, s % core_.vcs, flit,
+                        granted == 2, op.chan->flitDelay());
         // Charge the active (flit) bits, not the full wire
         // width: an unpaired flit on a wide link toggles only
         // its own half.
@@ -361,12 +326,9 @@ Router::switchAllocatePort(PortId o, Cycle now)
         if (fifo.empty() || core_.headArrive[si] >= now)
             return granted < capacity;
         if (op.credits[static_cast<std::size_t>(core_.outVc[si])] <= 0) {
-            if (kTelemetryEnabled && telemetry_)
-                telemetry_->add(Ctr::CreditStalls, id_, o);
-            if (kTelemetryEnabled && recorder_)
-                recorder_->record(FrKind::CreditStall, now, id_, o,
-                                  core_.outVc[si],
-                                  core_.pkt[si] ? core_.pkt[si]->id : 0);
+            if (Probe *pr = probe())
+                pr->creditStall(now, id_, o, core_.outVc[si],
+                                core_.pkt[si]);
             return granted < capacity;
         }
         int &pg = core_.saGrants[in_port];
@@ -428,7 +390,7 @@ Router::switchAllocatePort(PortId o, Cycle now)
 }
 
 void
-Router::blamePass(Cycle now)
+Router::stallPass(Cycle now, Probe &probe)
 {
     // Charge one stall cycle to every head that was eligible this
     // cycle yet did not depart. A slot is in exactly one of rcMask /
@@ -443,14 +405,11 @@ Router::blamePass(Cycle now)
             auto si = static_cast<std::size_t>(s);
             if (core_.fifo[si].empty() || core_.headArrive[si] >= now)
                 return true;
-            Packet *pkt = core_.pkt[si];
-            if (!pkt || !pkt->blame)
-                return true;
-            BlameCause cause = core_.outPort[si] == ejectPort_
-                                   ? BlameCause::EjectBackpressure
-                                   : BlameCause::VaConflictLost;
-            pkt->blame->charge(cause);
-            blame_->charge(id_, core_.outPort[si], cause);
+            PortId out = core_.outPort[si];
+            probe.stall(id_, out,
+                        out == ejectPort_ ? BlameCause::EjectBackpressure
+                                          : BlameCause::VaConflictLost,
+                        core_.pkt[si]);
             return true;
         });
 
@@ -474,9 +433,6 @@ Router::blamePass(Cycle now)
                 const Flit &front = fifo.front();
                 if (!front.isHead() || front.pkt != core_.pkt[si])
                     return true;
-                Packet *pkt = core_.pkt[si];
-                if (!pkt || !pkt->blame)
-                    return true;
                 BlameCause cause;
                 if (o == ejectPort_)
                     cause = BlameCause::EjectBackpressure;
@@ -485,8 +441,7 @@ Router::blamePass(Cycle now)
                     cause = BlameCause::CreditStarved;
                 else
                     cause = BlameCause::SaConflictLost;
-                pkt->blame->charge(cause);
-                blame_->charge(id_, o, cause);
+                probe.stall(id_, o, cause, core_.pkt[si]);
                 return true;
             });
     }

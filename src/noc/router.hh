@@ -37,13 +37,10 @@
 #include "noc/channel.hh"
 #include "noc/flit.hh"
 #include "noc/network_config.hh"
-#include "noc/observer.hh"
+#include "noc/probe.hh"
 #include "noc/router_core.hh"
 #include "noc/routing.hh"
 #include "power/router_power.hh"
-#include "telemetry/blame.hh"
-#include "telemetry/flight_recorder.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/profiler.hh"
 
 namespace hnoc
@@ -151,28 +148,15 @@ class Router
     /** @return true if any input VC holds a flit (watchdog helper). */
     bool hasBufferedFlits() const { return flitCount_ > 0; }
 
-    /** Install a flit-event observer (nullptr to clear). */
-    void setObserver(NetworkObserver *observer) { observer_ = observer; }
-
-    /** Attach a metrics registry (nullptr to detach). Hooks cost one
-     *  branch per event while detached. */
-    void setTelemetry(MetricRegistry *reg) { telemetry_ = reg; }
-
-    /** Attach a flight recorder (nullptr to detach). Same cost model
-     *  as setTelemetry: one branch per event while detached. */
-    void setFlightRecorder(FlightRecorder *fr) { recorder_ = fr; }
+    /** Attach the event probe (nullptr when no consumer is attached).
+     *  While detached each hook site costs one branch. */
+    void setProbe(Probe *probe) { probe_ = probe; }
 
     /** Attach a self-profiler (nullptr to detach). While detached the
      *  cost is one branch per pipeline sub-phase per stepped cycle;
      *  while attached each sub-phase pays two steady_clock reads.
      *  Report-only: profiling never alters simulation results. */
     void setProfiler(Profiler *prof) { profiler_ = prof; }
-
-    /** Attach a blame collector (nullptr to detach). While detached
-     *  the cost is one branch per stepped cycle; while attached the
-     *  post-SA blame pass charges every still-pending head one stall
-     *  cycle. Report-only: never alters simulation results. */
-    void setBlame(BlameCollector *b) { blame_ = b; }
 
     /** Mark @p p as the port driving the ejection channel, so blame
      *  can classify stalls at the ejection funnel separately. */
@@ -246,9 +230,12 @@ class Router
     void switchAllocate(Cycle now);
     void switchAllocatePort(PortId o, Cycle now);
 
-    /** Charge one stall cycle to every head still pending after SA;
-     *  runs only while a BlameCollector is attached. */
-    void blamePass(Cycle now);
+    /** Fire one Stall event for every head still pending after SA;
+     *  runs only while the probe consumes stalls. */
+    void stallPass(Cycle now, Probe &probe);
+
+    /** The attached probe; folds to nullptr under HNOC_TELEMETRY=OFF. */
+    Probe *probe() const { return kTelemetryEnabled ? probe_ : nullptr; }
 
     /** Handle the table-routing escape timeout for a stalled head
      *  occupying slot @p s. */
@@ -267,11 +254,8 @@ class Router
 
     RouterActivity activity_;
     double occupancySum_ = 0.0;
-    NetworkObserver *observer_ = nullptr;
-    MetricRegistry *telemetry_ = nullptr;
-    FlightRecorder *recorder_ = nullptr;
+    Probe *probe_ = nullptr;
     Profiler *profiler_ = nullptr;
-    BlameCollector *blame_ = nullptr;
     PortId ejectPort_ = INVALID_PORT;
     std::vector<int> scratchOrder_; ///< SA visiting order (OldestFirst)
 };

@@ -224,8 +224,7 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
     Network net(config);
     OpenLoopClient client(pattern, config, opts);
     net.setClient(&client);
-    if (opts.observer)
-        net.setObserver(opts.observer);
+    net.setObserver(opts.observer);
 
     FlightRecorder recorder(opts.flightRecorder
                                 ? opts.flightRecorderCapacity
@@ -239,12 +238,6 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
     Profiler prof;
     if (opts.profile && kTelemetryEnabled)
         net.attachProfiler(&prof);
-    auto finish_profile = [&](SimPointResult &r) {
-        if (!opts.profile || !kTelemetryEnabled)
-            return;
-        r.profile = std::make_shared<Profiler>(prof);
-        r.memory = std::make_shared<MemoryAudit>(net.memoryAudit());
-    };
 
     // Blame attribution also covers the whole run: every packet is
     // ledgered from creation, so the accounting identity holds for
@@ -254,7 +247,6 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
         blame = net.makeBlameCollector();
         net.attachBlame(blame.get());
     }
-    auto finish_blame = [&](SimPointResult &r) { r.blame = blame; };
 
     Cycle audit_every = opts.auditEvery;
 #ifndef NDEBUG
@@ -300,6 +292,23 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
         }
     };
 
+    SimPointResult res;
+    res.offeredRate = opts.injectionRate;
+    // Scope the registry to exactly the measurement window: attach
+    // when the window opens, detach (finishing the partial epoch)
+    // before drain.
+    std::shared_ptr<MetricRegistry> reg;
+    auto open_window = [&](Cycle epoch) {
+        net.resetMeasurement();
+        if (opts.collectMetrics) {
+            reg = net.makeMetricRegistry(epoch);
+            net.attachTelemetry(reg.get());
+        }
+        client.beginMeasurement(net.now(), opts.measureCycles);
+    };
+    bool measured = true; // false when warmup was aborted
+    bool aborted = false; // saturation fast-abort: skip the drain
+
     if (opts.control.mode == SimControlMode::Adaptive) {
         // ---- Adaptive path: the fixed windows become ceilings and
         // the sim_control stopping rules end each phase. Every
@@ -308,22 +317,17 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
         const SimControlOptions &ctl = opts.control;
         Cycle epoch = opts.telemetryEpoch > 0 ? opts.telemetryEpoch
                                               : 1000;
-        int nodes = config.numNodes();
         client.enableEpochStats();
 
         WarmupDetector warm(ctl);
-        SaturationDetector sat(ctl, nodes);
+        SaturationDetector sat(ctl, config.numNodes());
         BatchMeansController bm(ctl);
-
-        SimPointResult res;
-        res.offeredRate = opts.injectionRate;
 
         // Warmup: epoch-sized chunks until the latency series is
         // steady (and the floor is paid), capped at warmupCycles.
         // Saturated points never stabilize, so the queue-growth
         // detector also watches warmup and aborts the point outright.
         Cycle warmup_used = 0;
-        bool aborted = false;
         while (warmup_used < opts.warmupCycles) {
             Cycle chunk = std::min(epoch,
                                    opts.warmupCycles - warmup_used);
@@ -342,22 +346,13 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
         }
         res.warmupCyclesUsed = warmup_used;
 
-        std::shared_ptr<MetricRegistry> reg;
-        Cycle window = 0;
-        Cycle drained = 0;
         if (aborted) {
             // Saturation during warmup: no measurement is possible,
-            // classify and return without paying measure or drain.
+            // classify and skip the measure and drain phases.
             res.stopReason = StopReason::SaturationAbort;
-            res.saturated = true;
+            measured = false;
         } else {
-            net.resetMeasurement();
-            if (opts.collectMetrics) {
-                reg = net.makeMetricRegistry(epoch);
-                net.attachTelemetry(reg.get());
-            }
-            client.beginMeasurement(net.now(), opts.measureCycles);
-
+            open_window(epoch);
             res.stopReason = StopReason::MeasureCeiling;
             Cycle measure_used = 0;
             while (measure_used < opts.measureCycles) {
@@ -380,117 +375,60 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
                     break;
                 }
             }
-            window = net.measuredCycles();
-
-            res.power = net.powerReport();
-            res.networkPowerW = res.power.total();
-            res.combineRate = net.combineRate();
-            res.bufferUtilPct = net.bufferUtilizationPercent();
-            res.linkUtilPct = net.linkUtilizationPercent();
-
-            if (reg)
-                net.detachTelemetry();
-            client.endMeasurement(net.now());
-
-            if (aborted) {
-                // Fast-abort: skip the drain entirely; the point is
-                // saturated and its stragglers would never finish.
-                res.saturated = true;
-            } else {
-                while (!client.allTrackedDelivered() &&
-                       drained < opts.drainCycles) {
-                    net.step();
-                    ++drained;
-                    if (instrumented && opts.watchdogWindow > 0)
-                        watchdog.check(net);
-                }
-                res.saturated = !client.allTrackedDelivered();
-                res.drainTruncated =
-                    drained >= opts.drainCycles && res.saturated;
-            }
         }
-        res.watchdogTrips = watchdog.trips();
-        if (opts.flightRecorder)
-            net.attachFlightRecorder(nullptr);
-
-        if (window > 0) {
-            res.acceptedRate =
-                static_cast<double>(client.deliveredInWindow_) /
-                (static_cast<double>(nodes) *
-                 static_cast<double>(window));
-        }
-        res.measureCyclesUsed = window;
-        res.simulatedCycles = net.now();
         double hw = bm.relHalfWidth();
         res.ciRelHalfWidth = std::isfinite(hw) ? hw : -1.0;
         res.ciHistory = bm.history();
-        res.avgLatencyCycles = client.latencyCycles_.mean();
-        res.avgLatencyNs = client.latencyNs_.mean();
-        res.avgQueuingNs = client.queuingNs_.mean();
-        res.avgBlockingNs = client.blockingNs_.mean();
-        res.avgTransferNs = client.transferNs_.mean();
-        res.p95LatencyNs = client.latencyHist_.percentile(0.95);
-        res.trackedCreated = client.trackedCreated_;
-        res.trackedDelivered = client.trackedDelivered_;
-        res.latencyByHopsNs.reserve(client.byHops_.size());
-        for (const RunningStat &s : client.byHops_)
-            res.latencyByHopsNs.push_back(s.mean());
-        res.metrics = std::move(reg);
-        finish_profile(res);
-        finish_blame(res);
-        return res;
+    } else {
+        run_phase(opts.warmupCycles);
+        res.warmupCyclesUsed = opts.warmupCycles;
+        open_window(opts.telemetryEpoch);
+        run_phase(opts.measureCycles);
     }
 
-    run_phase(opts.warmupCycles);
-
-    net.resetMeasurement();
-    // Scope the registry to exactly the measurement window: attach
-    // after warmup, detach (finishing the partial epoch) before drain.
-    std::shared_ptr<MetricRegistry> reg;
-    if (opts.collectMetrics) {
-        reg = net.makeMetricRegistry(opts.telemetryEpoch);
-        net.attachTelemetry(reg.get());
+    Cycle window = 0;
+    if (measured) {
+        // Snapshot window-scoped measurements before draining.
+        window = net.measuredCycles();
+        res.power = net.powerReport();
+        res.networkPowerW = res.power.total();
+        res.combineRate = net.combineRate();
+        res.bufferUtilPct = net.bufferUtilizationPercent();
+        res.linkUtilPct = net.linkUtilizationPercent();
+        if (reg)
+            net.detachTelemetry();
+        client.endMeasurement(net.now());
     }
-    client.beginMeasurement(net.now(), opts.measureCycles);
-    run_phase(opts.measureCycles);
-    Cycle window = net.measuredCycles();
-
-    // Snapshot window-scoped measurements before draining.
-    SimPointResult res;
-    res.offeredRate = opts.injectionRate;
-    res.power = net.powerReport();
-    res.networkPowerW = res.power.total();
-    res.combineRate = net.combineRate();
-    res.bufferUtilPct = net.bufferUtilizationPercent();
-    res.linkUtilPct = net.linkUtilizationPercent();
-
-    if (reg)
-        net.detachTelemetry();
-    client.endMeasurement(net.now());
-
-    // Drain: keep traffic flowing so tracked packets finish under the
-    // same load, up to the drain cap.
-    Cycle drained = 0;
-    while (!client.allTrackedDelivered() && drained < opts.drainCycles) {
-        net.step();
-        ++drained;
-        if (instrumented && opts.watchdogWindow > 0)
-            watchdog.check(net);
+    if (!measured || aborted) {
+        // A fast-aborted point is saturated and its stragglers would
+        // never finish, so it skips the drain entirely.
+        res.saturated = true;
+    } else {
+        // Drain: keep traffic flowing so tracked packets finish under
+        // the same load, up to the drain cap.
+        Cycle drained = 0;
+        while (!client.allTrackedDelivered() &&
+               drained < opts.drainCycles) {
+            net.step();
+            ++drained;
+            if (instrumented && opts.watchdogWindow > 0)
+                watchdog.check(net);
+        }
+        res.saturated = !client.allTrackedDelivered();
+        res.drainTruncated = drained >= opts.drainCycles && res.saturated;
     }
-    res.saturated = !client.allTrackedDelivered();
-    res.drainTruncated = drained >= opts.drainCycles && res.saturated;
     res.watchdogTrips = watchdog.trips();
     if (opts.flightRecorder)
         net.attachFlightRecorder(nullptr);
 
-    res.warmupCyclesUsed = opts.warmupCycles;
+    if (window > 0) {
+        res.acceptedRate =
+            static_cast<double>(client.deliveredInWindow_) /
+            (static_cast<double>(config.numNodes()) *
+             static_cast<double>(window));
+    }
     res.measureCyclesUsed = window;
     res.simulatedCycles = net.now();
-
-    int nodes = config.numNodes();
-    res.acceptedRate =
-        static_cast<double>(client.deliveredInWindow_) /
-        (static_cast<double>(nodes) * static_cast<double>(window));
     res.avgLatencyCycles = client.latencyCycles_.mean();
     res.avgLatencyNs = client.latencyNs_.mean();
     res.avgQueuingNs = client.queuingNs_.mean();
@@ -503,8 +441,11 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
     for (const RunningStat &s : client.byHops_)
         res.latencyByHopsNs.push_back(s.mean());
     res.metrics = std::move(reg);
-    finish_profile(res);
-    finish_blame(res);
+    if (opts.profile && kTelemetryEnabled) {
+        res.profile = std::make_shared<Profiler>(prof);
+        res.memory = std::make_shared<MemoryAudit>(net.memoryAudit());
+    }
+    res.blame = blame;
     return res;
 }
 

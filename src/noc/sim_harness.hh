@@ -51,7 +51,8 @@ struct SimPointOptions
     /** Epoch length (cycles) of the registry's time series. */
     Cycle telemetryEpoch = 1000;
     /** Optional flit-event observer (e.g. TraceObserver), attached
-     *  for the whole run including warmup and drain. Not owned. */
+     *  for the whole run including warmup and drain. Not owned; never
+     *  called in HNOC_TELEMETRY=OFF builds. */
     NetworkObserver *observer = nullptr;
 
     /** @name Diagnostics (docs/OBSERVABILITY.md) */

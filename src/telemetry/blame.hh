@@ -86,10 +86,10 @@ struct BlameLedger {
      *  SourceQueueing and LinkSerialization are derived at commit). */
     std::array<std::uint64_t, kNumBlameCauses> cycles{};
 
-    /** Zero-load cycles the head spends on its *actual* route:
-     *  accumulated as link-delay at injection plus (switch + channel
-     *  delay) at every hop's SA grant, so table/escape/O1TURN detours
-     *  are priced at their own length, not the minimal path's. */
+    /** Zero-load cycles the head spends on its *actual* route: the
+     *  injection-link delay at arming plus (switch + channel delay)
+     *  at every hop's SA grant, so table/escape/O1TURN detours are
+     *  priced at their own length, not the minimal path's. */
     std::uint64_t minHeadCycles = 0;
 
     /** Zero-load serialization bound for the packet's tail through

@@ -14,8 +14,8 @@
  * docs/OBSERVABILITY.md), answering "what was the pipeline doing in
  * the cycles before it stopped?" without rerunning.
  *
- * Hook sites in Router/Network test a recorder pointer exactly like
- * the MetricRegistry hooks and compile out under -DHNOC_TELEMETRY=OFF.
+ * The recorder consumes Probe events (noc/probe.hh) like the
+ * MetricRegistry, and its hooks compile out under -DHNOC_TELEMETRY=OFF.
  */
 
 #ifndef HNOC_TELEMETRY_FLIGHT_RECORDER_HH

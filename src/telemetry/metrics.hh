@@ -4,10 +4,10 @@
  *
  * A MetricRegistry holds a fixed catalog of named counters, gauges and
  * histograms over per-router × per-port × per-VC dimensions, plus
- * time-bucketed (epoch) series for the heat-map metrics. Hook sites in
- * Router/Channel/Network test a registry pointer and call the inline
- * add() methods below; with no registry attached the cost is a single
- * predictable branch per event, and configuring the build with
+ * time-bucketed (epoch) series for the heat-map metrics. The registry
+ * consumes Probe events (noc/probe.hh), which call the inline add()
+ * methods below; with nothing attached the cost is a single
+ * predictable branch per hook site, and configuring the build with
  * -DHNOC_TELEMETRY=OFF compiles the hooks out entirely.
  *
  * Registries are single-threaded by design: every sim point owns its

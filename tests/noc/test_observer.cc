@@ -54,6 +54,8 @@ class CollectingObserver : public NetworkObserver
 
 TEST(Observer, SeesFullPacketLifecycle)
 {
+    if (!kTelemetryEnabled)
+        GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
     Network net(cfg);
     CollectingObserver obs;
@@ -74,6 +76,8 @@ TEST(Observer, SeesFullPacketLifecycle)
 
 TEST(Observer, ArrivalsEqualDepartsAfterDrain)
 {
+    if (!kTelemetryEnabled)
+        GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
     Network net(cfg);
     CollectingObserver obs;
@@ -89,6 +93,8 @@ TEST(Observer, ArrivalsEqualDepartsAfterDrain)
 
 TEST(Observer, ClearingStopsEvents)
 {
+    if (!kTelemetryEnabled)
+        GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
     Network net(cfg);
     CollectingObserver obs;

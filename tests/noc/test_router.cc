@@ -25,8 +25,9 @@ TEST(Channel, DelayPipe)
     ch.sendFlit(f, 10);
 
     std::vector<Flit> out;
-    EXPECT_EQ(ch.deliverFlits(11, out), 0);
-    EXPECT_EQ(ch.deliverFlits(12, out), 1);
+    auto collect = [&](const Flit &fl) { out.push_back(fl); };
+    EXPECT_EQ(ch.deliverFlitsTo(11, collect), 0);
+    EXPECT_EQ(ch.deliverFlitsTo(12, collect), 1);
     EXPECT_EQ(out.size(), 1u);
     EXPECT_TRUE(ch.idle());
 }
@@ -36,8 +37,9 @@ TEST(Channel, CreditDelay)
     Channel ch(0, 192, 1, 2, 1);
     ch.sendCredit(2, 5);
     std::vector<VcId> credits;
-    EXPECT_EQ(ch.deliverCredits(5, credits), 0);
-    EXPECT_EQ(ch.deliverCredits(6, credits), 1);
+    auto collect = [&](VcId vc) { credits.push_back(vc); };
+    EXPECT_EQ(ch.deliverCreditsTo(5, collect), 0);
+    EXPECT_EQ(ch.deliverCreditsTo(6, collect), 1);
     EXPECT_EQ(credits[0], 2);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Active-set scheduler parity: every run must be bit-identical to the
- * exhaustive always-step loop (config.alwaysStep / HNOC_ALWAYS_STEP)
+ * exhaustive always-step loop (config.alwaysStep)
  * on every topology, pattern, seed, and thread count. This is the
  * acceptance gate for the activity-driven cycle loop: skipping idle
  * components must be invisible to results, telemetry, and power.
@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -234,7 +233,7 @@ TEST(SchedulerParityThreads, BlockSizesMatchAcross134Threads)
     }
 }
 
-TEST(BlockSizeEscapeHatch, EnvVarOverridesConfigAndClampsToChip)
+TEST(BlockSizeConfig, FieldSetsBlockSizeAndClampsToChip)
 {
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline); // 8x8
     {
@@ -250,22 +249,15 @@ TEST(BlockSizeEscapeHatch, EnvVarOverridesConfigAndClampsToChip)
         EXPECT_EQ(net.blockTiles(), 16);
         EXPECT_EQ(net.numBlocks(), 4);
     }
-    ::setenv("HNOC_BLOCK_TILES", "8", 1);
-    {
-        Network net(cfg); // env wins over the config field
-        EXPECT_EQ(net.blockTiles(), 8);
-        EXPECT_EQ(net.numBlocks(), 8);
-    }
-    ::setenv("HNOC_BLOCK_TILES", "100000", 1);
+    cfg.blockTiles = 100000;
     {
         Network net(cfg); // oversize clamps to one whole-chip block
         EXPECT_EQ(net.blockTiles(), 64);
         EXPECT_EQ(net.numBlocks(), 1);
     }
-    ::unsetenv("HNOC_BLOCK_TILES");
 }
 
-TEST(SchedulerEscapeHatch, EnvVarAndConfigForceExhaustiveLoop)
+TEST(SchedulerReferenceLoop, ConfigFieldForcesExhaustiveLoop)
 {
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
     {
@@ -277,18 +269,6 @@ TEST(SchedulerEscapeHatch, EnvVarAndConfigForceExhaustiveLoop)
         Network net(cfg);
         EXPECT_TRUE(net.alwaysStep());
     }
-    cfg.alwaysStep = false;
-    ::setenv("HNOC_ALWAYS_STEP", "1", 1);
-    {
-        Network net(cfg);
-        EXPECT_TRUE(net.alwaysStep());
-    }
-    ::setenv("HNOC_ALWAYS_STEP", "0", 1);
-    {
-        Network net(cfg);
-        EXPECT_FALSE(net.alwaysStep());
-    }
-    ::unsetenv("HNOC_ALWAYS_STEP");
 }
 
 } // namespace

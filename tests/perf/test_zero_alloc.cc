@@ -3,7 +3,7 @@
  * Steady-state allocation audit: once the packet arena, scratch
  * vectors, and ring buffers are warm, a loaded Network::step must not
  * touch the heap at all — under both the active-set scheduler and the
- * HNOC_ALWAYS_STEP exhaustive loop. Enforced by replacing global
+ * config.alwaysStep exhaustive loop. Enforced by replacing global
  * operator new with a counting shim (this binary only).
  *
  * This contract covers the SoA router core: its per-slot arrays,

@@ -129,6 +129,8 @@ traceOptions()
 
 TEST(TraceObserver, EndToEndChromeTraceRoundTrips)
 {
+    if (!kTelemetryEnabled)
+        GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg; // baseline 8x8
     SimPointOptions opts = traceOptions();
     TraceObserver obs;
@@ -183,6 +185,8 @@ TEST(TraceObserver, EndToEndChromeTraceRoundTrips)
 
 TEST(TraceObserver, FlitLogLinesAreValidJson)
 {
+    if (!kTelemetryEnabled)
+        GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg;
     SimPointOptions opts = traceOptions();
     opts.measureCycles = 400;
@@ -214,6 +218,8 @@ TEST(TraceObserver, FlitLogLinesAreValidJson)
 
 TEST(TraceObserver, CapsBoundMemoryAndAreReported)
 {
+    if (!kTelemetryEnabled)
+        GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg;
     SimPointOptions opts = traceOptions();
     TraceOptions cap;
@@ -242,6 +248,8 @@ TEST(TraceObserver, CapsBoundMemoryAndAreReported)
 
 TEST(TraceObserver, ResetClearsAllState)
 {
+    if (!kTelemetryEnabled)
+        GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg;
     SimPointOptions opts = traceOptions();
     opts.measureCycles = 400;
