@@ -1,36 +1,35 @@
 /**
  * @file
- * Active-set scheduling hooks shared by routers, channels, and NIs.
+ * Active-set scheduling shared by routers, channels, and NIs.
  *
- * The Network maintains one dense busy bitmap per component kind
- * (indexed by component id) plus a population counter for the
- * all-idle fast path. Each component owns an ActivitySlot bound to
- * its bitmap cell and flips it on its own idle/busy transitions:
+ * The Network keeps one record of which components have work: their
+ * membership in sorted ActiveLists, one list per (block, role). Two
+ * sides keep it exact:
  *
- *  - a channel is busy while its flit or credit pipe is non-empty;
- *  - a router is busy while any input VC holds a flit (flitCount_ > 0
- *    over the SoA core's FIFOs; a flitless router has empty rcMask /
- *    vaReqMask / saReqMask request sets, so RC, VA, SA and occupancy
- *    sampling are all provably no-ops — see DESIGN.md "Active-set
- *    cycle scheduling" and "SoA router core");
- *  - an NI is busy while its source queue or an in-progress packet
- *    stream has work.
+ *  - wake: every producer event calls the consumer's WakeHook —
+ *    Router::receiveFlit wakes the router, Channel::sendFlit and
+ *    Channel::sendCredit wake the channel on its flit-delivery and
+ *    credit-delivery lists, NetworkInterface::enqueue wakes the NI.
+ *    wake() is idempotent, so calling it on every event is safe;
+ *  - drop: each scan asks the component's own exact predicate before
+ *    visiting it and drops the entry when it has no work — a router
+ *    without a buffered flit (Router::busy), a channel whose pipe for
+ *    that list's role is empty, an NI with no queued packet or open
+ *    stream (NetworkInterface::busy).
  *
- * The flags are exact, not heuristic: a wakeup is just the producer
- * side of an event (flit send, credit send, packet enqueue) marking
- * the consumer's slot busy before the consumer's next scan.
+ * Nothing marks itself idle: a component that drains simply fails its
+ * predicate at the next scan. A flitless router has empty rcMask /
+ * vaReqMask / saReqMask request sets, so RC, VA, SA and occupancy
+ * sampling are all provably no-ops on it (DESIGN.md §6a, "SoA router
+ * core"); the same holds for the other kinds, so skipping a dropped
+ * entry is bit-identical to visiting it.
  *
- * Dense active lists (§6g): scanning the whole bitmap every cycle
- * costs O(total) even when almost everything is idle. An ActiveList
- * keeps the busy members of one bitmap as a sorted index list:
- * components append themselves on their idle→busy transition (via
- * wake hooks registered on the ActivitySlot), newly woken indices are
- * merged in canonical ascending order before each scan, and entries
- * whose busy byte has cleared are compacted out in place during the
- * scan. Iteration therefore visits — and costs — O(active), while
- * preserving the exact index order the bitmap scan used, which is
- * what bit-identity of the simulation depends on. All storage is
- * reserved once at bind time, so the steady state allocates nothing.
+ * Newly woken ids are sort-merged before each scan, so visits run in
+ * canonical ascending id order (§6g) and cost O(active). All storage
+ * is reserved once at construction, so the steady state allocates
+ * nothing. WakeHooks hold raw pointers into the Network's per-block
+ * std::vector<ActiveList>s, which therefore must never reallocate
+ * once the hooks are set.
  */
 
 #ifndef HNOC_NOC_ACTIVE_SET_HH
@@ -45,19 +44,22 @@ namespace hnoc
 {
 
 /**
- * Sorted dense list of busy component indices for one bitmap.
+ * Sorted dense list of component ids that may have work.
  *
- * Wake protocol: wake(i) is idempotent (an in-list byte suppresses
- * duplicate appends) and O(1) — woken indices collect unsorted in a
- * pending vector. mergePending() sorts the pending batch and merges
- * it with the main list (both sorted), restoring canonical ascending
- * order; forEachActive() runs the merge, then visits members in
- * ascending index order, keeping those whose busy byte is still set
- * and dropping the rest (write-index compaction). A dropped index
- * clears its in-list byte, so a later re-wake re-appends it.
+ * wake(i) is O(1) and idempotent (an in-list byte suppresses duplicate
+ * appends); woken ids collect unsorted in a pending vector until the
+ * next scan merges them. A dropped id clears its in-list byte, so a
+ * later wake re-appends it. An id woken during a scan after its
+ * position was passed is visited at the next scan, not this one.
  */
 class ActiveList
 {
+    /** forEachActive's default look-ahead: no prefetch. */
+    struct NoPrefetch
+    {
+        void operator()(std::uint32_t) const {}
+    };
+
   public:
     /**
      * Size all storage once, at network construction: membership
@@ -76,7 +78,7 @@ class ActiveList
         inList_.assign(id_space, 0);
     }
 
-    /** Append index @p i on its idle→busy transition (idempotent). */
+    /** Enlist id @p i (idempotent). */
     void
     wake(std::uint32_t i)
     {
@@ -86,7 +88,57 @@ class ActiveList
         }
     }
 
-    /** Merge newly woken indices into the sorted member list. */
+    /**
+     * Merge newly woken ids, then visit, in ascending id order, every
+     * member for which @p busy(id) holds and drop the rest
+     * (write-index compaction). The predicate runs before the visit,
+     * so a visit that drains its own component keeps the entry for
+     * one more (dropping) scan — deterministic either way.
+     * @p pre(next_id) runs one entry ahead of each visit, a window to
+     * prefetch the next member while the current one is processed; it
+     * may fire for an entry that is about to be dropped (a wasted
+     * prefetch, never a visible effect).
+     */
+    template <typename Busy, typename Fn, typename Pre = NoPrefetch>
+    void
+    forEachActive(Busy &&busy, Fn &&fn, Pre &&pre = Pre{})
+    {
+        mergePending();
+        std::size_t keep = 0;
+        std::size_t n = items_.size();
+        if (n > 0)
+            pre(items_[0]);
+        for (std::size_t i = 0; i < n; ++i) {
+            std::uint32_t id = items_[i];
+            if (i + 1 < n)
+                pre(items_[i + 1]);
+            if (busy(id)) {
+                fn(id);
+                items_[keep++] = id;
+            } else {
+                inList_[id] = 0;
+            }
+        }
+        items_.resize(keep);
+    }
+
+    /** Current member count (entries that have gone idle included
+     *  until the next scan drops them). */
+    std::size_t size() const { return items_.size() + pending_.size(); }
+
+    /** Steady-state storage (reserved once; memory-audit row). */
+    std::uint64_t
+    footprintBytes() const
+    {
+        return (items_.capacity() + pending_.capacity() +
+                scratch_.capacity()) *
+                   sizeof(std::uint32_t) +
+               inList_.capacity();
+    }
+
+  private:
+    /** Sort the pending batch and merge it into the (sorted) member
+     *  list, restoring canonical ascending order. */
     void
     mergePending()
     {
@@ -107,144 +159,26 @@ class ActiveList
         pending_.clear();
     }
 
-    /**
-     * Visit every member whose @p busy byte is set, in ascending
-     * index order; compact out members whose byte has cleared. The
-     * busy check happens before the visit, so a visit that idles its
-     * own component keeps the entry for one more (dropping) scan —
-     * deterministic either way.
-     */
-    template <typename Fn>
-    void
-    forEachActive(const std::uint8_t *busy, Fn &&fn)
-    {
-        mergePending();
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < items_.size(); ++i) {
-            std::uint32_t id = items_[i];
-            if (busy[id]) {
-                fn(id);
-                items_[keep++] = id;
-            } else {
-                inList_[id] = 0;
-            }
-        }
-        items_.resize(keep);
-    }
-
-    /**
-     * forEachActive with a one-ahead look: @p pre(next_id) runs
-     * before @p fn(current_id), giving the caller a window to issue a
-     * memory prefetch for the next member while the current one is
-     * processed. @p pre may fire for an entry whose busy byte has
-     * already cleared (a wasted prefetch, never a visible effect).
-     */
-    template <typename Fn, typename Pre>
-    void
-    forEachActive(const std::uint8_t *busy, Fn &&fn, Pre &&pre)
-    {
-        mergePending();
-        std::size_t keep = 0;
-        std::size_t n = items_.size();
-        if (n > 0)
-            pre(items_[0]);
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint32_t id = items_[i];
-            if (i + 1 < n)
-                pre(items_[i + 1]);
-            if (busy[id]) {
-                fn(id);
-                items_[keep++] = id;
-            } else {
-                inList_[id] = 0;
-            }
-        }
-        items_.resize(keep);
-    }
-
-    /** Current member count (stale idle entries included until the
-     *  next scan compacts them). */
-    std::size_t size() const { return items_.size() + pending_.size(); }
-
-    /** Steady-state storage (reserved once; memory-audit row). */
-    std::uint64_t
-    footprintBytes() const
-    {
-        return (items_.capacity() + pending_.capacity() +
-                scratch_.capacity()) *
-                   sizeof(std::uint32_t) +
-               inList_.capacity();
-    }
-
-  private:
     std::vector<std::uint32_t> items_;   ///< sorted current members
     std::vector<std::uint32_t> pending_; ///< woken since last merge
     std::vector<std::uint32_t> scratch_; ///< merge target (swapped)
     std::vector<std::uint8_t> inList_;   ///< membership byte per index
 };
 
-/** One component's cell in the Network's dense busy bitmap, plus up
- *  to two active-list wake hooks (a channel participates in both a
- *  flit-delivery list and a credit-delivery list). */
-class ActivitySlot
+/** A component's link into the ActiveList that schedules it: the list
+ *  plus the component's id there. Unset (a component built outside a
+ *  Network) it does nothing. */
+struct WakeHook
 {
-  public:
-    /** Bind to @p flag inside the bitmap and the shared @p count of
-     *  set flags. The storage must outlive the slot and never move. */
+    ActiveList *list = nullptr;
+    std::uint32_t id = 0;
+
     void
-    bind(std::uint8_t *flag, std::size_t *count)
+    wake() const
     {
-        flag_ = flag;
-        count_ = count;
+        if (list)
+            list->wake(id);
     }
-
-    /** Register an active list to wake (with index @p id) on every
-     *  idle→busy transition. Register hooks before bind() so a bind
-     *  of an already-busy component enlists it. */
-    void
-    addWakeHook(ActiveList *list, std::uint32_t id)
-    {
-        if (hooks_[0].list == nullptr) {
-            hooks_[0] = {list, id};
-        } else {
-            hooks_[1] = {list, id};
-        }
-    }
-
-    /** Mark busy (idempotent). No-op while unbound. */
-    void
-    markBusy()
-    {
-        if (flag_ && *flag_ == 0) {
-            *flag_ = 1;
-            ++*count_;
-            if (hooks_[0].list)
-                hooks_[0].list->wake(hooks_[0].id);
-            if (hooks_[1].list)
-                hooks_[1].list->wake(hooks_[1].id);
-        }
-    }
-
-    /** Mark idle (idempotent). No-op while unbound. */
-    void
-    markIdle()
-    {
-        if (flag_ && *flag_ != 0) {
-            *flag_ = 0;
-            --*count_;
-        }
-    }
-
-  private:
-    struct WakeHook
-    {
-        ActiveList *list = nullptr;
-        std::uint32_t id = 0;
-    };
-
-    std::uint8_t *flag_ = nullptr;
-    std::size_t *count_ = nullptr;
-    WakeHook hooks_[2];
 };
 
 } // namespace hnoc

@@ -31,7 +31,7 @@ namespace hnoc
 {
 
 /** Constant-latency flit pipe plus reverse credit pipe. */
-class Channel
+class alignas(64) Channel
 {
   public:
     /**
@@ -43,10 +43,10 @@ class Channel
      */
     Channel(int id, int width_bits, int lanes, int flit_delay,
             int credit_delay)
-        : id_(id), widthBits_(width_bits), lanes_(lanes),
-          flitDelay_(flit_delay), creditDelay_(credit_delay),
-          flitPipe_(pipeCapacity(lanes, flit_delay)),
-          creditPipe_(pipeCapacity(lanes, credit_delay))
+        : flitPipe_(pipeCapacity(lanes, flit_delay)),
+          creditPipe_(pipeCapacity(lanes, credit_delay)), id_(id),
+          widthBits_(width_bits), lanes_(lanes), flitDelay_(flit_delay),
+          creditDelay_(credit_delay)
     {}
 
     int id() const { return id_; }
@@ -72,7 +72,7 @@ class Channel
         ++flitsSent_;
         flitPipe_.push_back(
             {now + static_cast<Cycle>(flitDelay_), flit});
-        slot_.markBusy();
+        flitWake_.wake();
     }
 
     /** Send a credit for @p vc back to the channel's driver. */
@@ -81,7 +81,7 @@ class Channel
     {
         creditPipe_.push_back(
             {now + static_cast<Cycle>(creditDelay_), vc});
-        slot_.markBusy();
+        creditWake_.wake();
     }
 
     /**
@@ -100,8 +100,6 @@ class Channel
             flitPipe_.pop_front();
             ++n;
         }
-        if (idle())
-            slot_.markIdle();
         return n;
     }
 
@@ -117,16 +115,15 @@ class Channel
             creditPipe_.pop_front();
             ++n;
         }
-        if (idle())
-            slot_.markIdle();
         return n;
     }
 
-    bool
-    idle() const
-    {
-        return flitPipe_.empty() && creditPipe_.empty();
-    }
+    /** @name Drop predicates of the channel's active-list roles (§6a) */
+    ///@{
+    bool hasFlits() const { return !flitPipe_.empty(); }
+    bool hasCredits() const { return !creditPipe_.empty(); }
+    bool idle() const { return !hasFlits() && !hasCredits(); }
+    ///@}
 
     /** Bytes moveToArena() will carve (each pipe 64-B aligned). */
     std::size_t
@@ -153,34 +150,32 @@ class Channel
             creditPipe_.moveStorageTo(nc);
     }
 
-    /** Pull this channel's delivery state toward the cache one
-     *  active-list entry ahead of its deliver call (§6g): the object
-     *  header (pipe bookkeeping) and both pipes' front slots. */
+    /** @name Prefetch one active-list entry ahead of a delivery (§6g):
+     *  the pipe's header (the line its drop predicate reads) and its
+     *  front slot. */
+    ///@{
     void
-    prefetchDelivery() const
+    prefetchFlits() const
     {
-        bitops::prefetch(this);
+        bitops::prefetch(&flitPipe_);
         flitPipe_.prefetchFront();
+    }
+
+    void
+    prefetchCredits() const
+    {
+        bitops::prefetch(&creditPipe_);
         creditPipe_.prefetchFront();
     }
+    ///@}
 
-    /** Register a dense active list woken (with @p id) on this
-     *  channel's idle→busy transitions; a channel typically joins two
-     *  lists (flit-delivery role and credit-delivery role). Call
-     *  before bindActivitySlot. */
+    /** Set the active lists this channel's sends wake, both with id
+     *  @p id: @p flits on sendFlit, @p credits on sendCredit (§6a). */
     void
-    addActivityWake(ActiveList *list, std::uint32_t id)
+    setWakeHooks(ActiveList *flits, ActiveList *credits, std::uint32_t id)
     {
-        slot_.addWakeHook(list, id);
-    }
-
-    /** Bind this channel's cell in the Network's active-set bitmap. */
-    void
-    bindActivitySlot(std::uint8_t *flag, std::size_t *count)
-    {
-        slot_.bind(flag, count);
-        if (!idle())
-            slot_.markBusy();
+        flitWake_ = {flits, id};
+        creditWake_ = {credits, id};
     }
 
     /** @name In-flight introspection (conservation audit) */
@@ -269,18 +264,20 @@ class Channel
                static_cast<std::size_t>(delay + 2);
     }
 
-    // Hot-first member order (§6g): everything the per-cycle send /
-    // deliver path touches sits at the front of the object.
+    // Line-per-role member order (§6g): on a line-aligned object each
+    // pipe header shares one cache line with the wake hook its sends
+    // call, so a flit-list scan (predicate + delivery) touches line 0
+    // only and a credit-list scan line 1 only.
+    RingBuffer<TimedFlit> flitPipe_;
+    WakeHook flitWake_;
+    RingBuffer<TimedCredit> creditPipe_;
+    WakeHook creditWake_;
+
     int id_;
     int widthBits_;
     int lanes_;
     int flitDelay_;
     int creditDelay_;
-
-    RingBuffer<TimedFlit> flitPipe_;
-    RingBuffer<TimedCredit> creditPipe_;
-    ActivitySlot slot_;
-
     Cycle lastSendCycle_ = CYCLE_NEVER;
     int sendsThisCycle_ = 0;
     std::uint64_t flitsSent_ = 0;

@@ -1,5 +1,6 @@
 #include "noc/config_io.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -98,6 +99,43 @@ routingFromName(const std::string &s)
     fatal("config: unknown routing mode '%s'", s.c_str());
 }
 
+SaPolicy
+saPolicyFromName(const std::string &s)
+{
+    if (s == "round-robin")
+        return SaPolicy::RoundRobin;
+    if (s == "oldest-first")
+        return SaPolicy::OldestFirst;
+    fatal("config: unknown sa_policy '%s'", s.c_str());
+}
+
+/**
+ * Parse @p val, the value of @p key in a @p what file, as a T. Fatal,
+ * naming the key and the value, unless the whole value is a number in
+ * T's range: no trailing junk, no sign on an unsigned field.
+ */
+template <typename T>
+void
+parseNumber(const char *what, const std::string &key, const std::string &val,
+            T &out)
+{
+    const char *end = val.data() + val.size();
+    auto [ptr, ec] = std::from_chars(val.data(), end, out);
+    if (ec != std::errc() || ptr != end)
+        fatal("%s: %s='%s' is not a number in range", what, key.c_str(),
+              val.c_str());
+}
+
+/** A flag is written as a number; any non-zero value sets it. */
+void
+parseNumber(const char *what, const std::string &key, const std::string &val,
+            bool &out)
+{
+    int v = 0;
+    parseNumber(what, key, val, v);
+    out = v != 0;
+}
+
 template <typename T>
 std::string
 joinInts(const std::vector<T> &v)
@@ -112,14 +150,14 @@ joinInts(const std::vector<T> &v)
 }
 
 std::vector<int>
-splitInts(const std::string &s)
+splitInts(const std::string &key, const std::string &s)
 {
     std::vector<int> out;
     std::stringstream in(s);
     std::string item;
     while (std::getline(in, item, ','))
         if (!item.empty())
-            out.push_back(std::stoi(item));
+            parseNumber("config", key, item, out.emplace_back());
     return out;
 }
 
@@ -179,60 +217,62 @@ configFromString(const std::string &text)
             fatal("config: malformed line '%s'", line.c_str());
         std::string key = line.substr(0, eq);
         std::string val = line.substr(eq + 1);
+        auto parse = [&](auto &field) {
+            parseNumber("config", key, val, field);
+        };
 
         if (key == "name")
             c.name = val;
         else if (key == "topology")
             c.topology = topologyFromName(val);
         else if (key == "radix_x")
-            c.radixX = std::stoi(val);
+            parse(c.radixX);
         else if (key == "radix_y")
-            c.radixY = std::stoi(val);
+            parse(c.radixY);
         else if (key == "concentration")
-            c.concentration = std::stoi(val);
+            parse(c.concentration);
         else if (key == "flit_bits")
-            c.flitWidthBits = std::stoi(val);
+            parse(c.flitWidthBits);
         else if (key == "data_packet_bits")
-            c.dataPacketBits = std::stoi(val);
+            parse(c.dataPacketBits);
         else if (key == "buffer_depth")
-            c.bufferDepth = std::stoi(val);
+            parse(c.bufferDepth);
         else if (key == "default_vcs")
-            c.defaultVcs = std::stoi(val);
+            parse(c.defaultVcs);
         else if (key == "default_width_bits")
-            c.defaultWidthBits = std::stoi(val);
+            parse(c.defaultWidthBits);
         else if (key == "router_vcs")
-            c.routerVcs = splitInts(val);
+            c.routerVcs = splitInts(key, val);
         else if (key == "router_width_bits")
-            c.routerWidthBits = splitInts(val);
+            c.routerWidthBits = splitInts(key, val);
         else if (key == "link_mode")
             c.linkWidthMode = linkModeFromName(val);
         else if (key == "uniform_link_bits")
-            c.uniformLinkBits = std::stoi(val);
+            parse(c.uniformLinkBits);
         else if (key == "band_wide_links")
-            c.bandWideLinks = std::stoi(val);
+            parse(c.bandWideLinks);
         else if (key == "routing")
             c.routing = routingFromName(val);
         else if (key == "table_nodes") {
             c.tableRoutedNodes.clear();
-            for (int n : splitInts(val))
+            for (int n : splitInts(key, val))
                 c.tableRoutedNodes.push_back(n);
         } else if (key == "escape_threshold")
-            c.escapeThreshold = std::stoi(val);
+            parse(c.escapeThreshold);
         else if (key == "intra_packet_pairing")
-            c.intraPacketPairing = std::stoi(val) != 0;
+            parse(c.intraPacketPairing);
         else if (key == "sa_policy")
-            c.saPolicy = val == "oldest-first" ? SaPolicy::OldestFirst
-                                               : SaPolicy::RoundRobin;
+            c.saPolicy = saPolicyFromName(val);
         else if (key == "always_step")
-            c.alwaysStep = std::stoi(val) != 0;
+            parse(c.alwaysStep);
         else if (key == "block_tiles")
-            c.blockTiles = std::stoi(val);
+            parse(c.blockTiles);
         else if (key == "pipeline_stages")
-            c.pipelineStages = std::stoi(val);
+            parse(c.pipelineStages);
         else if (key == "link_latency")
-            c.linkLatency = std::stoi(val);
+            parse(c.linkLatency);
         else if (key == "clock_ghz")
-            c.clockGHz = std::stod(val);
+            parse(c.clockGHz);
         else
             fatal("config: unknown key '%s'", key.c_str());
     }
@@ -283,47 +323,50 @@ simOptionsFromString(const std::string &text)
             fatal("sim options: malformed line '%s'", line.c_str());
         std::string key = line.substr(0, eq);
         std::string val = line.substr(eq + 1);
+        auto parse = [&](auto &field) {
+            parseNumber("sim options", key, val, field);
+        };
 
         if (key == "injection_rate")
-            o.injectionRate = std::stod(val);
+            parse(o.injectionRate);
         else if (key == "warmup_cycles")
-            o.warmupCycles = std::stoull(val);
+            parse(o.warmupCycles);
         else if (key == "measure_cycles")
-            o.measureCycles = std::stoull(val);
+            parse(o.measureCycles);
         else if (key == "drain_cycles")
-            o.drainCycles = std::stoull(val);
+            parse(o.drainCycles);
         else if (key == "seed")
-            o.seed = std::stoull(val);
+            parse(o.seed);
         else if (key == "control_fraction")
-            o.controlFraction = std::stod(val);
+            parse(o.controlFraction);
         else if (key == "collect_metrics")
-            o.collectMetrics = std::stoi(val) != 0;
+            parse(o.collectMetrics);
         else if (key == "telemetry_epoch")
-            o.telemetryEpoch = std::stoull(val);
+            parse(o.telemetryEpoch);
         else if (key == "control_mode")
             o.control.mode = simControlModeFromName(val);
         else if (key == "min_warmup_cycles")
-            o.control.minWarmupCycles = std::stoull(val);
+            parse(o.control.minWarmupCycles);
         else if (key == "warmup_epochs")
-            o.control.warmupEpochs = std::stoi(val);
+            parse(o.control.warmupEpochs);
         else if (key == "warmup_tolerance")
-            o.control.warmupTolerance = std::stod(val);
+            parse(o.control.warmupTolerance);
         else if (key == "ci_target")
-            o.control.ciTarget = std::stod(val);
+            parse(o.control.ciTarget);
         else if (key == "ci_confidence")
-            o.control.ciConfidence = std::stod(val);
+            parse(o.control.ciConfidence);
         else if (key == "min_batches")
-            o.control.minBatches = std::stoi(val);
+            parse(o.control.minBatches);
         else if (key == "epochs_per_batch")
-            o.control.epochsPerBatch = std::stoi(val);
+            parse(o.control.epochsPerBatch);
         else if (key == "min_measure_cycles")
-            o.control.minMeasureCycles = std::stoull(val);
+            parse(o.control.minMeasureCycles);
         else if (key == "sat_epochs")
-            o.control.satEpochs = std::stoi(val);
+            parse(o.control.satEpochs);
         else if (key == "sat_depth_per_node")
-            o.control.satDepthPerNode = std::stod(val);
+            parse(o.control.satDepthPerNode);
         else if (key == "sat_growth_per_node")
-            o.control.satGrowthPerNode = std::stod(val);
+            parse(o.control.satGrowthPerNode);
         else
             fatal("sim options: unknown key '%s'", key.c_str());
     }

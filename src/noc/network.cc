@@ -65,49 +65,36 @@ Network::Network(const NetworkConfig &config)
     setupBlocks();
     packHotArena();
 
-    // Register active-list wake hooks, then bind every component's
-    // ActivitySlot into the dense busy bitmaps (in that order: a bind
-    // of an already-busy component must enlist it). The bitmaps are
-    // sized exactly once here; the slots keep raw pointers into them,
-    // so they must never reallocate.
-    endBusy_.assign(ends_.size(), 0);
-    routerBusy_.assign(routers_.size(), 0);
-    niBusy_.assign(nis_.size(), 0);
+    // Point every component's wake hooks at the active lists that
+    // schedule it. The hooks keep raw pointers into the per-block list
+    // vectors, which setupBlocks() sized for good. Every component is
+    // still idle here, so no list needs seeding.
     for (std::size_t i = 0; i < ends_.size(); ++i) {
         const ChannelEnds &e = ends_[i];
         auto id = static_cast<std::uint32_t>(i);
         if (!e.sinkIsRouter) {
-            e.chan->addActivityWake(&ejectEnds_, id);
-        } else {
-            e.chan->addActivityWake(
-                &blockFlitEnds_[static_cast<std::size_t>(
-                    blockOf(e.sinkRouter))],
-                id);
-            // Credits return to the driver: a router, or — for
-            // NI-driven injection channels — the NI attached to the
-            // sink router, so either way the block that steps the
-            // receiver also delivers its credits.
-            RouterId cr =
-                e.driverIsRouter ? e.driverRouter : e.sinkRouter;
-            e.chan->addActivityWake(
-                &blockCreditEnds_[static_cast<std::size_t>(blockOf(cr))],
-                id);
+            e.chan->setWakeHooks(&ejectEnds_, &ejectEnds_, id);
+            continue;
         }
-        e.chan->bindActivitySlot(&endBusy_[i], &busyEnds_);
+        // Credits return to the driver: a router, or — for NI-driven
+        // injection channels — the NI attached to the sink router, so
+        // either way the block that steps the receiver also delivers
+        // its credits.
+        RouterId cr = e.driverIsRouter ? e.driverRouter : e.sinkRouter;
+        e.chan->setWakeHooks(
+            &blockFlitEnds_[static_cast<std::size_t>(blockOf(e.sinkRouter))],
+            &blockCreditEnds_[static_cast<std::size_t>(blockOf(cr))], id);
     }
-    for (std::size_t i = 0; i < routers_.size(); ++i) {
-        routers_[i].addActivityWake(
+    for (std::size_t i = 0; i < routers_.size(); ++i)
+        routers_[i].setWakeHook(
             &blockRouters_[static_cast<std::size_t>(
                 blockOf(static_cast<RouterId>(i)))],
             static_cast<std::uint32_t>(i));
-        routers_[i].bindActivitySlot(&routerBusy_[i], &busyRouters_);
-    }
     for (std::size_t i = 0; i < nis_.size(); ++i) {
         RouterId r = topo_->routerOfNode(static_cast<NodeId>(i));
-        nis_[i]->addActivityWake(
+        nis_[i]->setWakeHook(
             &blockNis_[static_cast<std::size_t>(blockOf(r))],
             static_cast<std::uint32_t>(i));
-        nis_[i]->bindActivitySlot(&niBusy_[i], &busyNis_);
     }
 }
 
@@ -136,8 +123,8 @@ Network::build()
     // Routers live by value in one contiguous vector: the per-cycle
     // step pass walks them in index (= block) order, so the object
     // headers stream linearly instead of chasing per-router heap
-    // pointers. reserve() pins the addresses before activity-slot
-    // binding takes them.
+    // pointers. reserve() pins the addresses before wiring takes
+    // them.
     routers_.reserve(static_cast<std::size_t>(n_routers));
     for (RouterId r = 0; r < n_routers; ++r) {
         routers_.emplace_back(
@@ -523,11 +510,8 @@ Network::memoryAudit() const
         for (std::size_t i = 0; i < static_cast<std::size_t>(numBlocks_);
              ++i)
             lists += vec[i].footprintBytes() + sizeof(ActiveList);
-    a.add("active_set",
-          endBusy_.capacity() + routerBusy_.capacity() +
-              niBusy_.capacity() +
-              ends_.capacity() * sizeof(ChannelEnds) + lists,
-          endBusy_.size() + routerBusy_.size() + niBusy_.size());
+    a.add("active_set", ends_.capacity() * sizeof(ChannelEnds) + lists,
+          ends_.size() + routers_.size() + nis_.size());
 
     if (hotArena_.reservedBytes() > 0)
         a.add("hot_arena_pad",
@@ -858,27 +842,37 @@ Network::step()
         // results depend on, and both are preserved. See DESIGN.md
         // §6g for the full bit-identity argument.
         //
-        // Eject pass first: terminal (NI-sink) ends in canonical node
-        // order — flit consumption, delivery callbacks, and the
-        // credit return to the driver router's ejection port (a
-        // commutative counter increment that precedes every router
-        // step).
+        // Each list scan asks the component's own predicate before the
+        // visit and drops entries with no work (active_set.hh).
+        //
         // Prefetch look-ahead pays only when the chip's working set
         // exceeds one cache block (multi-block networks streaming
         // from L3); on a single-block network everything is already
         // resident and the extra per-entry work is pure scan
         // overhead.
         const bool look_ahead = numBlocks_ > 1;
-        if (busyEnds_ > 0) {
-            ProfScope s(prof, ProfPhase::NiEject);
-            auto visit = [&](std::uint32_t i) { deliverEnd(ends_[i]); };
+        auto pre_flits = [&](std::uint32_t i) {
             if (look_ahead)
-                ejectEnds_.forEachActive(
-                    endBusy_.data(), visit, [&](std::uint32_t i) {
-                        ends_[i].chan->prefetchDelivery();
-                    });
-            else
-                ejectEnds_.forEachActive(endBusy_.data(), visit);
+                ends_[i].chan->prefetchFlits();
+        };
+        auto pre_credits = [&](std::uint32_t i) {
+            if (look_ahead)
+                ends_[i].chan->prefetchCredits();
+        };
+        // Eject pass first: terminal (NI-sink) ends in canonical node
+        // order — flit consumption, delivery callbacks, and the
+        // credit return to the driver router's ejection port (a
+        // commutative counter increment that precedes every router
+        // step).
+        if (ejectEnds_.size() > 0) {
+            ProfScope s(prof, ProfPhase::NiEject);
+            ejectEnds_.forEachActive(
+                [&](std::uint32_t i) { return !ends_[i].chan->idle(); },
+                [&](std::uint32_t i) { deliverEnd(ends_[i]); },
+                [&](std::uint32_t i) {
+                    pre_flits(i);
+                    pre_credits(i);
+                });
         }
         // Then per block: deliver the block's inbound flits and
         // outbound-channel credits, step its routers, inject from its
@@ -898,37 +892,29 @@ Network::step()
                 t0 = std::chrono::steady_clock::now();
             {
                 ProfScope s(prof, ProfPhase::ChannelDelivery);
-                auto visit_f = [&](std::uint32_t i) {
-                    deliverFlitsOf(ends_[i]);
-                };
-                auto visit_c = [&](std::uint32_t i) {
-                    deliverCreditsOf(ends_[i]);
-                };
-                if (look_ahead) {
-                    auto pre_chan = [&](std::uint32_t i) {
-                        ends_[i].chan->prefetchDelivery();
-                    };
-                    fl.forEachActive(endBusy_.data(), visit_f, pre_chan);
-                    cl.forEachActive(endBusy_.data(), visit_c, pre_chan);
-                } else {
-                    fl.forEachActive(endBusy_.data(), visit_f);
-                    cl.forEachActive(endBusy_.data(), visit_c);
-                }
+                fl.forEachActive(
+                    [&](std::uint32_t i) { return ends_[i].chan->hasFlits(); },
+                    [&](std::uint32_t i) { deliverFlitsOf(ends_[i]); },
+                    pre_flits);
+                cl.forEachActive(
+                    [&](std::uint32_t i) {
+                        return ends_[i].chan->hasCredits();
+                    },
+                    [&](std::uint32_t i) { deliverCreditsOf(ends_[i]); },
+                    pre_credits);
             }
-            auto visit_r = [&](std::uint32_t i) {
-                routers_[i].step(now);
-            };
-            if (look_ahead)
-                rl.forEachActive(
-                    routerBusy_.data(), visit_r,
-                    [&](std::uint32_t i) { routers_[i].prefetchStep(); });
-            else
-                rl.forEachActive(routerBusy_.data(), visit_r);
+            rl.forEachActive(
+                [&](std::uint32_t i) { return routers_[i].busy(); },
+                [&](std::uint32_t i) { routers_[i].step(now); },
+                [&](std::uint32_t i) {
+                    if (look_ahead)
+                        routers_[i].prefetchStep();
+                });
             {
                 ProfScope s(prof, ProfPhase::NiInject);
-                nl.forEachActive(niBusy_.data(), [&](std::uint32_t i) {
-                    nis_[i]->stepInject(now);
-                });
+                nl.forEachActive(
+                    [&](std::uint32_t i) { return nis_[i]->busy(); },
+                    [&](std::uint32_t i) { nis_[i]->stepInject(now); });
             }
             if (prof)
                 prof->addBlock(

@@ -251,7 +251,7 @@ class Network
     /**
      * Per-component steady-state memory breakdown: routers (SoA core
      * + scratch), channels (pipes), NIs, the packet arena, the
-     * active-set bitmaps, and any attached registry/recorder. Byte
+     * active lists, and any attached registry/recorder. Byte
      * counts come from container capacities, so the audit reflects
      * grown high-water marks, not just construction-time sizes.
      */
@@ -334,30 +334,26 @@ class Network
     std::vector<ChannelEnds> ends_;
     std::vector<Channel *> wideChannels_;
 
-    /**
-     * Active-set state: one dense busy byte per component, flipped by
-     * the components themselves (via bound ActivitySlots) and scanned
-     * in index order so iteration stays canonical. The byte vectors
-     * are sized once in build() and never reallocate — the slots hold
-     * raw pointers into them. Counters give the all-idle fast path.
-     */
-    std::vector<std::uint8_t> endBusy_;
-    std::vector<std::uint8_t> routerBusy_;
-    std::vector<std::uint8_t> niBusy_;
-    std::size_t busyEnds_ = 0;
-    std::size_t busyRouters_ = 0;
-    std::size_t busyNis_ = 0;
     bool alwaysStep_ = false;
 
     /**
      * Cache-blocked step order (§6g): routers partition into
-     * contiguous-id spatial blocks of blockTiles_ routers; each block
-     * owns dense active lists for the channel ends it delivers
-     * (flit role keyed by sink router, credit role keyed by driver
-     * router), its routers, and the NIs attached to its routers.
-     * Terminal ejection ends (NI sink) live in one global list
-     * scanned first each cycle in canonical order. Components enlist
-     * themselves via ActivitySlot wake hooks.
+     * contiguous-id spatial blocks of blockTiles_ routers. Active-list
+     * membership is the only activity record (active_set.hh); each
+     * block owns one list per role:
+     *  - blockFlitEnds_: channel ends whose flits its routers receive,
+     *    woken by sendFlit, dropped once the flit pipe is empty;
+     *  - blockCreditEnds_: ends whose credits its routers (or their
+     *    NIs) receive, woken by sendCredit, dropped once the credit
+     *    pipe is empty;
+     *  - blockRouters_: woken by receiveFlit, dropped by !busy();
+     *  - blockNis_: NIs of its routers, woken by enqueue, dropped by
+     *    !busy().
+     * Terminal ejection ends (NI sink) live in one global list woken
+     * by both sends, scanned first each cycle in canonical order and
+     * dropped once both pipes are empty. Components hold raw pointers
+     * into these vectors, so setupBlocks() sizes them once and they
+     * never reallocate.
      */
     int blockTiles_ = 0;
     int numBlocks_ = 1;

@@ -72,8 +72,6 @@ NetworkInterface::stepInject(Cycle now)
             }
         }
     }
-    if (!busy())
-        slot_.markIdle();
 }
 
 Packet *

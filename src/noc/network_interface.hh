@@ -67,7 +67,7 @@ class NetworkInterface
     enqueue(Packet *pkt)
     {
         sourceQueue_.push_back(pkt);
-        slot_.markBusy();
+        wake_.wake();
     }
 
     /** Send up to lane-limit flits this cycle. */
@@ -94,21 +94,11 @@ class NetworkInterface
      */
     bool busy() const { return !sourceQueue_.empty() || activeStreams_ > 0; }
 
-    /** Register a dense active list woken (with @p id) on this NI's
-     *  idle→busy transitions; call before bindActivitySlot. */
+    /** Set the active list that enqueue wakes with id @p id. */
     void
-    addActivityWake(ActiveList *list, std::uint32_t id)
+    setWakeHook(ActiveList *list, std::uint32_t id)
     {
-        slot_.addWakeHook(list, id);
-    }
-
-    /** Bind this NI's cell in the Network's active-set bitmap. */
-    void
-    bindActivitySlot(std::uint8_t *flag, std::size_t *count)
-    {
-        slot_.bind(flag, count);
-        if (busy())
-            slot_.markBusy();
+        wake_ = {list, id};
     }
 
     /** Credits held toward the router's local input VC @p vc
@@ -157,7 +147,7 @@ class NetworkInterface
     RingBuffer<Packet *> sourceQueue_;
     int activeStreams_ = 0; ///< streams with a packet in flight
     bool intraPairing_ = true;
-    ActivitySlot slot_;
+    WakeHook wake_;
     RouterActivity *linkActivity_ = nullptr;
 };
 

@@ -48,7 +48,7 @@ Router::receiveFlit(PortId p, Flit flit, Cycle now)
     flit.arrivedAt = now;
     fifo.push_back(flit);
     ++flitCount_;
-    slot_.markBusy();
+    wake_.wake();
     ++activity_.bufferWrites;
     if (Probe *pr = probe())
         pr->flitIn(now, id_, p, flit);
@@ -113,8 +113,6 @@ Router::step(Cycle now)
             stallPass(now, *pr);
         pr->occupancy(id_, occ);
     }
-    if (flitCount_ == 0)
-        slot_.markIdle(); // drained every buffered flit this cycle
 }
 
 void

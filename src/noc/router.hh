@@ -108,21 +108,11 @@ class Router
      */
     bool busy() const { return flitCount_ > 0; }
 
-    /** Register a dense active list woken (with @p id) on this
-     *  router's idle→busy transitions; call before bindActivitySlot. */
+    /** Set the active list that receiveFlit wakes with id @p id. */
     void
-    addActivityWake(ActiveList *list, std::uint32_t id)
+    setWakeHook(ActiveList *list, std::uint32_t id)
     {
-        slot_.addWakeHook(list, id);
-    }
-
-    /** Bind this router's cell in the Network's active-set bitmap. */
-    void
-    bindActivitySlot(std::uint8_t *flag, std::size_t *count)
-    {
-        slot_.bind(flag, count);
-        if (busy())
-            slot_.markBusy();
+        wake_ = {list, id};
     }
 
     /** @name Statistics */
@@ -241,7 +231,11 @@ class Router
      *  occupying slot @p s. */
     void maybeEscape(int s, Cycle now);
 
+    // flitCount_ leads the object so busy() — the router list's drop
+    // predicate — reads the line prefetchStep() pulls first.
+    int flitCount_ = 0; ///< total buffered flits across all input VCs
     RouterId id_;
+    WakeHook wake_;
     int bufferDepth_;
     const RoutingAlgorithm &routing_;
     int escapeThreshold_;
@@ -249,8 +243,6 @@ class Router
     SaPolicy saPolicy_;
 
     RouterCore core_;
-    int flitCount_ = 0; ///< total buffered flits across all input VCs
-    ActivitySlot slot_;
 
     RouterActivity activity_;
     double occupancySum_ = 0.0;

@@ -169,6 +169,35 @@ TEST(ConfigIo, SimOptionsUnknownKeyFatal)
                  "unknown key");
 }
 
+// Malformed values die with a diagnostic naming the key and the value
+// instead of an uncaught exception, a silent truncation or wraparound,
+// or a silent fallback.
+TEST(ConfigIo, NonNumericValueFatal)
+{
+    EXPECT_DEATH((void)configFromString("radix_x=abc\n"),
+                 "radix_x='abc' is not a number");
+}
+
+TEST(ConfigIo, TrailingJunkFatal)
+{
+    EXPECT_DEATH((void)configFromString("radix_x=8x\n"),
+                 "radix_x='8x' is not a number");
+    EXPECT_DEATH((void)configFromString("router_vcs=2,3z,2\n"),
+                 "router_vcs='3z' is not a number");
+}
+
+TEST(ConfigIo, NegativeUnsignedFatal)
+{
+    EXPECT_DEATH((void)simOptionsFromString("measure_cycles=-1\n"),
+                 "measure_cycles='-1' is not a number in range");
+}
+
+TEST(ConfigIo, UnknownSaPolicyFatal)
+{
+    EXPECT_DEATH((void)configFromString("sa_policy=oldest_first\n"),
+                 "unknown sa_policy 'oldest_first'");
+}
+
 TEST(ConfigIo, LoadedConfigSimulates)
 {
     NetworkConfig cfg = configFromString(

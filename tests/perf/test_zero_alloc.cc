@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <random>
+#include <vector>
 
 #include "heteronoc/layout.hh"
 #include "noc/active_set.hh"
@@ -179,33 +181,94 @@ TEST(ZeroAlloc, SingleTileBlocksAreAllocationFree)
 TEST(ZeroAlloc, ActiveListChurnIsAllocationFree)
 {
     // Direct contract on the list itself: once reserve() has run,
-    // arbitrary wake/merge/compact churn never touches the heap.
+    // random wake/merge/drop churn never touches the heap, and every
+    // scan consults exactly the ids a naive reference predicts — those
+    // woken since they were last dropped — in ascending order, and
+    // visits exactly those still busy at their check.
+    constexpr std::uint32_t kIds = 64;
     ActiveList list;
-    list.reserve(/*id_space=*/64, /*max_members=*/64);
-    std::uint8_t busy[64] = {};
+    list.reserve(/*id_space=*/kIds, /*max_members=*/kIds);
+    bool busy[kIds] = {};
+    // Reference: event stamps of each id's latest wake and drop; an id
+    // is enlisted iff its latest wake is the newer event.
+    std::uint64_t woke[kIds] = {};
+    std::uint64_t dropped[kIds] = {};
+    std::uint64_t stamp = 0;
+    auto wake = [&](std::uint32_t i) {
+        busy[i] = true;
+        woke[i] = ++stamp;
+        list.wake(i);
+    };
+    std::vector<std::uint32_t> expect, checked, wantVisits, visited;
+    for (auto *v : {&expect, &checked, &wantVisits, &visited})
+        v->reserve(kIds);
+    std::mt19937 rng(7);
+    int mismatches = 0;
+    int idleThenWoken = 0; // enlisted, went idle, woke before the scan
+    int passedWakes = 0;   // dropped this scan, re-woken later in it
 
     g_allocs.store(0);
     g_counting.store(true);
     for (int round = 0; round < 200; ++round) {
-        for (std::uint32_t i = 0; i < 64; ++i) {
-            if ((i + round) % 3 == 0) {
-                busy[i] = 1;
-                list.wake(i);
+        for (std::uint32_t i = 0; i < kIds; ++i) {
+            switch (rng() % 8) {
+              case 0:
+                wake(i);
+                break;
+              case 1:
+                busy[i] = false; // goes idle without telling the list
+                break;
+              case 2:
+                idleThenWoken += woke[i] > dropped[i];
+                busy[i] = false;
+                wake(i);
+                break;
+              default:
+                break;
             }
         }
-        std::uint32_t prev = 0;
-        bool first = true;
-        list.forEachActive(busy, [&](std::uint32_t id) {
-            if (!first)
-                EXPECT_LT(prev, id); // canonical ascending order
-            prev = id;
-            first = false;
-            if (id % 2 == static_cast<std::uint32_t>(round % 2))
-                busy[id] = 0; // idles compact out next scan
-        });
+
+        expect.clear();
+        for (std::uint32_t i = 0; i < kIds; ++i)
+            if (woke[i] > dropped[i])
+                expect.push_back(i);
+        checked.clear();
+        wantVisits.clear();
+        visited.clear();
+        std::uint64_t scanStart = stamp;
+        list.forEachActive(
+            [&](std::uint32_t id) {
+                checked.push_back(id);
+                if (busy[id])
+                    wantVisits.push_back(id);
+                else
+                    dropped[id] = ++stamp;
+                return busy[id];
+            },
+            [&](std::uint32_t id) {
+                visited.push_back(id);
+                switch (rng() % 4) {
+                  case 0:
+                    busy[id] = false; // drains itself: dropped next scan
+                    break;
+                  case 1: {
+                    std::uint32_t j = rng() % kIds;
+                    passedWakes += j < id && dropped[j] > scanStart;
+                    wake(j); // not visited before the next scan
+                    break;
+                  }
+                  default:
+                    break;
+                }
+            });
+        mismatches += checked != expect;
+        mismatches += visited != wantVisits;
     }
     g_counting.store(false);
     EXPECT_EQ(g_allocs.load(), 0u);
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_GT(idleThenWoken, 0);
+    EXPECT_GT(passedWakes, 0);
 }
 
 TEST(ZeroAlloc, HeterogeneousDiagonalBlAlwaysStepIsAllocationFree)
