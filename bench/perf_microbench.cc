@@ -33,7 +33,7 @@ enum class TelemetryLevel
 {
     Off,      ///< no registry attached (hooks cost one branch)
     Registry, ///< MetricRegistry attached, no tracing
-    Trace,    ///< registry plus a TraceObserver on every router
+    Trace,    ///< registry plus a flight recorder sized for a traced run
     Blame,    ///< BlameCollector attached (per-packet stall charging)
 };
 
@@ -45,7 +45,7 @@ networkStep(benchmark::State &state, LayoutKind kind,
     NetworkConfig cfg = makeLayoutConfig(kind);
     Network net(cfg);
     std::unique_ptr<MetricRegistry> reg;
-    std::unique_ptr<TraceObserver> tracer;
+    std::unique_ptr<FlightRecorder> recorder;
     std::unique_ptr<BlameCollector> blame;
     if (level == TelemetryLevel::Registry ||
         level == TelemetryLevel::Trace) {
@@ -53,8 +53,8 @@ networkStep(benchmark::State &state, LayoutKind kind,
         net.attachTelemetry(reg.get());
     }
     if (level == TelemetryLevel::Trace) {
-        tracer = std::make_unique<TraceObserver>();
-        net.setObserver(tracer.get());
+        recorder = std::make_unique<FlightRecorder>(FlitTrace::kRingCapacity);
+        net.attachFlightRecorder(recorder.get());
     }
     if (level == TelemetryLevel::Blame) {
         blame = net.makeBlameCollector();
@@ -76,8 +76,8 @@ networkStep(benchmark::State &state, LayoutKind kind,
     state.SetItemsProcessed(state.iterations());
     if (reg)
         benchmark::DoNotOptimize(reg->total(Ctr::BufferWrites));
-    if (tracer)
-        benchmark::DoNotOptimize(tracer->eventCount());
+    if (recorder)
+        benchmark::DoNotOptimize(recorder->totalRecorded());
     if (blame)
         benchmark::DoNotOptimize(blame->packets());
 }

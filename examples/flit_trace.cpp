@@ -2,77 +2,25 @@
  * @file
  * Flit-level trace: follow one packet hop by hop through the
  * Diagonal+BL network (with background traffic), then print per-hop
- * residency statistics gathered by a NetworkObserver. Demonstrates the
- * observer API and the table-routing path shapes of Fig 14(a).
+ * residency statistics. Both come from the trace that FlitTrace
+ * renders out of a FlightRecorder ring after the run. Demonstrates
+ * the recorder/trace API and the table-routing path shapes of
+ * Fig 14(a).
  *
  *   ./examples/flit_trace [src=0] [dst=55]
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "heteronoc/layout.hh"
 #include "noc/network.hh"
+#include "telemetry/trace.hh"
 
 using namespace hnoc;
-
-namespace
-{
-
-/** Prints the head flit's journey for one watched packet and collects
- *  per-hop residency for everything else. */
-class TraceObserver : public NetworkObserver
-{
-  public:
-    explicit TraceObserver(const std::vector<bool> &big_mask)
-        : bigMask_(big_mask)
-    {}
-
-    void
-    onFlitArrive(RouterId router, PortId port, const Flit &flit,
-                 Cycle now) override
-    {
-        if (flit.pkt->id == watched && flit.isHead()) {
-            std::printf("  cycle %5llu  arrive router %2d (%s) "
-                        "port %d vc %d\n",
-                        static_cast<unsigned long long>(now), router,
-                        bigMask_[static_cast<std::size_t>(router)]
-                            ? "BIG  "
-                            : "small",
-                        port, flit.vc);
-            arrival_[router] = now;
-        }
-    }
-
-    void
-    onFlitDepart(RouterId router, PortId port, const Flit &flit,
-                 Cycle now) override
-    {
-        if (flit.pkt->id == watched && flit.isHead()) {
-            std::printf("  cycle %5llu  depart router %2d port %d\n",
-                        static_cast<unsigned long long>(now), router,
-                        port);
-        }
-        // Per-hop residency of every head flit.
-        if (flit.isHead()) {
-            hopResidency_.add(
-                static_cast<double>(now - flit.arrivedAt));
-        }
-    }
-
-    PacketId watched = 0;
-    const RunningStat &hopResidency() const { return hopResidency_; }
-
-  private:
-    std::vector<bool> bigMask_;
-    std::map<RouterId, Cycle> arrival_;
-    RunningStat hopResidency_;
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -85,8 +33,8 @@ main(int argc, char **argv)
     cfg.tableRoutedNodes = {0, 7, 56, 63};
 
     Network net(cfg);
-    TraceObserver obs(bigRouterMask(LayoutKind::DiagonalBL, 8));
-    net.setObserver(&obs);
+    FlightRecorder recorder(FlitTrace::kRingCapacity);
+    net.attachFlightRecorder(&recorder);
 
     // Background load so the trace shows real contention.
     Rng rng(42);
@@ -104,12 +52,31 @@ main(int argc, char **argv)
 
     std::printf("tracing a data packet %d -> %d (table routing; big "
                 "routers on the diagonals):\n", src, dst);
-    Packet *pkt = net.enqueuePacket(src, dst, cfg.dataPacketFlits());
-    obs.watched = pkt->id;
-    PacketId watched_id = pkt->id;
+    PacketId watched =
+        net.enqueuePacket(src, dst, cfg.dataPacketFlits())->id;
     Cycle start = net.now();
     net.run(500);
-    (void)watched_id;
+
+    FlitTrace trace(recorder);
+    std::vector<bool> big = bigRouterMask(LayoutKind::DiagonalBL, 8);
+    RunningStat residency;
+    for (const FlitTrace::PacketRecord &p : trace.packets()) {
+        for (const FlitTrace::HopRecord &h : p.hops) {
+            if (h.depart == CYCLE_NEVER)
+                continue;
+            residency.add(static_cast<double>(h.depart - h.arrive));
+            if (p.id != watched)
+                continue;
+            std::printf("  cycle %5llu  arrive router %2d (%s) port %d "
+                        "vc %d, depart cycle %5llu\n",
+                        static_cast<unsigned long long>(h.arrive),
+                        h.router,
+                        big[static_cast<std::size_t>(h.router)] ? "BIG  "
+                                                                : "small",
+                        h.inPort, h.vc,
+                        static_cast<unsigned long long>(h.depart));
+        }
+    }
 
     std::printf("\npacket hops: the expected table path was:");
     for (RouterId r : net.routing().path(src, dst))
@@ -119,6 +86,6 @@ main(int argc, char **argv)
 
     std::printf("\nper-hop head-flit residency over all packets: "
                 "mean %.1f cycles, p-max %.0f\n",
-                obs.hopResidency().mean(), obs.hopResidency().max());
+                residency.mean(), residency.max());
     return 0;
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/report.hh"
 #include "heteronoc/layout.hh"
 #include "noc/config_io.hh"
@@ -124,6 +125,29 @@ parsePattern(const std::string &s)
     fatal("unknown pattern '%s' (try --help)", s.c_str());
 }
 
+/** @return @p val, the value of @p flag, as a T; fatal when it is not
+ *  a number. */
+template <typename T>
+T
+flagNumber(const std::string &flag, const std::string &val)
+{
+    T v{};
+    parseNumber("hnoc_cli", flag, val, v);
+    return v;
+}
+
+/** @return which of @p a and @p b (false, true) @p val names; fatal
+ *  naming @p flag otherwise. */
+bool
+flagChoice(const std::string &flag, const std::string &val, const char *a,
+           const char *b)
+{
+    if (val != a && val != b)
+        fatal("hnoc_cli: %s wants %s or %s, not '%s'", flag.c_str(), a, b,
+              val.c_str());
+    return val == b;
+}
+
 McPlacement
 parseMc(const std::string &s)
 {
@@ -181,7 +205,7 @@ main(int argc, char **argv)
         else if (arg == "--pattern")
             pattern = parsePattern(next());
         else if (arg == "--rate")
-            rates = {std::atof(next().c_str())};
+            rates = {flagNumber<double>(arg, next())};
         else if (arg == "--sweep") {
             double a;
             double b;
@@ -193,13 +217,13 @@ main(int argc, char **argv)
             for (double r = a; r <= b + 1e-12; r += s)
                 rates.push_back(r);
         } else if (arg == "--topology")
-            torus = next() == "torus";
+            torus = flagChoice(arg, next(), "mesh", "torus");
         else if (arg == "--routing")
-            yx = next() == "yx";
+            yx = flagChoice(arg, next(), "xy", "yx");
         else if (arg == "--radix")
-            radix = std::atoi(next().c_str());
+            radix = flagNumber<int>(arg, next());
         else if (arg == "--seed")
-            seed = std::strtoull(next().c_str(), nullptr, 10);
+            seed = flagNumber<std::uint64_t>(arg, next());
         else if (arg == "--csv")
             csv_path = next();
         else if (arg == "--json")
@@ -216,7 +240,7 @@ main(int argc, char **argv)
             adaptive = true;
         else if (arg.rfind("--adaptive=", 0) == 0) {
             adaptive = true;
-            ci_target = std::atof(arg.c_str() + 11);
+            ci_target = flagNumber<double>("--adaptive", arg.substr(11));
             if (ci_target <= 0.0)
                 fatal("--adaptive=T wants a positive CI target");
         } else if (arg == "--sim-options")
@@ -232,13 +256,13 @@ main(int argc, char **argv)
         else if (arg == "--progress")
             progress_every = 10000;
         else if (arg.rfind("--progress=", 0) == 0)
-            progress_every = std::strtoull(arg.c_str() + 11, nullptr, 10);
+            progress_every = flagNumber<Cycle>("--progress", arg.substr(11));
         else if (arg == "--audit")
             audit_every = 1000;
         else if (arg.rfind("--audit=", 0) == 0)
-            audit_every = std::strtoull(arg.c_str() + 8, nullptr, 10);
+            audit_every = flagNumber<Cycle>("--audit", arg.substr(8));
         else if (arg.rfind("--watchdog=", 0) == 0)
-            watchdog_window = std::strtoull(arg.c_str() + 11, nullptr, 10);
+            watchdog_window = flagNumber<Cycle>("--watchdog", arg.substr(11));
         else if (arg == "--profile")
             profile = true;
         else if (arg == "--blame")
@@ -321,9 +345,12 @@ main(int argc, char **argv)
         if (opts.watchdogWindow == 0)
             opts.watchdogWindow = 50000;
     }
-    TraceObserver tracer;
-    if (tracing)
-        opts.observer = &tracer;
+    // The trace is rendered from the recorder ring after the run; with
+    // --postmortem as well, the one recorder serves both.
+    if (tracing) {
+        opts.flightRecorder = true;
+        opts.flightRecorderCapacity = FlitTrace::kRingCapacity;
+    }
     if (tracing && !kTelemetryEnabled)
         std::fprintf(stderr, "--trace/--flitlog: built with "
                              "HNOC_TELEMETRY=OFF, no flit events recorded\n");
@@ -388,12 +415,15 @@ main(int argc, char **argv)
     if (!json_path.empty() &&
         writeRunReport(json_path, "hnoc_cli run", labels, results))
         std::printf("run report: %s\n", json_path.c_str());
-    if (!trace_path.empty() && tracer.writeChromeTrace(trace_path))
-        std::printf("chrome trace: %s (%llu events, %zu packets)\n",
-                    trace_path.c_str(),
-                    static_cast<unsigned long long>(tracer.eventCount()),
-                    tracer.packets().size());
-    if (!flitlog_path.empty() && tracer.writeFlitLog(flitlog_path))
-        std::printf("flit log: %s\n", flitlog_path.c_str());
+    if (tracing) {
+        FlitTrace trace(*results.front().flightRecorder);
+        if (!trace_path.empty() && trace.writeChromeTrace(trace_path))
+            std::printf("chrome trace: %s (%llu events, %zu packets)\n",
+                        trace_path.c_str(),
+                        static_cast<unsigned long long>(trace.eventCount()),
+                        trace.packets().size());
+        if (!flitlog_path.empty() && trace.writeFlitLog(flitlog_path))
+            std::printf("flit log: %s\n", flitlog_path.c_str());
+    }
     return 0;
 }

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "common/parse.hh"
+
 namespace hnoc
 {
 
@@ -9,7 +11,8 @@ int
 JobPool::defaultThreadCount()
 {
     if (const char *env = std::getenv("HNOC_THREADS")) {
-        int v = std::atoi(env);
+        int v = 0;
+        parseNumber("environment", "HNOC_THREADS", env, v);
         if (v >= 1)
             return v;
     }

@@ -52,7 +52,7 @@ class JobPool
     /**
      * Pool size implied by the environment: HNOC_THREADS when set to a
      * positive integer, else std::thread::hardware_concurrency()
-     * (minimum 1).
+     * (minimum 1). Fatal when HNOC_THREADS is not an integer.
      */
     static int defaultThreadCount();
 

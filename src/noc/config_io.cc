@@ -1,11 +1,11 @@
 #include "noc/config_io.hh"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace hnoc
 {
@@ -107,33 +107,6 @@ saPolicyFromName(const std::string &s)
     if (s == "oldest-first")
         return SaPolicy::OldestFirst;
     fatal("config: unknown sa_policy '%s'", s.c_str());
-}
-
-/**
- * Parse @p val, the value of @p key in a @p what file, as a T. Fatal,
- * naming the key and the value, unless the whole value is a number in
- * T's range: no trailing junk, no sign on an unsigned field.
- */
-template <typename T>
-void
-parseNumber(const char *what, const std::string &key, const std::string &val,
-            T &out)
-{
-    const char *end = val.data() + val.size();
-    auto [ptr, ec] = std::from_chars(val.data(), end, out);
-    if (ec != std::errc() || ptr != end)
-        fatal("%s: %s='%s' is not a number in range", what, key.c_str(),
-              val.c_str());
-}
-
-/** A flag is written as a number; any non-zero value sets it. */
-void
-parseNumber(const char *what, const std::string &key, const std::string &val,
-            bool &out)
-{
-    int v = 0;
-    parseNumber(what, key, val, v);
-    out = v != 0;
 }
 
 template <typename T>

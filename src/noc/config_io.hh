@@ -37,8 +37,8 @@ NetworkConfig loadConfig(const std::string &path);
 /**
  * Serialize the window and simulation-control knobs of @p opts to the
  * same key=value format (doubles at full precision, so a round-trip
- * is exact). Diagnostics (observer, recorder, watchdog) are runtime
- * attachments and are not serialized.
+ * is exact). Diagnostics (recorder, watchdog, profiler, blame) are
+ * runtime attachments and are not serialized.
  */
 std::string simOptionsToString(const SimPointOptions &opts);
 

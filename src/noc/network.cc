@@ -370,6 +370,8 @@ Network::rewireProbe()
     probe_ = attached_.attached() ? &attached_ : nullptr;
     for (auto &r : routers_)
         r.setProbe(probe_);
+    for (auto &ni : nis_)
+        ni->setProbe(probe_);
 }
 
 std::unique_ptr<MetricRegistry>
@@ -964,6 +966,22 @@ Network::minTransferCycles(NodeId src, NodeId dst, int num_flits) const
     auto serialization = static_cast<Cycle>(
         (num_flits - 1 + min_lanes - 1) / min_lanes);
     return head + serialization;
+}
+
+double
+NetLatencyStats::add(const Network &net, const Packet &pkt)
+{
+    double ns = net.nsPerCycle();
+    auto total = static_cast<double>(pkt.ejectedAt - pkt.createdAt);
+    auto queuing = static_cast<double>(pkt.queuingLatency());
+    auto transfer = static_cast<double>(
+        net.minTransferCycles(pkt.src, pkt.dst, pkt.numFlits));
+    double blocking = std::max(0.0, total - queuing - transfer);
+    totalNs.add(total * ns);
+    queuingNs.add(queuing * ns);
+    transferNs.add(transfer * ns);
+    blockingNs.add(blocking * ns);
+    return total;
 }
 
 void

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/hot_arena.hh"
+#include "common/stats.hh"
 #include "common/types.hh"
 #include "noc/channel.hh"
 #include "noc/flit.hh"
@@ -88,14 +89,6 @@ class Network
 
     /** @return block count of the cache-blocked step order. */
     int numBlocks() const { return numBlocks_; }
-
-    /** Install a flit-event observer (nullptr clears). */
-    void
-    setObserver(NetworkObserver *observer)
-    {
-        attached_.observer = observer;
-        rewireProbe();
-    }
 
     /** Advance one clock cycle. */
     void step();
@@ -301,7 +294,8 @@ class Network
     };
 
     void build();
-    /** Point probe_ and every router at attached_ or nullptr. */
+    /** Point probe_, every router and every NI at attached_ or
+     *  nullptr. */
     void rewireProbe();
 
     /** The live probe; folds to nullptr under HNOC_TELEMETRY=OFF. */
@@ -384,6 +378,32 @@ class Network
 
     std::vector<std::unique_ptr<Packet>> packetArena_;
     std::vector<Packet *> freeList_;
+};
+
+/** Per-packet network latency aggregates (Fig 11 style), in ns. */
+struct NetLatencyStats
+{
+    RunningStat totalNs;
+    RunningStat queuingNs;
+    RunningStat blockingNs;
+    RunningStat transferNs;
+
+    /**
+     * Add delivered packet @p pkt: total (created -> ejected) splits
+     * into source queuing, the contention-free transfer time of
+     * @p net, and the in-network blocking that remains.
+     * @return the total in cycles.
+     */
+    double add(const Network &net, const Packet &pkt);
+
+    void
+    reset()
+    {
+        totalNs.reset();
+        queuingNs.reset();
+        blockingNs.reset();
+        transferNs.reset();
+    }
 };
 
 } // namespace hnoc

@@ -55,8 +55,11 @@ NetworkInterface::stepInject(Cycle now)
             else
                 flit.type = FlitType::Body;
 
-            if (s.nextSeq == 0)
+            if (s.nextSeq == 0) {
                 pkt->injectedAt = now;
+                if (Probe *pr = probe())
+                    pr->launch(now, *pkt, vc);
+            }
 
             --credits_[static_cast<std::size_t>(vc)];
             inj_->sendFlit(flit, now);

@@ -29,6 +29,7 @@
 #include "noc/active_set.hh"
 #include "noc/channel.hh"
 #include "noc/flit.hh"
+#include "noc/probe.hh"
 #include "power/router_power.hh"
 
 namespace hnoc
@@ -94,6 +95,9 @@ class NetworkInterface
      */
     bool busy() const { return !sourceQueue_.empty() || activeStreams_ > 0; }
 
+    /** Set the probe that sees Launch events (nullptr: none). */
+    void setProbe(Probe *probe) { probe_ = probe; }
+
     /** Set the active list that enqueue wakes with id @p id. */
     void
     setWakeHook(ActiveList *list, std::uint32_t id)
@@ -135,6 +139,9 @@ class NetworkInterface
 
     static constexpr std::size_t kInitialQueueCapacity = 16;
 
+    /** The live probe; folds to nullptr under HNOC_TELEMETRY=OFF. */
+    Probe *probe() const { return kTelemetryEnabled ? probe_ : nullptr; }
+
     // Hot-first member order (§6g): the stepInject path reads the
     // queue, streams, credits and pairing flag every active cycle;
     // the stats attachment trails as the cold tail.
@@ -149,6 +156,7 @@ class NetworkInterface
     bool intraPairing_ = true;
     WakeHook wake_;
     RouterActivity *linkActivity_ = nullptr;
+    Probe *probe_ = nullptr;
 };
 
 } // namespace hnoc

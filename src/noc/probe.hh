@@ -3,10 +3,10 @@
  * The probe seam: one vocabulary of router-pipeline and network-edge
  * events (the FlightRecorder's FrKind set plus flit eject, stall,
  * occupancy sample and epoch tick), fanned out to the attached
- * report-only instruments. Router and Network hold one Probe pointer,
- * null unless a consumer is attached and folded to nullptr under
- * -DHNOC_TELEMETRY=OFF, so a detached run pays one branch per hook
- * site. Only this file decides which instrument sees which event; the
+ * report-only instruments. Router, NetworkInterface and Network hold
+ * one Probe pointer, null unless a consumer is attached and folded to
+ * nullptr under -DHNOC_TELEMETRY=OFF, so a detached run pays one
+ * branch per hook site. Only this file decides which instrument sees which event; the
  * table in docs/OBSERVABILITY.md lists the mapping.
  */
 
@@ -18,7 +18,6 @@
 
 #include "common/types.hh"
 #include "noc/flit.hh"
-#include "noc/observer.hh"
 #include "telemetry/blame.hh"
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
@@ -31,13 +30,12 @@ struct Probe
 {
     MetricRegistry *registry = nullptr;
     FlightRecorder *recorder = nullptr;
-    NetworkObserver *observer = nullptr;
     BlameCollector *blame = nullptr;
 
     bool
     attached() const
     {
-        return registry || recorder || observer || blame;
+        return registry || recorder || blame;
     }
 
     /** FlitIn: buffer write of @p f at (router @p r, in port @p p). */
@@ -48,9 +46,7 @@ struct Probe
             registry->add(Ctr::BufferWrites, r, p, f.vc);
         if (recorder)
             recorder->record(FrKind::FlitIn, now, r, p, f.vc, idOf(f.pkt),
-                             f.isHead());
-        if (observer)
-            observer->onFlitArrive(r, p, f, now);
+                             f.isHead(), f.seq);
     }
 
     /** CreditIn: a credit for (out port @p p, @p vc) reached @p r. */
@@ -106,11 +102,9 @@ struct Probe
         }
         if (recorder) {
             recorder->record(FrKind::FlitOut, now, r, o, f.vc, idOf(f.pkt),
-                             f.isHead());
+                             f.isHead(), f.seq);
             recorder->record(FrKind::CreditOut, now, r, in, in_vc);
         }
-        if (observer)
-            observer->onFlitDepart(r, o, f, now);
         // Zero-load head path: one switch cycle plus the channel delay
         // per hop actually taken (detours included).
         if (blame && f.isHead() && f.pkt->blame)
@@ -160,9 +154,16 @@ struct Probe
         }
         if (recorder)
             recorder->record(FrKind::Inject, now, pkt.src, -1, -1, pkt.id,
+                             true, pkt.numFlits);
+    }
+
+    /** Launch: @p pkt's head flit left its source NI on @p vc. */
+    void
+    launch(Cycle now, const Packet &pkt, VcId vc)
+    {
+        if (recorder)
+            recorder->record(FrKind::Launch, now, pkt.src, -1, vc, pkt.id,
                              true);
-        if (observer)
-            observer->onPacketCreated(pkt, now);
     }
 
     /** FlitEject: @p f reached its destination NI; @p pairs when the
@@ -197,8 +198,6 @@ struct Probe
         if (recorder)
             recorder->record(FrKind::Eject, now, pkt.dst, -1, -1, pkt.id,
                              true);
-        if (observer)
-            observer->onPacketDelivered(pkt, now);
     }
 
     /** Retire: after the client callback, which may still read the

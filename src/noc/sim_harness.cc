@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "noc/watchdog.hh"
 #include "telemetry/health.hh"
@@ -88,17 +89,9 @@ class OpenLoopClient : public NetworkClient
             return;
         ++trackedDelivered_;
         double ns_per_cycle = net.nsPerCycle();
-        auto total = static_cast<double>(pkt.ejectedAt - pkt.createdAt);
-        auto queuing = static_cast<double>(pkt.queuingLatency());
-        auto transfer = static_cast<double>(
-            net.minTransferCycles(pkt.src, pkt.dst, pkt.numFlits));
-        double blocking = std::max(0.0, total - queuing - transfer);
+        double total = latency_.add(net, pkt);
 
         latencyCycles_.add(total);
-        latencyNs_.add(total * ns_per_cycle);
-        queuingNs_.add(queuing * ns_per_cycle);
-        transferNs_.add(transfer * ns_per_cycle);
-        blockingNs_.add(blocking * ns_per_cycle);
         latencyHist_.add(total * ns_per_cycle);
 
         auto hops = static_cast<std::size_t>(pkt.hops);
@@ -182,10 +175,7 @@ class OpenLoopClient : public NetworkClient
     std::uint64_t epochTrackedN_ = 0;
 
     RunningStat latencyCycles_;
-    RunningStat latencyNs_;
-    RunningStat queuingNs_;
-    RunningStat transferNs_;
-    RunningStat blockingNs_;
+    NetLatencyStats latency_;
     Histogram latencyHist_{0.0, 2000.0, 4000};
     std::vector<RunningStat> byHops_;
 };
@@ -193,15 +183,19 @@ class OpenLoopClient : public NetworkClient
 } // namespace
 
 double
+parseSimScale(const char *env)
+{
+    if (!env)
+        return 1.0;
+    double v = 0.0;
+    parseNumber("environment", "HNOC_SIM_SCALE", env, v);
+    return v > 0.0 ? v : 1.0;
+}
+
+double
 simScale()
 {
-    static const double scale = [] {
-        const char *env = std::getenv("HNOC_SIM_SCALE");
-        if (!env)
-            return 1.0;
-        double v = std::atof(env);
-        return v > 0.0 ? v : 1.0;
-    }();
+    static const double scale = parseSimScale(std::getenv("HNOC_SIM_SCALE"));
     return scale;
 }
 
@@ -224,13 +218,13 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
     Network net(config);
     OpenLoopClient client(pattern, config, opts);
     net.setClient(&client);
-    net.setObserver(opts.observer);
 
-    FlightRecorder recorder(opts.flightRecorder
-                                ? opts.flightRecorderCapacity
-                                : 1);
-    if (opts.flightRecorder)
-        net.attachFlightRecorder(&recorder);
+    std::shared_ptr<FlightRecorder> recorder;
+    if (opts.flightRecorder) {
+        recorder =
+            std::make_shared<FlightRecorder>(opts.flightRecorderCapacity);
+        net.attachFlightRecorder(recorder.get());
+    }
 
     // Self-profiling covers the whole run (warmup, measurement and
     // drain): the attribution question is "where does the simulator
@@ -418,8 +412,9 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
         res.drainTruncated = drained >= opts.drainCycles && res.saturated;
     }
     res.watchdogTrips = watchdog.trips();
-    if (opts.flightRecorder)
+    if (recorder)
         net.attachFlightRecorder(nullptr);
+    res.flightRecorder = std::move(recorder);
 
     if (window > 0) {
         res.acceptedRate =
@@ -430,10 +425,10 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
     res.measureCyclesUsed = window;
     res.simulatedCycles = net.now();
     res.avgLatencyCycles = client.latencyCycles_.mean();
-    res.avgLatencyNs = client.latencyNs_.mean();
-    res.avgQueuingNs = client.queuingNs_.mean();
-    res.avgBlockingNs = client.blockingNs_.mean();
-    res.avgTransferNs = client.transferNs_.mean();
+    res.avgLatencyNs = client.latency_.totalNs.mean();
+    res.avgQueuingNs = client.latency_.queuingNs.mean();
+    res.avgBlockingNs = client.latency_.blockingNs.mean();
+    res.avgTransferNs = client.latency_.transferNs.mean();
     res.p95LatencyNs = client.latencyHist_.percentile(0.95);
     res.trackedCreated = client.trackedCreated_;
     res.trackedDelivered = client.trackedDelivered_;

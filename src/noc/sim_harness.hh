@@ -50,15 +50,12 @@ struct SimPointOptions
     bool collectMetrics = false;
     /** Epoch length (cycles) of the registry's time series. */
     Cycle telemetryEpoch = 1000;
-    /** Optional flit-event observer (e.g. TraceObserver), attached
-     *  for the whole run including warmup and drain. Not owned; never
-     *  called in HNOC_TELEMETRY=OFF builds. */
-    NetworkObserver *observer = nullptr;
 
     /** @name Diagnostics (docs/OBSERVABILITY.md) */
     ///@{
     /** Attach a FlightRecorder for the whole run, so a watchdog-trip
-     *  postmortem carries recent pipeline history. */
+     *  postmortem carries recent pipeline history and the result
+     *  carries the ring (FlitTrace renders it as a trace). */
     bool flightRecorder = false;
     /** Ring capacity (events) when flightRecorder is set. */
     std::size_t flightRecorderCapacity = 1u << 16;
@@ -143,6 +140,9 @@ struct SimPointResult
 
     /** Watchdog trips observed (opts.watchdogWindow). */
     std::uint64_t watchdogTrips = 0;
+    /** The whole run's recorder ring (opts.flightRecorder). shared_ptr
+     *  so results stay cheap to copy through the batch layer. */
+    std::shared_ptr<FlightRecorder> flightRecorder;
 
     /** @name Self-profile (opts.profile; docs/OBSERVABILITY.md) */
     ///@{
@@ -180,6 +180,10 @@ std::uint64_t derivePointSeed(std::uint64_t base, std::uint64_t index);
 
 /** Scale factor for simulation lengths from HNOC_SIM_SCALE (default 1). */
 double simScale();
+
+/** The scale an HNOC_SIM_SCALE value @p env (null: unset) asks for: 1
+ *  when unset or not positive; fatal when not a number. */
+double parseSimScale(const char *env);
 
 /**
  * Generic parallel map over experiment points: runs fn(points[i]) on

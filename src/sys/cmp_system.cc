@@ -250,7 +250,8 @@ CmpSystem::preCycle(Network &, Cycle now)
         Event ev = events_.begin()->second;
         events_.erase(events_.begin());
         if (ev.isSend)
-            sendMsg(ev.src, ev.tile, ev.msg, now);
+            sendMsg(ev.src, ev.tile, ev.msg.type, ev.msg.block,
+                    ev.msg.requester, now);
         else
             handleMsg(ev.tile, ev.msg, now);
     }
@@ -265,15 +266,10 @@ CmpSystem::preCycle(Network &, Cycle now)
                 config_.mcServiceInterval);
             // DRAM access completes after the access latency; then the
             // data packet is sent back to the home bank.
-            Msg resp;
-            resp.type = MsgType::MemData;
-            resp.block = req.block;
-            resp.sender = t;
-            resp.requester = req.requester; // home tile
             Event ev;
             ev.at = now + coreToNet(config_.dramLatencyCoreCycles);
-            ev.tile = req.requester;
-            ev.msg = resp;
+            ev.tile = req.requester; // home tile
+            ev.msg = {MsgType::MemData, req.block, t, req.requester};
             ev.isSend = true;
             ev.src = t;
             events_.emplace(ev.at, ev);
@@ -380,12 +376,8 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
     if (!rec.isWrite)
         core.loads.push_back({core.nextReqId++, block, core.retired});
 
-    Msg msg;
-    msg.type = rec.isWrite ? MsgType::GetX : MsgType::GetS;
-    msg.block = block;
-    msg.sender = id;
-    msg.requester = id;
-    sendMsg(id, homeTile(block), msg, now);
+    sendMsg(id, homeTile(block), rec.isWrite ? MsgType::GetX : MsgType::GetS,
+            block, id, now);
     return true;
 }
 
@@ -398,12 +390,7 @@ CmpSystem::installLine(NodeId id, Core &core, Addr block, CacheState state,
     if (core.l1->insert(block, state, victim, victim_state)) {
         if (victim_state == CacheState::Modified) {
             core.wbBuffer.insert(victim);
-            Msg wb;
-            wb.type = MsgType::PutM;
-            wb.block = victim;
-            wb.sender = id;
-            wb.requester = id;
-            sendMsg(id, homeTile(victim), wb, now);
+            sendMsg(id, homeTile(victim), MsgType::PutM, victim, id, now);
         }
         // Exclusive/Shared victims are dropped silently; the directory
         // tolerates stale sharers/owners (see dirStartTxn).
@@ -430,9 +417,11 @@ CmpSystem::completeLoads(NodeId id, Core &core, Addr block, Cycle now)
 // ----------------------------------------------------------- messaging --
 
 void
-CmpSystem::sendMsg(NodeId src, NodeId dst, const Msg &msg, Cycle now)
+CmpSystem::sendMsg(NodeId src, NodeId dst, MsgType type, Addr block,
+                   NodeId requester, Cycle now)
 {
-    ++msgCounts_[static_cast<std::size_t>(msg.type)];
+    Msg msg{type, block, src, requester};
+    ++msgCounts_[static_cast<std::size_t>(type)];
     if (src == dst) {
         // Same-tile access: no network traversal; charge the bank
         // access latency.
@@ -457,16 +446,7 @@ CmpSystem::onPacketDelivered(Network &net, Packet &pkt, Cycle now)
         panic("CmpSystem: packet without message context");
 
     // Network latency accounting (Fig 11).
-    double ns = net.nsPerCycle();
-    auto total = static_cast<double>(pkt.ejectedAt - pkt.createdAt);
-    auto queuing = static_cast<double>(pkt.queuingLatency());
-    auto transfer = static_cast<double>(
-        net.minTransferCycles(pkt.src, pkt.dst, pkt.numFlits));
-    double blocking = std::max(0.0, total - queuing - transfer);
-    netStats_.totalNs.add(total * ns);
-    netStats_.queuingNs.add(queuing * ns);
-    netStats_.transferNs.add(transfer * ns);
-    netStats_.blockingNs.add(blocking * ns);
+    netStats_.add(net, pkt);
 
     // Charge the receiving controller's access latency, then handle.
     Cycle delay;
@@ -562,12 +542,8 @@ CmpSystem::coreHandle(NodeId tile, const Msg &msg, Cycle now)
             it->second.invalidatedWhilePending = true;
         else
             core.l1->invalidate(block);
-        Msg ack;
-        ack.type = MsgType::InvAck;
-        ack.block = block;
-        ack.sender = tile;
-        ack.requester = msg.requester;
-        sendMsg(tile, msg.sender, ack, now);
+        sendMsg(tile, msg.sender, MsgType::InvAck, block, msg.requester,
+                now);
         break;
       }
       case MsgType::FwdGetS: {
@@ -575,22 +551,14 @@ CmpSystem::coreHandle(NodeId tile, const Msg &msg, Cycle now)
         CacheState st = core.l1->lookup(block);
         if (st == CacheState::Modified || st == CacheState::Exclusive)
             core.l1->setState(block, CacheState::Shared);
-        Msg wb;
-        wb.type = MsgType::OwnerWb;
-        wb.block = block;
-        wb.sender = tile;
-        wb.requester = msg.requester;
-        sendMsg(tile, msg.sender, wb, now);
+        sendMsg(tile, msg.sender, MsgType::OwnerWb, block, msg.requester,
+                now);
         break;
       }
       case MsgType::FwdGetX: {
         core.l1->invalidate(block);
-        Msg wb;
-        wb.type = MsgType::OwnerWb;
-        wb.block = block;
-        wb.sender = tile;
-        wb.requester = msg.requester;
-        sendMsg(tile, msg.sender, wb, now);
+        sendMsg(tile, msg.sender, MsgType::OwnerWb, block, msg.requester,
+                now);
         break;
       }
       case MsgType::WbAck:
@@ -625,20 +593,9 @@ CmpSystem::dirHandle(NodeId tile, const Msg &msg, Cycle now)
         break;
       }
       case MsgType::OwnerWb: {
-        auto it = bank.busy.find(block);
         // Fill the L2 with the owner's (possibly dirty) line.
-        Addr victim = 0;
-        CacheState vstate = CacheState::Invalid;
-        if (bank.l2->insert(block, CacheState::Modified, victim, vstate) &&
-            vstate == CacheState::Modified) {
-            Msg mw;
-            mw.type = MsgType::MemWrite;
-            mw.block = victim;
-            mw.sender = tile;
-            mw.requester = tile;
-            sendMsg(tile, mcForBlock(victim, config_.blockBytes, mcTiles_),
-                    mw, now);
-        }
+        fillL2(tile, block, CacheState::Modified, now);
+        auto it = bank.busy.find(block);
         if (it != bank.busy.end()) {
             it->second.waitingOwner = false;
             dirRespond(tile, block, it->second, now);
@@ -646,18 +603,7 @@ CmpSystem::dirHandle(NodeId tile, const Msg &msg, Cycle now)
         break;
       }
       case MsgType::MemData: {
-        Addr victim = 0;
-        CacheState vstate = CacheState::Invalid;
-        if (bank.l2->insert(block, CacheState::Shared, victim, vstate) &&
-            vstate == CacheState::Modified) {
-            Msg mw;
-            mw.type = MsgType::MemWrite;
-            mw.block = victim;
-            mw.sender = tile;
-            mw.requester = tile;
-            sendMsg(tile, mcForBlock(victim, config_.blockBytes, mcTiles_),
-                    mw, now);
-        }
+        fillL2(tile, block, CacheState::Shared, now);
         auto it = bank.busy.find(block);
         if (it != bank.busy.end()) {
             it->second.waitingMem = false;
@@ -669,6 +615,18 @@ CmpSystem::dirHandle(NodeId tile, const Msg &msg, Cycle now)
         panic("dirHandle: unexpected message type %d",
               static_cast<int>(msg.type));
     }
+}
+
+void
+CmpSystem::fillL2(NodeId tile, Addr block, CacheState state, Cycle now)
+{
+    Bank &bank = banks_[static_cast<std::size_t>(tile)];
+    Addr victim = 0;
+    CacheState vstate = CacheState::Invalid;
+    if (bank.l2->insert(block, state, victim, vstate) &&
+        vstate == CacheState::Modified)
+        sendMsg(tile, mcForBlock(victim, config_.blockBytes, mcTiles_),
+                MsgType::MemWrite, victim, tile, now);
 }
 
 void
@@ -688,29 +646,11 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
         auto dir_it = bank.dir.find(block);
         if (dir_it != bank.dir.end() && dir_it->second.exclusive &&
             dir_it->second.owner == msg.sender) {
-            Addr victim = 0;
-            CacheState vstate = CacheState::Invalid;
-            if (bank.l2->insert(block, CacheState::Modified, victim,
-                                vstate) &&
-                vstate == CacheState::Modified) {
-                Msg mw;
-                mw.type = MsgType::MemWrite;
-                mw.block = victim;
-                mw.sender = tile;
-                mw.requester = tile;
-                sendMsg(tile,
-                        mcForBlock(victim, config_.blockBytes, mcTiles_),
-                        mw, now);
-            }
+            fillL2(tile, block, CacheState::Modified, now);
             bank.dir.erase(dir_it);
         }
         // Stale PutM (owner changed since): data is already current.
-        Msg ack;
-        ack.type = MsgType::WbAck;
-        ack.block = block;
-        ack.sender = tile;
-        ack.requester = msg.sender;
-        sendMsg(tile, msg.sender, ack, now);
+        sendMsg(tile, msg.sender, MsgType::WbAck, block, msg.sender, now);
         return;
     }
 
@@ -731,21 +671,12 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
     if (msg.type == MsgType::GetS) {
         if (entry.exclusive) {
             txn.waitingOwner = true;
-            Msg fwd;
-            fwd.type = MsgType::FwdGetS;
-            fwd.block = block;
-            fwd.sender = tile;
-            fwd.requester = txn.requester;
-            sendMsg(tile, entry.owner, fwd, now);
+            sendMsg(tile, entry.owner, MsgType::FwdGetS, block,
+                    txn.requester, now);
         } else if (bank.l2->lookup(block) == CacheState::Invalid) {
             txn.waitingMem = true;
-            Msg mr;
-            mr.type = MsgType::MemRead;
-            mr.block = block;
-            mr.sender = tile;
-            mr.requester = tile;
             sendMsg(tile, mcForBlock(block, config_.blockBytes, mcTiles_),
-                    mr, now);
+                    MsgType::MemRead, block, tile, now);
         } else {
             bank.l2->touch(block);
         }
@@ -755,35 +686,21 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
                       txn.requester) != entry.sharers.end();
         if (entry.exclusive) {
             txn.waitingOwner = true;
-            Msg fwd;
-            fwd.type = MsgType::FwdGetX;
-            fwd.block = block;
-            fwd.sender = tile;
-            fwd.requester = txn.requester;
-            sendMsg(tile, entry.owner, fwd, now);
+            sendMsg(tile, entry.owner, MsgType::FwdGetX, block,
+                    txn.requester, now);
         } else {
             for (NodeId s : entry.sharers) {
                 if (s == txn.requester)
                     continue;
                 ++txn.pendingInvAcks;
-                Msg inv;
-                inv.type = MsgType::Inv;
-                inv.block = block;
-                inv.sender = tile;
-                inv.requester = txn.requester;
-                sendMsg(tile, s, inv, now);
+                sendMsg(tile, s, MsgType::Inv, block, txn.requester, now);
             }
             if (!txn.upgrade &&
                 bank.l2->lookup(block) == CacheState::Invalid) {
                 txn.waitingMem = true;
-                Msg mr;
-                mr.type = MsgType::MemRead;
-                mr.block = block;
-                mr.sender = tile;
-                mr.requester = tile;
                 sendMsg(tile,
                         mcForBlock(block, config_.blockBytes, mcTiles_),
-                        mr, now);
+                        MsgType::MemRead, block, tile, now);
             }
         }
     }
@@ -802,20 +719,16 @@ CmpSystem::dirRespond(NodeId tile, Addr block, Txn &txn, Cycle now)
     Bank &bank = banks_[static_cast<std::size_t>(tile)];
     DirEntry &entry = bank.dir[block];
 
-    Msg resp;
-    resp.block = block;
-    resp.sender = tile;
-    resp.requester = txn.requester;
-
+    MsgType type;
     if (txn.req == MsgType::GetS) {
         bool was_owned = entry.exclusive;
         if (entry.sharers.empty() && !was_owned) {
             // First reader gets Exclusive (the E of MESI).
-            resp.type = MsgType::DataE;
+            type = MsgType::DataE;
             entry.exclusive = true;
             entry.owner = txn.requester;
         } else {
-            resp.type = MsgType::DataS;
+            type = MsgType::DataS;
             if (was_owned) {
                 // Owner was demoted by FwdGetS.
                 entry.sharers.push_back(entry.owner);
@@ -827,13 +740,13 @@ CmpSystem::dirRespond(NodeId tile, Addr block, Txn &txn, Cycle now)
                 entry.sharers.push_back(txn.requester);
         }
     } else { // GetX
-        resp.type = txn.upgrade ? MsgType::UpgradeAck : MsgType::DataM;
+        type = txn.upgrade ? MsgType::UpgradeAck : MsgType::DataM;
         entry.sharers.clear();
         entry.exclusive = true;
         entry.owner = txn.requester;
     }
 
-    sendMsg(tile, txn.requester, resp, now);
+    sendMsg(tile, txn.requester, type, block, txn.requester, now);
     dirFinishTxn(tile, block, now);
 }
 

@@ -71,24 +71,6 @@ struct CmpConfig
     std::uint64_t seed = 1;
 };
 
-/** Per-packet network latency aggregates (Fig 11 style). */
-struct NetLatencyStats
-{
-    RunningStat totalNs;
-    RunningStat queuingNs;
-    RunningStat blockingNs;
-    RunningStat transferNs;
-
-    void
-    reset()
-    {
-        totalNs.reset();
-        queuingNs.reset();
-        blockingNs.reset();
-        transferNs.reset();
-    }
-};
-
 /** The full system. */
 class CmpSystem : public NetworkClient
 {
@@ -259,7 +241,10 @@ class CmpSystem : public NetworkClient
                      Cycle now);
     void completeLoads(NodeId id, Core &core, Addr block, Cycle now);
 
-    void sendMsg(NodeId src, NodeId dst, const Msg &msg, Cycle now);
+    /** Send a @p type message for @p block from @p src (its sender)
+     *  to @p dst on behalf of @p requester. */
+    void sendMsg(NodeId src, NodeId dst, MsgType type, Addr block,
+                 NodeId requester, Cycle now);
     void handleMsg(NodeId tile, const Msg &msg, Cycle now);
 
     void coreHandle(NodeId tile, const Msg &msg, Cycle now);
@@ -269,6 +254,9 @@ class CmpSystem : public NetworkClient
     void dirStartTxn(NodeId tile, const Msg &msg, Cycle now);
     void dirFinishTxn(NodeId tile, Addr block, Cycle now);
     void dirRespond(NodeId tile, Addr block, Txn &txn, Cycle now);
+    /** Fill @p block into @p tile's L2 bank as @p state and write a
+     *  Modified victim back to its memory controller. */
+    void fillL2(NodeId tile, Addr block, CacheState state, Cycle now);
 
     Msg *allocMsg(const Msg &proto);
     void freeMsg(Msg *msg);

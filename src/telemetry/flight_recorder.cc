@@ -19,6 +19,7 @@ frKindName(FrKind k)
       case FrKind::CreditIn: return "credit_in";
       case FrKind::CreditOut: return "credit_out";
       case FrKind::Inject: return "inject";
+      case FrKind::Launch: return "launch";
       case FrKind::Eject: return "eject";
     }
     return "unknown";

@@ -2,7 +2,7 @@
  * @file
  * Always-on flight recorder: a fixed-size ring buffer of recent
  * router-pipeline events (buffer writes, VA grants/denials, switch
- * grants, credit traffic, injections, ejections). Recording one event
+ * grants, credit traffic, injections, launches, ejections). Recording one event
  * is a masked store into a preallocated ring — cheap enough to leave
  * attached for a whole 10M-cycle run — and the ring keeps only the
  * most recent `capacity` events, so memory is bounded no matter how
@@ -12,7 +12,9 @@
  * contents become the `flight_recorder` section of an
  * `hnoc-postmortem-v1` document (see Network::writePostmortem and
  * docs/OBSERVABILITY.md), answering "what was the pipeline doing in
- * the cycles before it stopped?" without rerunning.
+ * the cycles before it stopped?" without rerunning. After a run the
+ * same ring renders as a Chrome trace and a JSONL flit log
+ * (telemetry/trace.hh).
  *
  * The recorder consumes Probe events (noc/probe.hh) like the
  * MetricRegistry, and its hooks compile out under -DHNOC_TELEMETRY=OFF.
@@ -42,6 +44,7 @@ enum class FrKind : std::uint8_t
     CreditIn,    ///< credit received for (router, out port, vc)
     CreditOut,   ///< credit returned upstream from (router, in port, vc)
     Inject,      ///< packet entered a source queue (router = src node)
+    Launch,      ///< head flit left its source NI (router = src node)
     Eject,       ///< packet fully delivered (router = dst node)
 };
 
@@ -52,17 +55,20 @@ const char *frKindName(FrKind k);
 class FlightRecorder
 {
   public:
-    /** One recorded event; 24 bytes (20 payload + alignment pad). */
+    /** One recorded event; 24 bytes (22 payload + alignment pad). */
     struct Event
     {
         Cycle t = 0;
         std::uint32_t pkt = 0;     ///< truncated packet id (0 = n/a)
-        std::int16_t router = -1;  ///< router id (node id for Inject/Eject)
+        std::int16_t router = -1;  ///< router id (node id for
+                                   ///< Inject/Launch/Eject)
         std::int8_t port = -1;
         std::int8_t vc = -1;
         std::uint8_t kind = 0;     ///< FrKind
         std::uint8_t head = 0;     ///< head flit? (FlitIn/FlitOut)
-        std::uint8_t pad[2] = {0, 0};
+        /** Flit sequence number (FlitIn/FlitOut); the packet's flit
+         *  count (Inject). */
+        std::uint16_t seq = 0;
     };
 
     /** @param capacity event slots; rounded up to a power of two. */
@@ -71,7 +77,7 @@ class FlightRecorder
     /** Hot-path hook: overwrite the oldest slot with a new event. */
     void
     record(FrKind k, Cycle t, int router, int port, int vc,
-           std::uint64_t pkt = 0, bool head = false)
+           std::uint64_t pkt = 0, bool head = false, int seq = 0)
     {
         Event &e = ring_[static_cast<std::size_t>(next_) & mask_];
         ++next_;
@@ -82,6 +88,7 @@ class FlightRecorder
         e.vc = static_cast<std::int8_t>(vc);
         e.kind = static_cast<std::uint8_t>(k);
         e.head = head ? 1 : 0;
+        e.seq = static_cast<std::uint16_t>(seq);
     }
 
     std::size_t capacity() const { return ring_.size(); }

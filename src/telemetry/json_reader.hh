@@ -88,7 +88,7 @@ bool parseJsonFile(const std::string &path, JsonValue &out,
 
 /**
  * Parse a JSONL document (one JSON value per newline-terminated line,
- * e.g. the TraceObserver flit log). Blank lines are skipped. Stops at
+ * e.g. the FlitTrace flit log). Blank lines are skipped. Stops at
  * the first malformed line.
  * @return true iff every line parsed
  */

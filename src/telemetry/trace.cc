@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "telemetry/json_writer.hh"
@@ -9,12 +10,8 @@
 namespace hnoc
 {
 
-TraceObserver::TraceObserver(TraceOptions opts) : opts_(opts)
-{
-}
-
 Cycle
-TraceObserver::PacketRecord::hopSum() const
+FlitTrace::PacketRecord::hopSum() const
 {
     Cycle sum = 0;
     for (const HopRecord &h : hops)
@@ -24,116 +21,65 @@ TraceObserver::PacketRecord::hopSum() const
 }
 
 Cycle
-TraceObserver::PacketRecord::serialization() const
+FlitTrace::PacketRecord::serialization() const
 {
     Cycle n = network();
     Cycle h = hopSum();
     return n > h ? n - h : 0;
 }
 
-void
-TraceObserver::record(std::uint8_t kind, RouterId router, PortId port,
-                      const Flit &flit, Cycle now)
+FlitTrace::FlitTrace(const FlightRecorder &recorder)
+    : droppedEvents_(recorder.overwritten())
 {
-    if (!opts_.flitLog)
-        return;
-    if (events_.size() >= opts_.maxEvents) {
-        ++droppedEvents_;
-        return;
-    }
-    Event e;
-    e.t = now;
-    e.pkt = static_cast<std::uint32_t>(flit.pkt ? flit.pkt->id : 0);
-    e.router = static_cast<std::int16_t>(router);
-    e.port = static_cast<std::int8_t>(port);
-    e.vc = static_cast<std::int8_t>(flit.vc);
-    e.seq = flit.seq;
-    e.kind = kind;
-    e.isHead = flit.isHead() ? 1 : 0;
-    events_.push_back(e);
-}
-
-void
-TraceObserver::onPacketCreated(const Packet &pkt, Cycle now)
-{
-    if (live_.size() + done_.size() >= opts_.maxPackets) {
-        ++droppedPackets_;
-        return;
-    }
-    PacketRecord rec;
-    rec.id = pkt.id;
-    rec.src = pkt.src;
-    rec.dst = pkt.dst;
-    rec.numFlits = pkt.numFlits;
-    rec.created = now;
-    live_.emplace(pkt.id, std::move(rec));
-}
-
-void
-TraceObserver::onFlitArrive(RouterId router, PortId port,
-                            const Flit &flit, Cycle now)
-{
-    record(0, router, port, flit, now);
-    if (!flit.isHead() || !flit.pkt)
-        return;
-    auto it = live_.find(flit.pkt->id);
-    if (it == live_.end())
-        return;
-    HopRecord hop;
-    hop.router = router;
-    hop.inPort = port;
-    hop.vc = flit.vc;
-    hop.arrive = now;
-    it->second.hops.push_back(hop);
-}
-
-void
-TraceObserver::onFlitDepart(RouterId router, PortId port,
-                            const Flit &flit, Cycle now)
-{
-    record(1, router, port, flit, now);
-    if (!flit.isHead() || !flit.pkt)
-        return;
-    auto it = live_.find(flit.pkt->id);
-    if (it == live_.end())
-        return;
-    // Close the newest open hop at this router (the head visits each
-    // router once).
-    for (auto h = it->second.hops.rbegin(); h != it->second.hops.rend();
-         ++h) {
-        if (h->router == router && h->depart == CYCLE_NEVER) {
-            h->depart = now;
-            break;
+    std::unordered_map<std::uint32_t, PacketRecord> live;
+    for (const FlightRecorder::Event &e : recorder.snapshot()) {
+        auto kind = static_cast<FrKind>(e.kind);
+        if (kind == FrKind::FlitIn || kind == FrKind::FlitOut)
+            flits_.push_back(e);
+        if (kind == FrKind::Inject) {
+            PacketRecord &rec = live[e.pkt];
+            rec.id = e.pkt;
+            rec.src = e.router;
+            rec.numFlits = e.seq;
+            rec.created = e.t;
+            continue;
+        }
+        auto it = live.find(e.pkt);
+        if (it == live.end()) {
+            if (kind == FrKind::Eject)
+                ++droppedPackets_;
+            continue;
+        }
+        PacketRecord &rec = it->second;
+        if (kind == FrKind::Launch) {
+            rec.injected = e.t;
+        } else if (kind == FrKind::FlitIn && e.head) {
+            HopRecord hop;
+            hop.router = e.router;
+            hop.inPort = e.port;
+            hop.vc = e.vc;
+            hop.arrive = e.t;
+            rec.hops.push_back(hop);
+        } else if (kind == FrKind::FlitOut && e.head) {
+            // Close the newest open hop at this router (the head
+            // visits each router once).
+            for (auto h = rec.hops.rbegin(); h != rec.hops.rend(); ++h) {
+                if (h->router == e.router && h->depart == CYCLE_NEVER) {
+                    h->depart = e.t;
+                    break;
+                }
+            }
+        } else if (kind == FrKind::Eject) {
+            rec.dst = e.router;
+            rec.ejected = e.t;
+            done_.push_back(std::move(rec));
+            live.erase(it);
         }
     }
 }
 
-void
-TraceObserver::onPacketDelivered(const Packet &pkt, Cycle now)
-{
-    (void)now;
-    auto it = live_.find(pkt.id);
-    if (it == live_.end())
-        return;
-    PacketRecord rec = std::move(it->second);
-    live_.erase(it);
-    rec.injected = pkt.injectedAt;
-    rec.ejected = pkt.ejectedAt;
-    done_.push_back(std::move(rec));
-}
-
-void
-TraceObserver::reset()
-{
-    events_.clear();
-    live_.clear();
-    done_.clear();
-    droppedEvents_ = 0;
-    droppedPackets_ = 0;
-}
-
 std::string
-TraceObserver::chromeTraceJson() const
+FlitTrace::chromeTraceJson() const
 {
     JsonWriter w;
     w.beginObject();
@@ -177,64 +123,60 @@ TraceObserver::chromeTraceJson() const
     for (const PacketRecord &p : done_) {
         std::snprintf(buf, sizeof(buf), "pkt %llu",
                       static_cast<unsigned long long>(p.id));
-        if (opts_.packetSpans) {
-            // Async begin at injection...
+        // Async begin at injection...
+        w.beginObject();
+        w.keyValue("name", buf);
+        w.keyValue("cat", "packet");
+        w.keyValue("ph", "b");
+        w.keyValue("id", p.id);
+        w.keyValue("ts", static_cast<std::uint64_t>(p.injected));
+        w.keyValue("pid", 0);
+        w.keyValue("tid", 0);
+        w.key("args").beginObject();
+        w.keyValue("src", p.src);
+        w.keyValue("dst", p.dst);
+        w.keyValue("flits", p.numFlits);
+        w.endObject();
+        w.endObject();
+        // ...end at ejection, carrying the latency decomposition.
+        w.beginObject();
+        w.keyValue("name", buf);
+        w.keyValue("cat", "packet");
+        w.keyValue("ph", "e");
+        w.keyValue("id", p.id);
+        w.keyValue("ts", static_cast<std::uint64_t>(p.ejected));
+        w.keyValue("pid", 0);
+        w.keyValue("tid", 0);
+        w.key("args").beginObject();
+        w.keyValue("queueing_cycles",
+                   static_cast<std::uint64_t>(p.queueing()));
+        w.keyValue("network_cycles",
+                   static_cast<std::uint64_t>(p.network()));
+        w.keyValue("hop_cycles",
+                   static_cast<std::uint64_t>(p.hopSum()));
+        w.keyValue("serialization_cycles",
+                   static_cast<std::uint64_t>(p.serialization()));
+        w.keyValue("hops",
+                   static_cast<std::uint64_t>(p.hops.size()));
+        w.endObject();
+        w.endObject();
+        for (const HopRecord &h : p.hops) {
+            if (h.depart == CYCLE_NEVER)
+                continue;
             w.beginObject();
             w.keyValue("name", buf);
-            w.keyValue("cat", "packet");
-            w.keyValue("ph", "b");
-            w.keyValue("id", p.id);
-            w.keyValue("ts", static_cast<std::uint64_t>(p.injected));
+            w.keyValue("cat", "hop");
+            w.keyValue("ph", "X");
+            w.keyValue("ts", static_cast<std::uint64_t>(h.arrive));
+            w.keyValue("dur", static_cast<std::uint64_t>(
+                                  h.depart - h.arrive));
             w.keyValue("pid", 0);
-            w.keyValue("tid", 0);
+            w.keyValue("tid", h.router);
             w.key("args").beginObject();
-            w.keyValue("src", p.src);
-            w.keyValue("dst", p.dst);
-            w.keyValue("flits", p.numFlits);
+            w.keyValue("in_port", h.inPort);
+            w.keyValue("vc", h.vc);
             w.endObject();
             w.endObject();
-            // ...end at ejection, carrying the latency decomposition.
-            w.beginObject();
-            w.keyValue("name", buf);
-            w.keyValue("cat", "packet");
-            w.keyValue("ph", "e");
-            w.keyValue("id", p.id);
-            w.keyValue("ts", static_cast<std::uint64_t>(p.ejected));
-            w.keyValue("pid", 0);
-            w.keyValue("tid", 0);
-            w.key("args").beginObject();
-            w.keyValue("queueing_cycles",
-                       static_cast<std::uint64_t>(p.queueing()));
-            w.keyValue("network_cycles",
-                       static_cast<std::uint64_t>(p.network()));
-            w.keyValue("hop_cycles",
-                       static_cast<std::uint64_t>(p.hopSum()));
-            w.keyValue("serialization_cycles",
-                       static_cast<std::uint64_t>(p.serialization()));
-            w.keyValue("hops",
-                       static_cast<std::uint64_t>(p.hops.size()));
-            w.endObject();
-            w.endObject();
-        }
-        if (opts_.hopSlices) {
-            for (const HopRecord &h : p.hops) {
-                if (h.depart == CYCLE_NEVER)
-                    continue;
-                w.beginObject();
-                w.keyValue("name", buf);
-                w.keyValue("cat", "hop");
-                w.keyValue("ph", "X");
-                w.keyValue("ts", static_cast<std::uint64_t>(h.arrive));
-                w.keyValue("dur", static_cast<std::uint64_t>(
-                                      h.depart - h.arrive));
-                w.keyValue("pid", 0);
-                w.keyValue("tid", h.router);
-                w.key("args").beginObject();
-                w.keyValue("in_port", h.inPort);
-                w.keyValue("vc", h.vc);
-                w.endObject();
-                w.endObject();
-            }
         }
     }
 
@@ -244,18 +186,20 @@ TraceObserver::chromeTraceJson() const
 }
 
 std::string
-TraceObserver::flitLogJsonl() const
+FlitTrace::flitLogJsonl() const
 {
     std::string out;
-    out.reserve(events_.size() * 64);
+    out.reserve(flits_.size() * 64);
     char buf[160];
-    for (const Event &e : events_) {
+    for (const FlightRecorder::Event &e : flits_) {
         std::snprintf(buf, sizeof(buf),
                       "{\"t\":%llu,\"ev\":\"%s\",\"r\":%d,\"p\":%d,"
                       "\"vc\":%d,\"pkt\":%u,\"seq\":%u,\"head\":%u}\n",
                       static_cast<unsigned long long>(e.t),
-                      e.kind == 0 ? "arr" : "dep", e.router, e.port,
-                      e.vc, e.pkt, e.seq, e.isHead);
+                      static_cast<FrKind>(e.kind) == FrKind::FlitIn
+                          ? "arr"
+                          : "dep",
+                      e.router, e.port, e.vc, e.pkt, e.seq, e.head);
         out += buf;
     }
     return out;
@@ -280,13 +224,13 @@ writeStringToFile(const std::string &path, const std::string &data)
 } // namespace
 
 bool
-TraceObserver::writeChromeTrace(const std::string &path) const
+FlitTrace::writeChromeTrace(const std::string &path) const
 {
     return writeStringToFile(path, chromeTraceJson());
 }
 
 bool
-TraceObserver::writeFlitLog(const std::string &path) const
+FlitTrace::writeFlitLog(const std::string &path) const
 {
     return writeStringToFile(path, flitLogJsonl());
 }

@@ -1,8 +1,11 @@
 /**
  * @file
- * Flit/packet tracing: a NetworkObserver that records every flit event
- * and emits (1) Chrome-trace-format JSON loadable in chrome://tracing
- * or Perfetto, and (2) a compact JSONL flit log for scripted analysis.
+ * Flit/packet tracing rendered from a FlightRecorder after the run:
+ * (1) Chrome-trace-format JSON loadable in chrome://tracing or
+ * Perfetto, and (2) a compact JSONL flit log for scripted analysis.
+ * The recorder's ring is the only store of flit events; a traced run
+ * attaches a recorder sized kRingCapacity, and FlitTrace walks its
+ * snapshot once.
  *
  * The Chrome trace maps routers to threads (tid = router id) of one
  * process; each head flit's residency at a router becomes a complete
@@ -10,58 +13,42 @@
  * b/e span keyed by packet id. Timestamps are simulation cycles
  * written as microseconds (1 cycle = 1 us on the trace-viewer axis).
  *
- * On delivery the observer decomposes each packet's latency into
+ * Each delivered packet's latency is decomposed into
  *   queueing      source-queue wait (created -> injected),
  *   per-hop       head-flit residency at each router,
  *   serialization network time not spent buffered at routers
  *                 (wire traversal + tail serialization),
- * and attaches the breakdown to the packet's end event.
+ * and the breakdown is attached to the packet's end event.
+ *
+ * Retention is the ring's: the newest capacity() events. A delivered
+ * packet whose Inject event was overwritten is left out and counted
+ * in droppedPackets().
  */
 
 #ifndef HNOC_TELEMETRY_TRACE_HH
 #define HNOC_TELEMETRY_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
-#include "noc/flit.hh"
-#include "noc/observer.hh"
+#include "telemetry/flight_recorder.hh"
 
 namespace hnoc
 {
 
-/** Knobs for TraceObserver. */
-struct TraceOptions
-{
-    bool hopSlices = true;   ///< per-hop "X" events (head flits)
-    bool packetSpans = true; ///< async b/e span per packet
-    bool flitLog = true;     ///< record the JSONL flit event log
-    /** Hard cap on recorded flit-log events; exceeding events are
-     *  dropped (counted in droppedEvents()). Bounds memory on long
-     *  runs: ~40 B/event. */
-    std::size_t maxEvents = 1u << 20;
-    /** Hard cap on completed packet records kept for the trace. */
-    std::size_t maxPackets = 1u << 18;
-};
-
-/** Records flit events and renders Chrome-trace JSON / JSONL logs. */
-class TraceObserver : public NetworkObserver
+/** Chrome trace and JSONL flit log of one recorder's held events. */
+class FlitTrace
 {
   public:
-    explicit TraceObserver(TraceOptions opts = {});
+    /** Ring capacity (events) of a traced run: 2^21 events (48 MB)
+     *  hold the whole documented hnoc_cli run at HNOC_SIM_SCALE=0.1
+     *  (~1.7 M events). */
+    static constexpr std::size_t kRingCapacity = std::size_t{1} << 21;
 
-    /** @name NetworkObserver */
-    ///@{
-    void onPacketCreated(const Packet &pkt, Cycle now) override;
-    void onFlitArrive(RouterId router, PortId port, const Flit &flit,
-                      Cycle now) override;
-    void onFlitDepart(RouterId router, PortId port, const Flit &flit,
-                      Cycle now) override;
-    void onPacketDelivered(const Packet &pkt, Cycle now) override;
-    ///@}
+    explicit FlitTrace(const FlightRecorder &recorder);
 
     /** One router visit of a packet's head flit. */
     struct HopRecord
@@ -96,13 +83,15 @@ class TraceObserver : public NetworkObserver
         ///@}
     };
 
+    /** Delivered packets in delivery order. */
     const std::vector<PacketRecord> &packets() const { return done_; }
-    std::uint64_t eventCount() const { return events_.size(); }
+    /** Flit-log events (held FlitIn/FlitOut records). */
+    std::uint64_t eventCount() const { return flits_.size(); }
+    /** Events the ring overwrote before the snapshot. */
     std::uint64_t droppedEvents() const { return droppedEvents_; }
+    /** Delivered packets left out because their Inject was
+     *  overwritten. */
     std::uint64_t droppedPackets() const { return droppedPackets_; }
-
-    /** Drop all recorded state (benchmark loops). */
-    void reset();
 
     /** @name Export */
     ///@{
@@ -117,25 +106,7 @@ class TraceObserver : public NetworkObserver
     ///@}
 
   private:
-    /** A single flit-log entry, 2 words packed. */
-    struct Event
-    {
-        Cycle t;
-        std::uint32_t pkt;  ///< truncated packet id (log readability)
-        std::int16_t router;
-        std::int8_t port;
-        std::int8_t vc;
-        std::uint16_t seq;
-        std::uint8_t kind; ///< 0 = arrive, 1 = depart
-        std::uint8_t isHead;
-    };
-
-    void record(std::uint8_t kind, RouterId router, PortId port,
-                const Flit &flit, Cycle now);
-
-    TraceOptions opts_;
-    std::vector<Event> events_;
-    std::unordered_map<PacketId, PacketRecord> live_;
+    std::vector<FlightRecorder::Event> flits_;
     std::vector<PacketRecord> done_;
     std::uint64_t droppedEvents_ = 0;
     std::uint64_t droppedPackets_ = 0;

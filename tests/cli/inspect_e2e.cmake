@@ -1,5 +1,6 @@
 # End-to-end pipeline test driven by CTest:
-#   hnoc_cli (two seeds, JSON run reports + flit log + audit/progress)
+#   hnoc_cli (two seeds, JSON run reports + Chrome trace + flit log +
+#   audit/progress)
 #     -> hnoc_inspect summary / top / heatmap / flitlog / diff
 # Invoked as:
 #   cmake -DHNOC_CLI=... -DHNOC_INSPECT=... -DWORK_DIR=... -P inspect_e2e.cmake
@@ -29,21 +30,32 @@ function(run_step name)
             "command: ${ARGN}\nstdout:\n${out}\nstderr:\n${err}")
     endif()
     set(STEP_OUT "${out}" PARENT_SCOPE)
+    set(STEP_ERR "${err}" PARENT_SCOPE)
 endfunction()
 
 # Two runs differing only in seed: same labels, slightly different
 # numbers — exactly what `hnoc_inspect diff` is for. The first run also
-# exercises the audit and progress instrumentation and the flit log.
+# exercises the audit and progress instrumentation, the Chrome trace
+# and the flit log.
 run_step("cli seed 1" "${HNOC_CLI}"
     --layout Baseline --pattern uniform --rate 0.02 --seed 1
     --audit=500 --progress=5000
     --json "${WORK_DIR}/run_a.json"
+    --trace "${WORK_DIR}/run_a.trace.json"
     --flitlog "${WORK_DIR}/run_a.jsonl")
+set(trace_line "chrome trace: .* \\(([0-9]+) events, ([0-9]+) packets\\)")
+if(NOT STEP_OUT MATCHES "${trace_line}")
+    message(FATAL_ERROR "inspect_e2e: no chrome trace line:\n${STEP_OUT}")
+endif()
+# HNOC_TELEMETRY=OFF builds record no flit events and say so.
+if(CMAKE_MATCH_2 EQUAL 0 AND NOT STEP_ERR MATCHES "HNOC_TELEMETRY=OFF")
+    message(FATAL_ERROR "inspect_e2e: chrome trace holds no packets")
+endif()
 run_step("cli seed 2" "${HNOC_CLI}"
     --layout Baseline --pattern uniform --rate 0.02 --seed 2
     --json "${WORK_DIR}/run_b.json")
 
-foreach(f run_a.json run_b.json run_a.jsonl)
+foreach(f run_a.json run_b.json run_a.trace.json run_a.jsonl)
     if(NOT EXISTS "${WORK_DIR}/${f}")
         message(FATAL_ERROR "inspect_e2e: expected ${f} was not written")
     endif()

@@ -30,6 +30,17 @@ TEST(JobPool, DefaultThreadCountReadsEnv)
     EXPECT_GE(JobPool::defaultThreadCount(), 1);
 }
 
+TEST(JobPool, MalformedThreadCountIsFatal)
+{
+    ::setenv("HNOC_THREADS", "4x", 1);
+    EXPECT_EXIT(JobPool::defaultThreadCount(),
+                ::testing::ExitedWithCode(1), "HNOC_THREADS='4x'");
+    ::setenv("HNOC_THREADS", "many", 1);
+    EXPECT_EXIT(JobPool::defaultThreadCount(),
+                ::testing::ExitedWithCode(1), "HNOC_THREADS='many'");
+    ::unsetenv("HNOC_THREADS");
+}
+
 TEST(JobPool, EnvSizedPoolHasOneWorker)
 {
     ::setenv("HNOC_THREADS", "1", 1);

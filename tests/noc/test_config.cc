@@ -137,5 +137,19 @@ TEST(SimScale, DefaultsToOne)
     }
 }
 
+TEST(SimScale, ParsesTheWholeValueOrFails)
+{
+    EXPECT_DOUBLE_EQ(parseSimScale(nullptr), 1.0);
+    EXPECT_DOUBLE_EQ(parseSimScale("0.1"), 0.1);
+    EXPECT_DOUBLE_EQ(parseSimScale("2"), 2.0);
+    // In-form but not positive: the identity.
+    EXPECT_DOUBLE_EQ(parseSimScale("0"), 1.0);
+    EXPECT_DOUBLE_EQ(parseSimScale("-3"), 1.0);
+    EXPECT_EXIT(parseSimScale("0.1x"), ::testing::ExitedWithCode(1),
+                "HNOC_SIM_SCALE='0.1x'");
+    EXPECT_EXIT(parseSimScale("abc"), ::testing::ExitedWithCode(1),
+                "HNOC_SIM_SCALE='abc'");
+}
+
 } // namespace
 } // namespace hnoc

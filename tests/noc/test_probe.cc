@@ -1,9 +1,10 @@
 /**
  * @file
  * Probe fan-out: one run with every event consumer attached (metric
- * registry, flight recorder, trace observer, blame collector) must
- * simulate exactly like a detached run, and each consumer must
- * produce byte-for-byte what it produces when attached alone.
+ * registry, flight recorder, blame collector) must simulate exactly
+ * like a detached run, and each consumer must produce byte-for-byte
+ * what it produces when attached alone; so must the trace rendered
+ * from the recorder.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +28,6 @@ struct Consumers
 {
     bool registry = false;
     bool recorder = false;
-    bool trace = false;
     bool blame = false;
 };
 
@@ -62,8 +62,7 @@ runWith(const Consumers &c)
     LatencySum client;
     net.setClient(&client);
     std::unique_ptr<MetricRegistry> reg;
-    FlightRecorder recorder(1u << 12);
-    TraceObserver trace;
+    FlightRecorder recorder(1u << 16);
     std::unique_ptr<BlameCollector> blame;
     if (c.registry) {
         reg = net.makeMetricRegistry(500);
@@ -71,8 +70,6 @@ runWith(const Consumers &c)
     }
     if (c.recorder)
         net.attachFlightRecorder(&recorder);
-    if (c.trace)
-        net.setObserver(&trace);
     if (c.blame) {
         blame = net.makeBlameCollector();
         net.attachBlame(blame.get());
@@ -116,9 +113,10 @@ runWith(const Consumers &c)
         JsonWriter rw;
         recorder.writeJson(rw);
         out.recorder = rw.str();
-    }
-    if (c.trace)
+        FlitTrace trace(recorder);
+        EXPECT_GT(trace.packets().size(), 0u);
         out.trace = trace.chromeTraceJson();
+    }
     if (blame) {
         EXPECT_GT(blame->packets(), 0u);
         EXPECT_EQ(blame->identityViolations(), 0u);
@@ -133,7 +131,7 @@ TEST(ProbeFanOut, EveryConsumerMatchesDetachedAndSoloRuns)
         GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
 
     Consumers all;
-    all.registry = all.recorder = all.trace = all.blame = true;
+    all.registry = all.recorder = all.blame = true;
     RunOutputs fan = runWith(all);
     EXPECT_EQ(fan.simulated, runWith(Consumers{}).simulated);
 
@@ -142,10 +140,9 @@ TEST(ProbeFanOut, EveryConsumerMatchesDetachedAndSoloRuns)
     EXPECT_EQ(fan.registry, runWith(solo).registry);
     solo = Consumers{};
     solo.recorder = true;
-    EXPECT_EQ(fan.recorder, runWith(solo).recorder);
-    solo = Consumers{};
-    solo.trace = true;
-    EXPECT_EQ(fan.trace, runWith(solo).trace);
+    RunOutputs solo_recorder = runWith(solo);
+    EXPECT_EQ(fan.recorder, solo_recorder.recorder);
+    EXPECT_EQ(fan.trace, solo_recorder.trace);
     solo = Consumers{};
     solo.blame = true;
     EXPECT_EQ(fan.blame, runWith(solo).blame);

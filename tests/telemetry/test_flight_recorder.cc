@@ -93,8 +93,30 @@ TEST(FlightRecorder, ClearDropsHistory)
 TEST(FlightRecorder, EventStaysCompact)
 {
     // The hot-path store stays a small fixed-size write: 24 bytes
-    // (8-byte timestamp alignment pads the 20 payload bytes).
+    // (8-byte timestamp alignment pads the 22 payload bytes).
     EXPECT_EQ(sizeof(FlightRecorder::Event), 24u);
+}
+
+TEST(FlightRecorder, LaunchKindAndSeqSlot)
+{
+    FlightRecorder fr(4);
+    fr.record(FrKind::Launch, 3, 5, -1, 2, 9, true);
+    fr.record(FrKind::FlitIn, 4, 5, 4, 2, 9, false, 7);
+    std::vector<FlightRecorder::Event> events = fr.snapshot();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(static_cast<FrKind>(events[0].kind), FrKind::Launch);
+    EXPECT_STREQ(frKindName(FrKind::Launch), "launch");
+    EXPECT_EQ(events[1].seq, 7u);
+
+    // The postmortem schema carries the kind but not the seq slot.
+    JsonWriter w;
+    fr.writeJson(w);
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(w.str(), doc));
+    const std::vector<JsonValue> &json = doc.arrayAt("events");
+    ASSERT_EQ(json.size(), 2u);
+    EXPECT_EQ(json[0].strAt("ev"), "launch");
+    EXPECT_EQ(json[1].find("seq"), nullptr);
 }
 
 TEST(FlightRecorder, JsonSectionRoundTrips)

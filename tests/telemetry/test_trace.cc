@@ -1,12 +1,13 @@
 /**
  * @file
- * TraceObserver tests: the Chrome-trace JSON round-trip (emit, then
- * parse with the strict telemetry JsonValue parser and validate the
- * event structure), the per-packet latency decomposition, the JSONL
- * flit log, and the event/packet caps. The parser accepts exactly the
- * JSON grammar (see tests/telemetry/test_json_reader.cc), so these
- * tests also pin down that the emitter never produces malformed
- * documents (trailing commas, bad escapes, NaN literals).
+ * FlitTrace tests: the Chrome-trace JSON round-trip (render from a
+ * flight recorder, then parse with the strict telemetry JsonValue
+ * parser and validate the event structure), the per-packet latency
+ * decomposition, the JSONL flit log, and newest-window retention.
+ * The parser accepts exactly the JSON grammar (see
+ * tests/telemetry/test_json_reader.cc), so these tests also pin down
+ * that the emitter never produces malformed documents (trailing
+ * commas, bad escapes, NaN literals).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "noc/flit.hh"
 #include "noc/network.hh"
 #include "noc/sim_harness.hh"
 #include "telemetry/json_reader.hh"
@@ -29,35 +29,25 @@ using Jv = JsonValue;
 
 // ------------------------------------------------ synthetic journey --
 
-TEST(TraceObserver, SyntheticJourneyDecomposesLatency)
+TEST(FlitTrace, SyntheticJourneyDecomposesLatency)
 {
-    TraceObserver obs;
-
-    Packet pkt;
-    pkt.id = 42;
-    pkt.src = 0;
-    pkt.dst = 9;
-    pkt.numFlits = 4;
-    pkt.createdAt = 5;
-    pkt.injectedAt = 8;
-    pkt.ejectedAt = 40;
-
-    Flit head;
-    head.pkt = &pkt;
-    head.type = FlitType::Head;
-    head.seq = 0;
-    head.vc = 1;
-
-    obs.onPacketCreated(pkt, 5);
-    obs.onFlitArrive(2, 3, head, 10); // router 2: 4-cycle residency
-    obs.onFlitDepart(2, 1, head, 14);
-    obs.onFlitArrive(7, 0, head, 16); // router 7: 5-cycle residency
-    obs.onFlitDepart(7, 2, head, 21);
-    obs.onPacketDelivered(pkt, 40);
+    // Packet 42, node 0 -> node 9, 4 flits: created at 5, launched at
+    // 8, ejected at 40.
+    FlightRecorder fr(64);
+    fr.record(FrKind::Inject, 5, 0, -1, -1, 42, true, 4);
+    fr.record(FrKind::Launch, 8, 0, -1, 1, 42, true);
+    fr.record(FrKind::FlitIn, 10, 2, 3, 1, 42, true); // router 2: 4 cycles
+    fr.record(FrKind::FlitOut, 14, 2, 1, 1, 42, true);
+    fr.record(FrKind::FlitIn, 16, 7, 0, 1, 42, true); // router 7: 5 cycles
+    fr.record(FrKind::FlitOut, 21, 7, 2, 1, 42, true);
+    fr.record(FrKind::Eject, 40, 9, -1, -1, 42, true);
+    FlitTrace obs(fr);
 
     ASSERT_EQ(obs.packets().size(), 1u);
-    const TraceObserver::PacketRecord &rec = obs.packets()[0];
+    const FlitTrace::PacketRecord &rec = obs.packets()[0];
     EXPECT_EQ(rec.id, 42u);
+    EXPECT_EQ(rec.src, 0);
+    EXPECT_EQ(rec.dst, 9);
     EXPECT_EQ(rec.queueing(), 3u);
     EXPECT_EQ(rec.network(), 32u);
     EXPECT_EQ(rec.hopSum(), 9u);
@@ -124,20 +114,20 @@ traceOptions()
     opts.warmupCycles = 200;
     opts.measureCycles = 800;
     opts.drainCycles = 2000;
+    opts.flightRecorder = true;
+    opts.flightRecorderCapacity = 1u << 20;
     return opts;
 }
 
-TEST(TraceObserver, EndToEndChromeTraceRoundTrips)
+TEST(FlitTrace, EndToEndChromeTraceRoundTrips)
 {
     if (!kTelemetryEnabled)
         GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg; // baseline 8x8
-    SimPointOptions opts = traceOptions();
-    TraceObserver obs;
-    opts.observer = &obs;
-    SimPointResult res =
-        runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
-    (void)res;
+    SimPointResult res = runOpenLoop(cfg, TrafficPattern::UniformRandom,
+                                     traceOptions());
+    ASSERT_NE(res.flightRecorder, nullptr);
+    FlitTrace obs(*res.flightRecorder);
 
     ASSERT_GT(obs.packets().size(), 0u);
     EXPECT_EQ(obs.droppedEvents(), 0u);
@@ -175,7 +165,7 @@ TEST(TraceObserver, EndToEndChromeTraceRoundTrips)
 
     // Decomposition identity on every record: hop + serialization
     // reassemble the network latency exactly.
-    for (const TraceObserver::PacketRecord &rec : obs.packets()) {
+    for (const FlitTrace::PacketRecord &rec : obs.packets()) {
         EXPECT_GE(rec.hops.size(), 1u);
         EXPECT_EQ(rec.hopSum() + rec.serialization(), rec.network());
         EXPECT_GE(rec.ejected, rec.injected);
@@ -183,16 +173,15 @@ TEST(TraceObserver, EndToEndChromeTraceRoundTrips)
     }
 }
 
-TEST(TraceObserver, FlitLogLinesAreValidJson)
+TEST(FlitTrace, FlitLogLinesAreValidJson)
 {
     if (!kTelemetryEnabled)
         GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg;
     SimPointOptions opts = traceOptions();
     opts.measureCycles = 400;
-    TraceObserver obs;
-    opts.observer = &obs;
-    runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
+    FlitTrace obs(*runOpenLoop(cfg, TrafficPattern::UniformRandom, opts)
+                       .flightRecorder);
 
     std::string log = obs.flitLogJsonl();
     ASSERT_FALSE(log.empty());
@@ -216,23 +205,28 @@ TEST(TraceObserver, FlitLogLinesAreValidJson)
     EXPECT_EQ(lines, obs.eventCount());
 }
 
-TEST(TraceObserver, CapsBoundMemoryAndAreReported)
+TEST(FlitTrace, KeepsTheNewestWindowAndReportsDrops)
 {
     if (!kTelemetryEnabled)
         GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg;
     SimPointOptions opts = traceOptions();
-    TraceOptions cap;
-    cap.maxEvents = 64;
-    cap.maxPackets = 3;
-    TraceObserver obs(cap);
-    opts.observer = &obs;
-    runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
+    opts.flightRecorderCapacity = 4096;
+    SimPointResult res =
+        runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
+    const FlightRecorder &fr = *res.flightRecorder;
+    FlitTrace obs(fr);
 
-    EXPECT_EQ(obs.eventCount(), 64u);
+    EXPECT_LE(obs.eventCount(), fr.capacity());
+    EXPECT_GT(obs.eventCount(), 0u);
     EXPECT_GT(obs.droppedEvents(), 0u);
-    EXPECT_LE(obs.packets().size(), 3u);
+    EXPECT_EQ(obs.droppedEvents(), fr.overwritten());
     EXPECT_GT(obs.droppedPackets(), 0u);
+    // The held window is the newest, not the first: a full ring whose
+    // oldest event is past warmup.
+    std::vector<FlightRecorder::Event> held = fr.snapshot();
+    ASSERT_EQ(held.size(), fr.capacity());
+    EXPECT_GT(held.front().t, opts.warmupCycles);
 
     // The truncated trace is still a valid document and reports the
     // drop counts so readers know it is partial.
@@ -241,24 +235,24 @@ TEST(TraceObserver, CapsBoundMemoryAndAreReported)
     const Jv *other = doc.find("otherData");
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->numAt("dropped_events"),
-              static_cast<double>(obs.droppedEvents()));
+              static_cast<double>(fr.overwritten()));
     EXPECT_EQ(other->numAt("dropped_packets"),
               static_cast<double>(obs.droppedPackets()));
 }
 
-TEST(TraceObserver, ResetClearsAllState)
+TEST(FlitTrace, ClearedRecorderRendersEmpty)
 {
     if (!kTelemetryEnabled)
         GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
     NetworkConfig cfg;
     SimPointOptions opts = traceOptions();
     opts.measureCycles = 400;
-    TraceObserver obs;
-    opts.observer = &obs;
-    runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
-    ASSERT_GT(obs.eventCount(), 0u);
+    SimPointResult res =
+        runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
+    ASSERT_GT(FlitTrace(*res.flightRecorder).eventCount(), 0u);
 
-    obs.reset();
+    res.flightRecorder->clear();
+    FlitTrace obs(*res.flightRecorder);
     EXPECT_EQ(obs.eventCount(), 0u);
     EXPECT_EQ(obs.packets().size(), 0u);
     EXPECT_EQ(obs.droppedEvents(), 0u);

@@ -4,7 +4,7 @@
  *
  * Loads `hnoc-run-report-v1` documents (sim_harness::writeRunReport /
  * hnoc_cli --json), `hnoc-postmortem-v1` dumps (watchdog trips,
- * Network::writePostmortem) and JSONL flit logs (TraceObserver), and
+ * Network::writePostmortem) and JSONL flit logs (FlitTrace), and
  * answers the questions that come up when a run looks wrong: how did
  * the points behave, which routers were congested, what changed
  * between two runs, and what was the pipeline doing when it stalled.
