@@ -250,8 +250,8 @@ struct LayoutCurve
  * Shared parallel runner for layout comparisons: every (layout, rate)
  * sim point plus one zero-load point per layout goes into a single
  * batch on the shared JobPool, so cross-layout points overlap instead
- * of running layout-by-layout. Bit-identical to the former serial
- * sweepLoad + zeroLoadLatencyNs loop (same configs, same seeds).
+ * of running layout-by-layout. The zero-load point is a default-option
+ * run at rate 0.001 with seed 1.
  */
 inline std::vector<LayoutCurve>
 runLayoutSweeps(const std::vector<LayoutKind> &kinds,
@@ -270,7 +270,7 @@ runLayoutSweeps(const std::vector<LayoutKind> &kinds,
             bp.opts.injectionRate = r;
             batch.push_back(std::move(bp));
         }
-        BatchPoint zl; // mirrors zeroLoadLatencyNs(cfg, pattern)
+        BatchPoint zl;
         zl.config = cfg;
         zl.pattern = pattern;
         zl.opts.injectionRate = 0.001;

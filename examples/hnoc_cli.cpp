@@ -22,6 +22,7 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/report.hh"
+#include "common/text_file.hh"
 #include "heteronoc/layout.hh"
 #include "noc/config_io.hh"
 #include "noc/sim_harness.hh"
@@ -326,12 +327,9 @@ main(int argc, char **argv)
         buf << in.rdbuf();
         opts = simOptionsFromString(buf.str()); // overrides the flags
     }
-    if (!dump_sim_options_path.empty()) {
-        std::ofstream out(dump_sim_options_path);
-        if (!out)
-            fatal("cannot write %s", dump_sim_options_path.c_str());
-        out << simOptionsToString(opts);
-    }
+    if (!dump_sim_options_path.empty() &&
+        !writeTextFile(dump_sim_options_path, simOptionsToString(opts)))
+        fatal("cannot write %s", dump_sim_options_path.c_str());
     opts.seed = seed;
     opts.collectMetrics = !json_path.empty();
     opts.progressEvery = progress_every;

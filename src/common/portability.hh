@@ -43,7 +43,7 @@ peakRssFallback()
 
 /** Peak resident set size of this process in bytes; 0 if unknown.
  *  ru_maxrss is kilobytes on Linux and BSDs, bytes on macOS — both
- *  are monotone, and the health monitor only prints the value, so the
+ *  are monotone, and the progress meter only prints the value, so the
  *  kilobyte convention is applied uniformly (macOS then under-reports
  *  by 1024x, which still beats reporting nothing). */
 inline std::uint64_t

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/text_file.hh"
 
 namespace hnoc
 {
@@ -95,36 +95,10 @@ Table::csv() const
     return out;
 }
 
-namespace
-{
-
-bool
-writeCsvFile(const std::string &path, const std::string &data)
-{
-    std::string target = path;
-    if (const char *dir = std::getenv("HNOC_CSV_DIR")) {
-        std::string base = path;
-        auto slash = base.find_last_of('/');
-        if (slash != std::string::npos)
-            base = base.substr(slash + 1);
-        target = std::string(dir) + "/" + base;
-    }
-    std::FILE *f = std::fopen(target.c_str(), "w");
-    if (!f) {
-        warn("report: cannot open %s", target.c_str());
-        return false;
-    }
-    std::fwrite(data.data(), 1, data.size(), f);
-    std::fclose(f);
-    return true;
-}
-
-} // namespace
-
 bool
 Table::writeCsv(const std::string &path) const
 {
-    return writeCsvFile(path, csv());
+    return writeTextFile(path, csv(), "HNOC_CSV_DIR");
 }
 
 std::string
@@ -155,7 +129,8 @@ bool
 writeHeatMapCsv(const std::string &path, const std::vector<double> &values,
                 int cols, int decimals)
 {
-    return writeCsvFile(path, heatMapCsv(values, cols, decimals));
+    return writeTextFile(path, heatMapCsv(values, cols, decimals),
+                         "HNOC_CSV_DIR");
 }
 
 } // namespace hnoc

@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "common/text_file.hh"
 
 namespace hnoc
 {
@@ -349,11 +350,7 @@ simOptionsFromString(const std::string &text)
 bool
 saveConfig(const NetworkConfig &config, const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << configToString(config);
-    return static_cast<bool>(out);
+    return writeTextFile(path, configToString(config));
 }
 
 NetworkConfig

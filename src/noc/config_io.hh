@@ -28,7 +28,8 @@ std::string configToString(const NetworkConfig &config);
  */
 NetworkConfig configFromString(const std::string &text);
 
-/** Write @p config to @p path. @return true on success. */
+/** Write @p config to @p path. @return true on success (warns on
+ *  failure, see writeTextFile). */
 bool saveConfig(const NetworkConfig &config, const std::string &path);
 
 /** Load a configuration from @p path; fatal on I/O or parse errors. */

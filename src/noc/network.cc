@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/text_file.hh"
 #include "noc/config_io.hh"
 #include "power/frequency_model.hh"
 #include "telemetry/json_writer.hh"
@@ -528,38 +528,6 @@ Network::memoryAudit() const
     return a;
 }
 
-HealthSample
-Network::healthSample() const
-{
-    HealthSample s;
-    s.cycle = cycle_;
-    s.packetsInjected = packetsInjected_;
-    s.packetsDelivered = packetsDelivered_;
-    s.flitsDelivered = flitsDelivered_;
-    s.packetsInFlight = livePackets_;
-    s.sourceQueueDepth = totalSourceQueueDepth();
-    s.routers = topo_->numRouters();
-    s.ports = topo_->portsPerRouter();
-    s.vcs = config_.defaultVcs;
-    for (RouterId r = 0; r < s.routers; ++r)
-        s.vcs = std::max(s.vcs, config_.vcsOf(r));
-
-    s.bufferOccupancy.reserve(static_cast<std::size_t>(s.routers));
-    s.vcOccupancy.assign(
-        static_cast<std::size_t>(s.routers * s.ports * s.vcs), 0);
-    for (RouterId r = 0; r < s.routers; ++r) {
-        const Router &router = routers_[static_cast<std::size_t>(r)];
-        s.bufferOccupancy.push_back(router.bufferOccupancy());
-        int router_vcs = router.vcsPerPort();
-        for (PortId p = 0; p < s.ports; ++p)
-            for (VcId v = 0; v < router_vcs; ++v)
-                s.vcOccupancy[static_cast<std::size_t>(
-                    (r * s.ports + p) * s.vcs + v)] =
-                    router.inputVcOccupancy(p, v);
-    }
-    return s;
-}
-
 bool
 Network::auditCreditConservation(std::string *err) const
 {
@@ -719,23 +687,7 @@ bool
 Network::writePostmortem(const std::string &path,
                          const std::string &reason) const
 {
-    std::string target = path;
-    if (const char *dir = std::getenv("HNOC_JSON_DIR")) {
-        std::string base = path;
-        auto slash = base.find_last_of('/');
-        if (slash != std::string::npos)
-            base = base.substr(slash + 1);
-        target = std::string(dir) + "/" + base;
-    }
-    std::FILE *f = std::fopen(target.c_str(), "w");
-    if (!f) {
-        warn("postmortem: cannot open %s", target.c_str());
-        return false;
-    }
-    std::string data = postmortemJson(reason);
-    std::fwrite(data.data(), 1, data.size(), f);
-    std::fclose(f);
-    return true;
+    return writeTextFile(path, postmortemJson(reason), "HNOC_JSON_DIR");
 }
 
 void

@@ -23,7 +23,6 @@
 #include "noc/routing.hh"
 #include "noc/topology.hh"
 #include "power/router_power.hh"
-#include "telemetry/health.hh"
 #include "telemetry/profiler.hh"
 
 namespace hnoc
@@ -253,9 +252,6 @@ class Network
 
     /** @name Diagnostics */
     ///@{
-    /** Snapshot current state for HealthMonitor::probe(). */
-    HealthSample healthSample() const;
-
     /**
      * Credit/buffer-conservation audit: for every channel and VC,
      * driver credits + flits in flight + credits in flight + sink
@@ -273,7 +269,8 @@ class Network
      */
     std::string postmortemJson(const std::string &reason) const;
 
-    /** Write postmortemJson() to @p path (honors HNOC_JSON_DIR). */
+    /** Write postmortemJson() to @p path (honors HNOC_JSON_DIR);
+     *  false when the file could not be written in full. */
     bool writePostmortem(const std::string &path,
                          const std::string &reason) const;
     ///@}

@@ -162,8 +162,8 @@ class Router
                scratchOrder_.capacity() * sizeof(int);
     }
 
-    /** @name Introspection (health probes, conservation audit,
-     *        postmortem dumps). Reads the SoA core directly — the
+    /** @name Introspection (conservation audit, postmortem and
+     *        state dumps). Reads the SoA core directly — the
      *        dense arrays are the single source of truth. */
     ///@{
     /** Flits buffered at input port @p p, VC @p v. */

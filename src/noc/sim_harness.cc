@@ -9,7 +9,6 @@
 #include "common/parse.hh"
 #include "common/stats.hh"
 #include "noc/watchdog.hh"
-#include "telemetry/health.hh"
 #include "telemetry/run_report.hh"
 
 namespace hnoc
@@ -250,9 +249,7 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
         audit_every = opts.telemetryEpoch;
 #endif
 
-    HealthOptions health_opts;
-    health_opts.targetCycles = opts.warmupCycles + opts.measureCycles;
-    HealthMonitor health(health_opts);
+    ProgressMeter meter(opts.warmupCycles + opts.measureCycles);
     ProgressWatchdog watchdog(
         opts.watchdogWindow > 0 ? opts.watchdogWindow : 50000);
     if (!opts.postmortemPath.empty())
@@ -277,12 +274,8 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
             if (opts.watchdogWindow > 0)
                 watchdog.check(net);
             if (opts.progressEvery > 0 &&
-                net.now() % opts.progressEvery == 0) {
-                HealthSample s = net.healthSample();
-                health.probe(s, net.telemetry());
-                std::fprintf(stderr, "%s\n",
-                             health.progressLine(s).c_str());
-            }
+                net.now() % opts.progressEvery == 0)
+                std::fprintf(stderr, "%s\n", meter.line(net).c_str());
         }
     };
 
@@ -492,47 +485,6 @@ sweepLoadSerial(const NetworkConfig &config, TrafficPattern pattern,
         curve.push_back(runOpenLoop(config, pattern, opts));
     }
     return curve;
-}
-
-std::vector<SimPointResult>
-runMultiSeed(const NetworkConfig &config, TrafficPattern pattern,
-             SimPointOptions opts, int num_seeds, JobPool *pool)
-{
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(static_cast<std::size_t>(num_seeds));
-    for (int i = 0; i < num_seeds; ++i)
-        seeds.push_back(
-            derivePointSeed(opts.seed, static_cast<std::uint64_t>(i)));
-    return runPointsParallel(
-        seeds,
-        [&](std::uint64_t s) {
-            SimPointOptions o = opts;
-            o.seed = s;
-            return runOpenLoop(config, pattern, o);
-        },
-        pool);
-}
-
-std::vector<SimPointResult>
-runMultiPattern(const NetworkConfig &config,
-                const std::vector<TrafficPattern> &patterns,
-                const SimPointOptions &opts, JobPool *pool)
-{
-    return runPointsParallel(
-        patterns,
-        [&](TrafficPattern p) { return runOpenLoop(config, p, opts); },
-        pool);
-}
-
-double
-zeroLoadLatencyNs(const NetworkConfig &config, TrafficPattern pattern,
-                  std::uint64_t seed)
-{
-    SimPointOptions opts;
-    opts.injectionRate = 0.001;
-    opts.seed = seed;
-    SimPointResult res = runOpenLoop(config, pattern, opts);
-    return res.avgLatencyNs;
 }
 
 double

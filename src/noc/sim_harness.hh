@@ -224,24 +224,6 @@ sweepLoadSerial(const NetworkConfig &config, TrafficPattern pattern,
                 const std::vector<double> &rates, SimPointOptions opts);
 
 /**
- * Run @p num_seeds replicas of one point in parallel, seeding replica
- * i with derivePointSeed(opts.seed, i).
- */
-std::vector<SimPointResult>
-runMultiSeed(const NetworkConfig &config, TrafficPattern pattern,
-             SimPointOptions opts, int num_seeds, JobPool *pool = nullptr);
-
-/** Run the same point under each pattern in parallel (input order). */
-std::vector<SimPointResult>
-runMultiPattern(const NetworkConfig &config,
-                const std::vector<TrafficPattern> &patterns,
-                const SimPointOptions &opts, JobPool *pool = nullptr);
-
-/** Average packet latency (ns) at a near-zero load. */
-double zeroLoadLatencyNs(const NetworkConfig &config,
-                         TrafficPattern pattern, std::uint64_t seed = 1);
-
-/**
  * Saturation throughput from a sweep: the highest accepted rate
  * observed (accepted flattens once the network saturates).
  */

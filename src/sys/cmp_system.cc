@@ -250,7 +250,7 @@ CmpSystem::preCycle(Network &, Cycle now)
         Event ev = events_.begin()->second;
         events_.erase(events_.begin());
         if (ev.isSend)
-            sendMsg(ev.src, ev.tile, ev.msg.type, ev.msg.block,
+            sendMsg(ev.msg.sender, ev.tile, ev.msg.type, ev.msg.block,
                     ev.msg.requester, now);
         else
             handleMsg(ev.tile, ev.msg, now);
@@ -267,12 +267,11 @@ CmpSystem::preCycle(Network &, Cycle now)
             // DRAM access completes after the access latency; then the
             // data packet is sent back to the home bank.
             Event ev;
-            ev.at = now + coreToNet(config_.dramLatencyCoreCycles);
             ev.tile = req.requester; // home tile
             ev.msg = {MsgType::MemData, req.block, t, req.requester};
             ev.isSend = true;
-            ev.src = t;
-            events_.emplace(ev.at, ev);
+            events_.emplace(now + coreToNet(config_.dramLatencyCoreCycles),
+                            ev);
         }
     }
 
@@ -331,7 +330,7 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
             if (static_cast<int>(core.loads.size()) >=
                 core.maxOutstanding)
                 return false;
-            core.loads.push_back({core.nextReqId++, block, core.retired});
+            core.loads.push_back({block, core.retired});
             return true; // coalesced load
         }
         if (mshr_it->second.isWrite)
@@ -374,7 +373,7 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
     ++core.l1Misses;
 
     if (!rec.isWrite)
-        core.loads.push_back({core.nextReqId++, block, core.retired});
+        core.loads.push_back({block, core.retired});
 
     sendMsg(id, homeTile(block), rec.isWrite ? MsgType::GetX : MsgType::GetS,
             block, id, now);
@@ -389,7 +388,6 @@ CmpSystem::installLine(NodeId id, Core &core, Addr block, CacheState state,
     CacheState victim_state = CacheState::Invalid;
     if (core.l1->insert(block, state, victim, victim_state)) {
         if (victim_state == CacheState::Modified) {
-            core.wbBuffer.insert(victim);
             sendMsg(id, homeTile(victim), MsgType::PutM, victim, id, now);
         }
         // Exclusive/Shared victims are dropped silently; the directory
@@ -425,11 +423,8 @@ CmpSystem::sendMsg(NodeId src, NodeId dst, MsgType type, Addr block,
     if (src == dst) {
         // Same-tile access: no network traversal; charge the bank
         // access latency.
-        Event ev;
-        ev.at = now + coreToNet(config_.l2LatencyCoreCycles);
-        ev.tile = dst;
-        ev.msg = msg;
-        events_.emplace(ev.at, ev);
+        events_.emplace(now + coreToNet(config_.l2LatencyCoreCycles),
+                        Event{dst, msg});
         return;
     }
     int flits = carriesData(msg.type) ? net_->dataPacketFlits() : 1;
@@ -467,11 +462,7 @@ CmpSystem::onPacketDelivered(Network &net, Packet &pkt, Cycle now)
         delay = coreToNet(config_.l1LatencyCoreCycles);
         break;
     }
-    Event ev;
-    ev.at = now + delay;
-    ev.tile = pkt.dst;
-    ev.msg = *m;
-    events_.emplace(ev.at, ev);
+    events_.emplace(now + delay, Event{pkt.dst, *m});
     freeMsg(m);
 }
 
@@ -561,8 +552,7 @@ CmpSystem::coreHandle(NodeId tile, const Msg &msg, Cycle now)
                 now);
         break;
       }
-      case MsgType::WbAck:
-        core.wbBuffer.erase(block);
+      case MsgType::WbAck: // the PutM landed; the core keeps no state
         break;
       default:
         panic("coreHandle: unexpected message type %d",
@@ -657,7 +647,6 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
     Txn txn;
     txn.req = msg.type;
     txn.requester = msg.sender;
-    txn.reqId = msg.reqId;
 
     DirEntry &entry = bank.dir[block]; // creates Uncached entry if new
 
@@ -757,7 +746,7 @@ CmpSystem::dirFinishTxn(NodeId tile, Addr block, Cycle now)
     auto it = bank.busy.find(block);
     if (it == bank.busy.end())
         return;
-    std::deque<Msg> deferred = std::move(it->second.deferred);
+    std::vector<Msg> deferred = std::move(it->second.deferred);
     bank.busy.erase(it);
     // Replay deferred requests in arrival order; each may re-block.
     for (const Msg &m : deferred)

@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stats.hh"
@@ -149,7 +148,6 @@ class CmpSystem : public NetworkClient
   private:
     struct OutstandingLoad
     {
-        std::uint64_t reqId;
         Addr block;
         std::uint64_t atInstr; ///< retired-instruction count at issue
     };
@@ -179,8 +177,6 @@ class CmpSystem : public NetworkClient
 
         std::deque<OutstandingLoad> loads;
         std::unordered_map<Addr, Mshr> mshrs;
-        std::unordered_set<Addr> wbBuffer; ///< PutM awaiting WbAck
-        std::uint64_t nextReqId = 1;
 
         std::uint64_t l1Hits = 0;
         std::uint64_t l1Misses = 0;
@@ -192,12 +188,11 @@ class CmpSystem : public NetworkClient
     {
         MsgType req = MsgType::GetS;
         NodeId requester = INVALID_NODE;
-        std::uint64_t reqId = 0;
         int pendingInvAcks = 0;
         bool waitingMem = false;
         bool waitingOwner = false;
         bool upgrade = false; ///< requester already held the line shared
-        std::deque<Msg> deferred;
+        std::vector<Msg> deferred;
     };
 
     struct DirEntry
@@ -224,11 +219,9 @@ class CmpSystem : public NetworkClient
     /** Deferred message processing (models controller latencies). */
     struct Event
     {
-        Cycle at;
         NodeId tile; ///< handler tile, or destination when isSend
         Msg msg;
-        bool isSend = false; ///< emit msg from src to tile at `at`
-        NodeId src = INVALID_NODE;
+        bool isSend = false; ///< emit msg from its sender to tile
     };
 
     // --- helpers -------------------------------------------------------

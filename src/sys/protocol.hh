@@ -74,7 +74,6 @@ struct Msg
     Addr block = 0;
     NodeId sender = INVALID_NODE;    ///< tile that sent this message
     NodeId requester = INVALID_NODE; ///< original requesting tile
-    std::uint64_t reqId = 0;         ///< core-side request identifier
 };
 
 } // namespace hnoc

@@ -334,36 +334,6 @@ MetricRegistry::finish()
         rollEpoch();
 }
 
-std::vector<double>
-MetricRegistry::epochBufferUtilizationPercent(std::size_t e) const
-{
-    const EpochRow &row = epochs_.at(e);
-    std::vector<double> util(row.occupancyFlitCycles.size(), 0.0);
-    if (row.cycles == 0)
-        return util;
-    for (std::size_t r = 0; r < util.size(); ++r) {
-        double cap = static_cast<double>(bufferCapacity_[r]);
-        if (cap > 0.0)
-            util[r] = 100.0 *
-                      static_cast<double>(row.occupancyFlitCycles[r]) /
-                      (cap * static_cast<double>(row.cycles));
-    }
-    return util;
-}
-
-std::vector<double>
-MetricRegistry::epochLinkFlitsPerCycle(std::size_t e) const
-{
-    const EpochRow &row = epochs_.at(e);
-    std::vector<double> out(row.linkFlits.size(), 0.0);
-    if (row.cycles == 0)
-        return out;
-    for (std::size_t r = 0; r < out.size(); ++r)
-        out[r] = static_cast<double>(row.linkFlits[r]) /
-                 static_cast<double>(row.cycles);
-    return out;
-}
-
 void
 MetricRegistry::merge(const MetricRegistry &other)
 {

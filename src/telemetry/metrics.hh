@@ -260,12 +260,6 @@ class MetricRegistry
     };
 
     const std::vector<EpochRow> &epochs() const { return epochs_; }
-
-    /** Per-router buffer utilization % inside epoch @p e. */
-    std::vector<double> epochBufferUtilizationPercent(std::size_t e) const;
-
-    /** Per-router link flits/cycle inside epoch @p e. */
-    std::vector<double> epochLinkFlitsPerCycle(std::size_t e) const;
     ///@}
 
     /**

@@ -27,8 +27,8 @@
  *
  * The companion MemoryAudit struct carries the per-component
  * footprintBytes() breakdown that Network::memoryAudit() /
- * CmpSystem::memoryAudit() fill in — a plain struct, like
- * HealthSample, so this library never links against the NoC.
+ * CmpSystem::memoryAudit() fill in — a plain struct, so this library
+ * never links against the NoC.
  */
 
 #ifndef HNOC_TELEMETRY_PROFILER_HH

@@ -1,9 +1,6 @@
 #include "telemetry/run_report.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
-#include "common/logging.hh"
+#include "common/text_file.hh"
 #include "telemetry/json_writer.hh"
 #include "telemetry/metrics.hh"
 
@@ -156,23 +153,7 @@ RunReport::json() const
 bool
 RunReport::writeFile(const std::string &path) const
 {
-    std::string target = path;
-    if (const char *dir = std::getenv("HNOC_JSON_DIR")) {
-        std::string base = path;
-        auto slash = base.find_last_of('/');
-        if (slash != std::string::npos)
-            base = base.substr(slash + 1);
-        target = std::string(dir) + "/" + base;
-    }
-    std::FILE *f = std::fopen(target.c_str(), "w");
-    if (!f) {
-        warn("RunReport: cannot open %s", target.c_str());
-        return false;
-    }
-    std::string data = json();
-    std::fwrite(data.data(), 1, data.size(), f);
-    std::fclose(f);
-    return true;
+    return writeTextFile(path, json(), "HNOC_JSON_DIR");
 }
 
 } // namespace hnoc

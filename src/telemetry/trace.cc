@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <unordered_map>
 
-#include "common/logging.hh"
+#include "common/text_file.hh"
 #include "telemetry/json_writer.hh"
 
 namespace hnoc
@@ -205,34 +205,16 @@ FlitTrace::flitLogJsonl() const
     return out;
 }
 
-namespace
-{
-
-bool
-writeStringToFile(const std::string &path, const std::string &data)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("trace: cannot open %s", path.c_str());
-        return false;
-    }
-    std::fwrite(data.data(), 1, data.size(), f);
-    std::fclose(f);
-    return true;
-}
-
-} // namespace
-
 bool
 FlitTrace::writeChromeTrace(const std::string &path) const
 {
-    return writeStringToFile(path, chromeTraceJson());
+    return writeTextFile(path, chromeTraceJson());
 }
 
 bool
 FlitTrace::writeFlitLog(const std::string &path) const
 {
-    return writeStringToFile(path, flitLogJsonl());
+    return writeTextFile(path, flitLogJsonl());
 }
 
 } // namespace hnoc

@@ -1,6 +1,7 @@
 /**
  * @file
- * Table/report module tests: alignment, CSV escaping, file output.
+ * Table/report module tests: alignment, CSV escaping, file output,
+ * and the shared text-file writer's failure reporting.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <sstream>
 
 #include "common/report.hh"
+#include "common/text_file.hh"
 
 namespace hnoc
 {
@@ -70,6 +72,24 @@ TEST(Table, RowCountAndColumns)
     EXPECT_EQ(t.rows(), 0u);
     t.row({"1", "2", "3"});
     EXPECT_EQ(t.rows(), 1u);
+}
+
+TEST(TextFile, FullDiskReturnsFalse)
+{
+    // /dev/full opens fine and fails every write with ENOSPC: a small
+    // payload fails at the buffered flush in fclose, a large one at
+    // fwrite itself. Both must report failure.
+    if (std::FILE *probe = std::fopen("/dev/full", "w"))
+        std::fclose(probe);
+    else
+        GTEST_SKIP() << "/dev/full not available";
+    EXPECT_FALSE(writeTextFile("/dev/full", "x,y\n"));
+    EXPECT_FALSE(writeTextFile("/dev/full", std::string(1 << 20, 'x')));
+}
+
+TEST(TextFile, MissingDirectoryReturnsFalse)
+{
+    EXPECT_FALSE(writeTextFile("/nonexistent/dir/out.csv", "x\n"));
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Simulation-harness and traffic tests: pattern destination
  * properties (parameterized), self-similar burst statistics, sweep and
- * summary helpers, YX routing and CentralBand link-width modes.
+ * summary helpers, the instrumented run loop's parity with the plain
+ * one, YX routing and CentralBand link-width modes.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/stats.hh"
 #include "heteronoc/layout.hh"
 #include "noc/sim_harness.hh"
+#include "telemetry/metrics.hh"
 
 namespace hnoc
 {
@@ -182,6 +184,73 @@ TEST(Harness, LatencyGrowsWithDistance)
     EXPECT_GT(per_hop, 2.0 * cycle_ns);
     EXPECT_LT(per_hop, 8.0 * cycle_ns);
 }
+
+// ------------------------------------------------ instrumented loop --
+
+/** Progress, audit or watchdog switch runOpenLoop from net.run() to
+ *  its per-cycle instrumented loop; the result must not move a bit. */
+class InstrumentedLoop : public ::testing::TestWithParam<SimControlMode>
+{};
+
+TEST_P(InstrumentedLoop, MatchesPlainLoopBitForBit)
+{
+#ifndef NDEBUG
+    // Debug builds audit every epoch, so run `a` would take the
+    // instrumented loop too and the test would compare it with itself.
+    GTEST_SKIP() << "needs an NDEBUG build for the plain net.run() loop";
+#endif
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
+    SimPointOptions opts;
+    opts.injectionRate = 0.03;
+    opts.warmupCycles = 3000;
+    opts.measureCycles = 8000;
+    opts.drainCycles = 8000;
+    opts.collectMetrics = true;
+    opts.control.mode = GetParam();
+    SimPointResult a =
+        runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
+
+    opts.progressEvery = 4000;
+    opts.auditEvery = 100;
+    opts.watchdogWindow = 50000;
+    SimPointResult b =
+        runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
+
+    EXPECT_EQ(a.offeredRate, b.offeredRate);
+    EXPECT_EQ(a.acceptedRate, b.acceptedRate);
+    EXPECT_EQ(a.avgLatencyCycles, b.avgLatencyCycles);
+    EXPECT_EQ(a.avgLatencyNs, b.avgLatencyNs);
+    EXPECT_EQ(a.avgQueuingNs, b.avgQueuingNs);
+    EXPECT_EQ(a.avgBlockingNs, b.avgBlockingNs);
+    EXPECT_EQ(a.avgTransferNs, b.avgTransferNs);
+    EXPECT_EQ(a.p95LatencyNs, b.p95LatencyNs);
+    EXPECT_EQ(a.networkPowerW, b.networkPowerW);
+    EXPECT_EQ(a.combineRate, b.combineRate);
+    EXPECT_EQ(a.saturated, b.saturated);
+    EXPECT_EQ(a.drainTruncated, b.drainTruncated);
+    EXPECT_EQ(a.simulatedCycles, b.simulatedCycles);
+    EXPECT_EQ(a.warmupCyclesUsed, b.warmupCyclesUsed);
+    EXPECT_EQ(a.measureCyclesUsed, b.measureCyclesUsed);
+    EXPECT_EQ(a.stopReason, b.stopReason);
+    EXPECT_EQ(a.ciRelHalfWidth, b.ciRelHalfWidth);
+    EXPECT_EQ(a.ciHistory, b.ciHistory);
+    EXPECT_EQ(a.bufferUtilPct, b.bufferUtilPct);
+    EXPECT_EQ(a.linkUtilPct, b.linkUtilPct);
+    EXPECT_EQ(a.trackedCreated, b.trackedCreated);
+    EXPECT_EQ(a.trackedDelivered, b.trackedDelivered);
+    EXPECT_EQ(a.latencyByHopsNs, b.latencyByHopsNs);
+    ASSERT_NE(a.metrics, nullptr);
+    ASSERT_NE(b.metrics, nullptr);
+    EXPECT_EQ(a.metrics->json(), b.metrics->json());
+    EXPECT_EQ(b.watchdogTrips, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, InstrumentedLoop,
+    ::testing::Values(SimControlMode::Reference, SimControlMode::Adaptive),
+    [](const ::testing::TestParamInfo<SimControlMode> &info) {
+        return std::string(simControlModeName(info.param));
+    });
 
 // ------------------------------------------------- YX / CentralBand --
 

@@ -1,10 +1,8 @@
 /**
  * @file
- * Health-monitor and diagnostics tests: Network::healthSample()
- * consistency, HealthMonitor probe deltas and registry-driven stall
- * breakdowns, the zero-progress detector, VC-occupancy high-water
- * marks, the progress line, and the credit/buffer-conservation
- * auditor across all four topologies (mid-run and after drain).
+ * Run-health tests: the live progress line, the credit/buffer-
+ * conservation auditor across all four topologies (mid-run and after
+ * drain), and each router's flit count against its per-VC buffers.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +12,8 @@
 #include "common/rng.hh"
 #include "heteronoc/layout.hh"
 #include "noc/network.hh"
-#include "telemetry/health.hh"
-#include "telemetry/metrics.hh"
+#include "noc/watchdog.hh"
+#include "telemetry/json_reader.hh"
 
 namespace hnoc
 {
@@ -44,184 +42,43 @@ injectUniform(Network &net, Rng &rng, Cycle cycles, double rate)
     return injected;
 }
 
-// ----------------------------------------------------- healthSample --
-
-TEST(HealthSample, MatchesNetworkState)
+/**
+ * Check, through the postmortem's per-router snapshot, that every
+ * router's flit count (which alone decides Router::busy() and so the
+ * active-list drop) equals the sum of its per-VC input buffers.
+ * @return the total buffered flits
+ */
+int
+expectRouterOccupancyMatchesVcs(const Network &net)
 {
-    Network net(makeLayoutConfig(LayoutKind::Baseline));
-    Rng rng(11);
-    injectUniform(net, rng, 300, 0.03);
-
-    HealthSample s = net.healthSample();
-    EXPECT_EQ(s.cycle, net.now());
-    EXPECT_EQ(s.packetsInjected, net.packetsInjected());
-    EXPECT_EQ(s.packetsDelivered, net.packetsDelivered());
-    EXPECT_EQ(s.flitsDelivered, net.flitsDelivered());
-    EXPECT_EQ(s.packetsInFlight, net.packetsInFlight());
-    EXPECT_EQ(s.sourceQueueDepth, net.totalSourceQueueDepth());
-    ASSERT_EQ(s.routers, 64);
-    ASSERT_GT(s.ports, 0);
-    ASSERT_GT(s.vcs, 0);
-    ASSERT_EQ(s.bufferOccupancy.size(), 64u);
-    ASSERT_EQ(s.vcOccupancy.size(),
-              static_cast<std::size_t>(64 * s.ports * s.vcs));
-
-    // Per-router occupancy is exactly the sum of its per-VC slots.
+    JsonValue doc;
+    std::string err;
+    EXPECT_TRUE(parseJson(net.postmortemJson("occupancy check"), doc, &err))
+        << err;
+    const std::vector<JsonValue> &routers = doc.arrayAt("routers");
+    const JsonValue *config = doc.find("config");
+    EXPECT_TRUE(config && static_cast<double>(routers.size()) ==
+                              config->numAt("routers"))
+        << "the snapshot must cover every router";
     int total = 0;
-    for (int r = 0; r < s.routers; ++r) {
+    for (const JsonValue &r : routers) {
+        // Empty VCs are omitted from the snapshot; they add nothing.
         int sum = 0;
-        for (int p = 0; p < s.ports; ++p)
-            sum += s.portOccupancy(r, p);
-        EXPECT_EQ(sum, s.bufferOccupancy[static_cast<std::size_t>(r)])
-            << "router " << r;
+        for (const JsonValue &vc : r.arrayAt("input_vcs"))
+            sum += static_cast<int>(vc.numAt("occupancy"));
+        EXPECT_EQ(sum, static_cast<int>(r.numAt("occupancy")))
+            << "router " << r.numAt("id");
         total += sum;
     }
-    EXPECT_GT(total, 0) << "mid-run sample should see buffered flits";
+    return total;
 }
 
-// ----------------------------------------------------- probe deltas --
+// ---------------------------------------------------- progress line --
 
-TEST(HealthMonitor, ProbeDeltasAndHighWaterMarks)
+TEST(ProgressMeter, ProgressLine)
 {
-    HealthMonitor mon;
-
-    HealthSample a;
-    a.cycle = 1000;
-    a.packetsInjected = 50;
-    a.packetsDelivered = 40;
-    a.flitsDelivered = 240;
-    a.packetsInFlight = 10;
-    a.routers = 2;
-    a.ports = 2;
-    a.vcs = 2;
-    a.bufferOccupancy = {1, 3};
-    a.vcOccupancy = {1, 0, 0, 0, 0, 2, 0, 1};
-
-    const HealthReport &first = mon.probe(a);
-    EXPECT_EQ(first.intervalCycles, 0u); // baseline probe: no deltas
-    EXPECT_EQ(first.deliveredDelta, 0u);
-    EXPECT_TRUE(first.issues.empty());
-
-    HealthSample b = a;
-    b.cycle = 1500;
-    b.packetsInjected = 80;
-    b.packetsDelivered = 70;
-    b.flitsDelivered = 420;
-    b.vcOccupancy = {0, 4, 0, 0, 0, 1, 0, 1};
-
-    const HealthReport &rep = mon.probe(b);
-    EXPECT_EQ(rep.cycle, 1500u);
-    EXPECT_EQ(rep.intervalCycles, 500u);
-    EXPECT_EQ(rep.injectedDelta, 30u);
-    EXPECT_EQ(rep.deliveredDelta, 30u);
-    EXPECT_EQ(rep.flitsDelta, 180u);
-    EXPECT_FALSE(rep.hasRegistryDeltas); // no registry attached
-    EXPECT_EQ(mon.probes(), 2u);
-
-    // High-water marks are the element-wise max across both probes.
-    ASSERT_EQ(mon.vcHighWater().size(), 8u);
-    EXPECT_EQ(mon.vcHighWater()[0], 1);
-    EXPECT_EQ(mon.vcHighWater()[1], 4);
-    EXPECT_EQ(mon.vcHighWater()[5], 2);
-
-    int r = -1, p = -1, v = -1;
-    EXPECT_EQ(mon.maxVcHighWater(&r, &p, &v), 4);
-    EXPECT_EQ(r, 0); // flat index 1 -> router 0, port 0, vc 1
-    EXPECT_EQ(p, 0);
-    EXPECT_EQ(v, 1);
-
-    // The summary renders without a registry too.
-    std::string text = rep.text();
-    EXPECT_NE(text.find("health @ cycle 1500"), std::string::npos);
-    EXPECT_NE(text.find("+30 delivered"), std::string::npos);
-}
-
-TEST(HealthMonitor, RegistryDeltasBreakDownStalls)
-{
-    if (!kTelemetryEnabled)
-        GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
-    Network net(makeLayoutConfig(LayoutKind::Baseline));
-    auto reg = net.makeMetricRegistry(1000);
-    net.attachTelemetry(reg.get());
-
-    HealthMonitor mon;
-    Rng rng(7);
-    injectUniform(net, rng, 200, 0.04);
-    mon.probe(net.healthSample(), reg.get());
-    injectUniform(net, rng, 400, 0.04);
-    const HealthReport &rep = mon.probe(net.healthSample(), reg.get());
-
-    EXPECT_TRUE(rep.hasRegistryDeltas);
-    ASSERT_EQ(rep.routers.size(), 64u);
-    std::uint64_t grants = 0, reads = 0;
-    for (const StallBreakdown &s : rep.routers) {
-        grants += s.saGrants;
-        reads += s.bufferReads;
-    }
-    EXPECT_GT(grants, 0u) << "busy interval must show SA grants";
-    EXPECT_GT(reads, 0u);
-    // A healthy network has no stuck ports.
-    for (const PortIssue &iss : rep.issues)
-        EXPECT_NE(iss.kind, PortIssue::Kind::ZeroProgress)
-            << "router " << iss.router << " port " << iss.port;
-
-    net.detachTelemetry();
-}
-
-TEST(HealthMonitor, ZeroProgressDetectorFlagsStuckPorts)
-{
-    // Fabricate a stall: load the network until flits sit in router
-    // buffers, then probe twice without stepping. Registry counters
-    // don't move, occupancy persists -> every occupied port is a
-    // zero-progress hit.
-    Network net(makeLayoutConfig(LayoutKind::Baseline));
-    auto reg = net.makeMetricRegistry(1000);
-    net.attachTelemetry(reg.get());
-
-    Rng rng(3);
-    injectUniform(net, rng, 200, 0.05);
-    HealthSample frozen = net.healthSample();
-    int occupied_ports = 0;
-    for (int r = 0; r < frozen.routers; ++r)
-        for (int p = 0; p < frozen.ports; ++p)
-            occupied_ports += frozen.portOccupancy(r, p) > 0 ? 1 : 0;
-    ASSERT_GT(occupied_ports, 0) << "need buffered flits for the test";
-
-    HealthMonitor mon;
-    mon.probe(frozen, reg.get());
-    const HealthReport &rep = mon.probe(frozen, reg.get());
-    ASSERT_TRUE(rep.hasRegistryDeltas);
-
-    int zero_progress = 0;
-    for (const PortIssue &iss : rep.issues) {
-        if (iss.kind != PortIssue::Kind::ZeroProgress)
-            continue;
-        ++zero_progress;
-        EXPECT_GT(iss.buffered, 0);
-        EXPECT_EQ(frozen.portOccupancy(iss.router, iss.port),
-                  iss.buffered);
-    }
-    EXPECT_EQ(zero_progress, occupied_ports);
-
-    // The rendered report names the stuck ports.
-    EXPECT_NE(rep.text().find("ZERO-PROGRESS"), std::string::npos);
-
-    net.detachTelemetry();
-}
-
-TEST(HealthMonitor, ProgressLine)
-{
-    HealthOptions opts;
-    opts.targetCycles = 100000;
-    HealthMonitor mon(opts);
-
-    HealthSample s;
-    s.cycle = 40000;
-    s.packetsDelivered = 12034;
-    s.flitsDelivered = 72204;
-    s.packetsInFlight = 182;
-
-    std::string line = mon.progressLine(s);
+    ProgressMeter meter(100000);
+    std::string line = meter.line(40000, 12034, 182, 72204);
     EXPECT_NE(line.find("cycle 40000/100000 40%"), std::string::npos)
         << line;
     EXPECT_NE(line.find("delivered 12034"), std::string::npos) << line;
@@ -229,10 +86,31 @@ TEST(HealthMonitor, ProgressLine)
     EXPECT_NE(line.find("flit/s"), std::string::npos) << line;
 
     // Without a target there is no completion fraction and no ETA.
-    HealthMonitor bare;
-    std::string plain = bare.progressLine(s);
+    ProgressMeter bare;
+    std::string plain = bare.line(40000, 12034, 182, 72204);
     EXPECT_NE(plain.find("cycle 40000 |"), std::string::npos) << plain;
     EXPECT_EQ(plain.find("ETA"), std::string::npos) << plain;
+}
+
+TEST(ProgressMeter, ReadsTheNetworkCounters)
+{
+    Network net(makeLayoutConfig(LayoutKind::Baseline));
+    Rng rng(11);
+    injectUniform(net, rng, 300, 0.03);
+    ASSERT_GT(net.packetsDelivered(), 0u);
+
+    ProgressMeter meter(1000);
+    std::string line = meter.line(net);
+    EXPECT_NE(line.find("cycle 300/1000 30%"), std::string::npos)
+        << line;
+    EXPECT_NE(line.find("delivered " +
+                        std::to_string(net.packetsDelivered())),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find("in-flight " +
+                        std::to_string(net.packetsInFlight())),
+              std::string::npos)
+        << line;
 }
 
 // ----------------------------------------------- conservation audit --
@@ -274,12 +152,15 @@ TEST_P(ConservationAudit, HoldsMidRunAndAfterDrain)
         ASSERT_TRUE(net.auditCreditConservation(&err))
             << "cycle " << net.now() << ": " << err;
     }
+    EXPECT_GT(expectRouterOccupancyMatchesVcs(net), 0)
+        << "a loaded network should hold buffered flits";
 
     Cycle guard = 60000;
     while (net.packetsInFlight() > 0 && guard-- > 0)
         net.step();
     ASSERT_EQ(net.packetsInFlight(), 0u);
     EXPECT_TRUE(net.auditCreditConservation(&err)) << err;
+    EXPECT_EQ(expectRouterOccupancyMatchesVcs(net), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -316,6 +197,7 @@ TEST(ConservationAuditHetero, DiagonalBLUnderLoad)
         ASSERT_TRUE(net.auditCreditConservation(&err))
             << "cycle " << net.now() << ": " << err;
     }
+    EXPECT_GT(expectRouterOccupancyMatchesVcs(net), 0);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
- * Parallel experiment engine determinism: sweepLoad / runBatch /
- * runMultiSeed must produce bit-identical SimPointResults to the
- * serial reference path regardless of thread count (1, 4, and an
- * HNOC_THREADS=1 env-sized pool).
+ * Parallel experiment engine determinism: sweepLoad / runBatch must
+ * produce bit-identical SimPointResults to the serial reference path
+ * regardless of thread count (1, 4, and an HNOC_THREADS=1 env-sized
+ * pool).
  */
 
 #include <gtest/gtest.h>
@@ -229,9 +229,17 @@ TEST(ParallelDeterminism, MultiSeedMatchesSerialDerivation)
             runOpenLoop(cfg, TrafficPattern::UniformRandom, o));
     }
 
+    std::vector<BatchPoint> batch;
+    for (int i = 0; i < num_seeds; ++i) {
+        BatchPoint bp;
+        bp.config = cfg;
+        bp.opts = opts;
+        bp.opts.seed = derivePointSeed(opts.seed,
+                                       static_cast<std::uint64_t>(i));
+        batch.push_back(std::move(bp));
+    }
     JobPool pool4(4);
-    auto par = runMultiSeed(cfg, TrafficPattern::UniformRandom, opts,
-                            num_seeds, &pool4);
+    auto par = runBatch(batch, &pool4);
     expectBitIdentical(par, serial);
 
     // Replicas use genuinely different seeds: latencies differ.
@@ -250,9 +258,16 @@ TEST(ParallelDeterminism, MultiPatternMatchesSerialLoop)
     for (TrafficPattern p : patterns)
         serial.push_back(runOpenLoop(cfg, p, opts));
 
+    std::vector<BatchPoint> batch;
+    for (TrafficPattern p : patterns) {
+        BatchPoint bp;
+        bp.config = cfg;
+        bp.pattern = p;
+        bp.opts = opts;
+        batch.push_back(std::move(bp));
+    }
     JobPool pool2(2);
-    expectBitIdentical(runMultiPattern(cfg, patterns, opts, &pool2),
-                       serial);
+    expectBitIdentical(runBatch(batch, &pool2), serial);
 }
 
 TEST(ParallelDeterminism, SeedDerivationIsStableAndDecorrelated)

@@ -212,10 +212,18 @@ TEST(MetricRegistry, ParallelMultiSeedMergeIsBitIdenticalToSerial)
     auto serial_merged = mergeRegistries(serial);
     ASSERT_NE(serial_merged, nullptr);
 
-    // Parallel run on a 4-thread pool.
+    // Parallel run of the same seeds on a 4-thread pool.
+    std::vector<BatchPoint> batch;
+    for (int i = 0; i < seeds; ++i) {
+        BatchPoint bp;
+        bp.config = cfg;
+        bp.opts = opts;
+        bp.opts.seed =
+            derivePointSeed(opts.seed, static_cast<std::uint64_t>(i));
+        batch.push_back(std::move(bp));
+    }
     JobPool pool(4);
-    auto parallel = runMultiSeed(cfg, TrafficPattern::UniformRandom,
-                                 opts, seeds, &pool);
+    auto parallel = runBatch(batch, &pool);
     auto parallel_merged = mergeRegistries(parallel);
     ASSERT_NE(parallel_merged, nullptr);
 

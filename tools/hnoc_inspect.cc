@@ -21,9 +21,11 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "common/text_file.hh"
 #include "telemetry/json_reader.hh"
 
 using hnoc::JsonValue;
+using hnoc::writeTextFile;
 
 namespace
 {
@@ -589,26 +591,22 @@ cmdProfile(const std::string &path, const std::string &trace_path)
     }
 
     if (!trace_path.empty() && wall) {
-        std::FILE *f = std::fopen(trace_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "hnoc_inspect: cannot write %s\n",
-                         trace_path.c_str());
-            return 1;
-        }
         // Sequential X slices (1 ns wall = 1 ns trace), attributed
         // phases first, residual last.
-        std::fprintf(f, "{\"traceEvents\":[\n");
+        std::string doc = "{\"traceEvents\":[\n";
         double ts = 0.0;
         bool first = true;
         auto slice = [&](const std::string &name, double ns) {
             if (ns <= 0)
                 return;
-            std::fprintf(f,
-                         "%s{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,"
-                         "\"tid\":0,\"ts\":%.3f,\"dur\":%.3f,"
-                         "\"cat\":\"profile\"}",
-                         first ? "" : ",\n", name.c_str(), ts / 1000.0,
-                         ns / 1000.0);
+            char times[128];
+            std::snprintf(times, sizeof(times),
+                          "\"ts\":%.3f,\"dur\":%.3f,", ts / 1000.0,
+                          ns / 1000.0);
+            doc += first ? "" : ",\n";
+            doc += "{\"name\":\"" + name +
+                   "\",\"ph\":\"X\",\"pid\":0,\"tid\":0," + times +
+                   "\"cat\":\"profile\"}";
             first = false;
             ts += ns;
         };
@@ -616,8 +614,12 @@ cmdProfile(const std::string &path, const std::string &trace_path)
             for (const auto &[name, p] : phases->object)
                 slice(name, p.numAt("ns", 0));
         slice("(scan/overhead)", wall->numAt("unattributed_ns", 0));
-        std::fprintf(f, "\n],\"displayTimeUnit\":\"ms\"}\n");
-        std::fclose(f);
+        doc += "\n],\"displayTimeUnit\":\"ms\"}\n";
+        if (!writeTextFile(trace_path, doc)) {
+            std::fprintf(stderr, "hnoc_inspect: cannot write %s\n",
+                         trace_path.c_str());
+            return 1;
+        }
         std::printf("\nphase trace: %s (open in chrome://tracing or "
                     "Perfetto)\n",
                     trace_path.c_str());
