@@ -4,10 +4,10 @@
  * 8x8 mesh under uniform-random traffic near saturation
  * (~0.06 packets/node/cycle, footnote 1). Expected shape: central
  * routers ~2x the utilization of peripheral ones; corners slightly
- * above their row/column peers.
+ * above their row/column peers. The heat maps are the measurement
+ * window's always-on router occupancy and channel counters
+ * (SimPointResult::bufferUtilPct / linkUtilPct).
  */
-
-#include <cmath>
 
 #include "bench_util.hh"
 #include "common/report.hh"
@@ -31,18 +31,8 @@ main()
     opts.collectMetrics = true;
     SimPointResult res =
         runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
-
-    // The heat maps come from the telemetry registry; the legacy
-    // Network counters are kept as a cross-check (both paths measure
-    // the same window and must agree).
-    std::vector<double> buf_util = res.metrics->bufferUtilizationPercent();
-    std::vector<double> link_util = res.metrics->linkUtilizationPercent();
-    for (std::size_t i = 0; i < buf_util.size(); ++i) {
-        if (std::fabs(buf_util[i] - res.bufferUtilPct[i]) > 0.05)
-            std::printf("WARNING: registry buffer util diverges from "
-                        "legacy at router %zu (%.3f vs %.3f)\n",
-                        i, buf_util[i], res.bufferUtilPct[i]);
-    }
+    const std::vector<double> &buf_util = res.bufferUtilPct;
+    const std::vector<double> &link_util = res.linkUtilPct;
 
     std::printf("%s\n",
                 formatHeatMap(buf_util, 8,

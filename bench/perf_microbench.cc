@@ -75,7 +75,7 @@ networkStep(benchmark::State &state, LayoutKind kind,
     }
     state.SetItemsProcessed(state.iterations());
     if (reg)
-        benchmark::DoNotOptimize(reg->total(Ctr::BufferWrites));
+        benchmark::DoNotOptimize(reg->total(Ctr::CreditStalls));
     if (recorder)
         benchmark::DoNotOptimize(recorder->totalRecorded());
     if (blame)

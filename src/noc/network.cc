@@ -1,6 +1,7 @@
 #include "noc/network.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 
@@ -385,18 +386,25 @@ Network::makeMetricRegistry(Cycle epoch_cycles) const
         dims.vcs = std::max(dims.vcs, config_.vcsOf(r));
     dims.gridCols = topo_->gridCols();
 
-    auto reg = std::make_unique<MetricRegistry>(dims, epoch_cycles);
-    for (RouterId r = 0; r < topo_->numRouters(); ++r)
-        reg->setBufferCapacity(
-            r, routers_[static_cast<std::size_t>(r)].bufferCapacity());
-    for (const ChannelEnds &e : ends_) {
-        if (!e.driverIsRouter)
-            continue;
-        reg->setPortLanes(e.driverRouter, e.driverPort, e.chan->lanes());
-        reg->setPortInterRouter(e.driverRouter, e.driverPort,
-                                e.sinkIsRouter);
+    return std::make_unique<MetricRegistry>(dims, epoch_cycles);
+}
+
+MetricRegistry::EpochRow
+Network::activityTotals() const
+{
+    MetricRegistry::EpochRow t;
+    t.occupancyFlitCycles.reserve(routers_.size());
+    t.flitsRouted.reserve(routers_.size());
+    for (const Router &r : routers_) {
+        t.occupancyFlitCycles.push_back(r.occupancySum());
+        t.flitsRouted.push_back(r.activity().bufferReads);
     }
-    return reg;
+    t.linkFlits.assign(routers_.size(), 0);
+    for (const ChannelEnds &e : ends_)
+        if (e.driverIsRouter)
+            t.linkFlits[static_cast<std::size_t>(e.driverRouter)] +=
+                e.chan->flitsSent();
+    return t;
 }
 
 void
@@ -405,14 +413,14 @@ Network::attachTelemetry(MetricRegistry *reg)
     attached_.registry = reg;
     rewireProbe();
     if (reg)
-        reg->beginWindow(cycle_);
+        reg->beginWindow(cycle_, activityTotals());
 }
 
 void
 Network::detachTelemetry()
 {
     if (attached_.registry)
-        attached_.registry->finish();
+        attached_.registry->finish(activityTotals());
     attachTelemetry(nullptr);
 }
 
@@ -882,7 +890,8 @@ Network::step()
 
     if (Probe *pr = probe()) {
         ProfScope s(prof, ProfPhase::TelemetryTick);
-        pr->tick(now);
+        if (pr->tick())
+            attached_.registry->closeEpoch(activityTotals());
     }
 
     ++cycle_;
@@ -940,6 +949,8 @@ void
 Network::resetMeasurement()
 {
     measureStart_ = cycle_;
+    assert(!attached_.registry &&
+           "resetMeasurement() would break the registry's epoch baseline");
     for (auto &r : routers_) {
         r.activity() = RouterActivity{};
         r.resetOccupancy();
@@ -957,7 +968,8 @@ Network::bufferUtilizationPercent() const
     for (const auto &r : routers_) {
         double cap = static_cast<double>(r.bufferCapacity());
         util.push_back(cycles > 0.0
-                           ? 100.0 * r.occupancySum() / (cap * cycles)
+                           ? 100.0 * static_cast<double>(r.occupancySum()) /
+                                 (cap * cycles)
                            : 0.0);
     }
     return util;

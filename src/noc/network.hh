@@ -163,6 +163,13 @@ class Network
     /** Sum of all source-queue depths (for queue-health checks). */
     std::size_t totalSourceQueueDepth() const;
 
+    /** Read-only view of router @p r (introspection and tests). */
+    const Router &
+    router(RouterId r) const
+    {
+        return routers_[static_cast<std::size_t>(r)];
+    }
+
     /**
      * Human-readable snapshot of buffer occupancy (a grid) and
      * non-empty source queues — the first thing to print when
@@ -173,21 +180,20 @@ class Network
 
     /** @name Telemetry */
     ///@{
-    /**
-     * Create a registry sized for this network, with buffer capacity
-     * and per-port lane/inter-router metadata filled in.
-     */
+    /** Create a registry sized for this network. */
     std::unique_ptr<MetricRegistry>
     makeMetricRegistry(Cycle epoch_cycles = 1000) const;
 
     /**
      * Attach @p reg as a probe consumer and start its measurement
-     * window at the current cycle. Pass nullptr (or call
-     * detachTelemetry) to stop collecting.
+     * window at the current cycle; its first epoch row counts from the
+     * activity counters' values now, so do not resetMeasurement()
+     * while it is attached. Pass nullptr (or call detachTelemetry) to
+     * stop collecting.
      */
     void attachTelemetry(MetricRegistry *reg);
 
-    /** Detach and finish() the registry (flushes the partial epoch). */
+    /** Detach and finish() the registry (closes the partial epoch). */
     void detachTelemetry();
 
     /** @return the attached registry, or nullptr. */
@@ -297,6 +303,11 @@ class Network
 
     /** The live probe; folds to nullptr under HNOC_TELEMETRY=OFF. */
     Probe *probe() const { return kTelemetryEnabled ? probe_ : nullptr; }
+
+    /** Per-router cumulative occupancy, link-flit (over the channels
+     *  each router drives) and buffer-read counts: the totals the
+     *  registry's epoch rows difference. */
+    MetricRegistry::EpochRow activityTotals() const;
 
     Channel *makeChannel(int width_bits, int flit_delay, int credit_delay);
     void setupBlocks();

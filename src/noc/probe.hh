@@ -42,8 +42,6 @@ struct Probe
     void
     flitIn(Cycle now, RouterId r, PortId p, const Flit &f)
     {
-        if (registry)
-            registry->add(Ctr::BufferWrites, r, p, f.vc);
         if (recorder)
             recorder->record(FrKind::FlitIn, now, r, p, f.vc, idOf(f.pkt),
                              f.isHead(), f.seq);
@@ -85,21 +83,12 @@ struct Probe
     /**
      * FlitOut + CreditOut: SA grant of @p f (relabelled to its
      * downstream VC) from (@p in, @p in_vc) to out port @p o, whose
-     * channel delay is @p link_delay. The grant is the channel's only
-     * sender, so it also counts link flits; @p paired marks the second
-     * flit on a wide link in one cycle.
+     * channel delay is @p link_delay.
      */
     void
     flitOut(Cycle now, RouterId r, PortId o, PortId in, VcId in_vc,
-            const Flit &f, bool paired, int link_delay)
+            const Flit &f, int link_delay)
     {
-        if (registry) {
-            registry->add(Ctr::XbarGrants, r, o);
-            registry->add(Ctr::BufferReads, r, in);
-            registry->add(Ctr::LinkFlits, r, o);
-            if (paired)
-                registry->add(Ctr::LinkPaired, r, o);
-        }
         if (recorder) {
             recorder->record(FrKind::FlitOut, now, r, o, f.vc, idOf(f.pkt),
                              f.isHead(), f.seq);
@@ -133,7 +122,8 @@ struct Probe
     occupancy(RouterId r, int occ)
     {
         if (registry)
-            registry->occupancySample(r, occ);
+            registry->gaugeMax(Gauge::PeakOccupancy, r,
+                               static_cast<std::uint64_t>(occ));
     }
 
     /** Inject: @p pkt entered its source queue, leaving @p live in
@@ -213,12 +203,12 @@ struct Probe
         pkt.blame = nullptr;
     }
 
-    /** EpochTick: end of one Network::step. */
-    void
-    tick(Cycle now)
+    /** EpochTick: end of one Network::step. @return true when the
+     *  registry's epoch is full and the network must close its row. */
+    bool
+    tick()
     {
-        if (registry)
-            registry->tick(now);
+        return registry && registry->tick();
     }
 
   private:

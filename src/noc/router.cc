@@ -105,7 +105,7 @@ Router::step(Cycle now)
     // no-op on both accumulators, so skipping flitless cycles under
     // active-set scheduling loses nothing.
     int occ = flitCount_;
-    occupancySum_ += occ;
+    occupancySum_ += static_cast<std::uint64_t>(occ);
     if (Probe *pr = probe()) {
         // After SA has settled the cycle, every head still pending is
         // by definition stalled for exactly one cycle.
@@ -284,11 +284,10 @@ Router::switchAllocatePort(PortId o, Cycle now)
         core_.saGrantOut[in_port] = o;
         ++granted;
         ++activity_.bufferReads;
-        ++activity_.xbarTraversals;
         ++activity_.arbOps;
         if (Probe *pr = probe())
             pr->flitOut(now, id_, o, in_port, s % core_.vcs, flit,
-                        granted == 2, op.chan->flitDelay());
+                        op.chan->flitDelay());
         // Charge the active (flit) bits, not the full wire
         // width: an unpaired flit on a wide link toggles only
         // its own half.

@@ -131,8 +131,8 @@ class Router
     }
 
     /** Accumulated occupancy-cycles for buffer-utilization heat maps. */
-    double occupancySum() const { return occupancySum_; }
-    void resetOccupancy() { occupancySum_ = 0.0; }
+    std::uint64_t occupancySum() const { return occupancySum_; }
+    void resetOccupancy() { occupancySum_ = 0; }
     ///@}
 
     /** @return true if any input VC holds a flit (watchdog helper). */
@@ -191,6 +191,13 @@ class Router
             .credits[static_cast<std::size_t>(v)];
     }
 
+    /** Channel driven by output port @p p (nullptr when unwired). */
+    const Channel *
+    outputChannel(PortId p) const
+    {
+        return core_.outputs[static_cast<std::size_t>(p)].chan;
+    }
+
     /** Is downstream VC @p v at output port @p p allocated? */
     bool
     outputAllocated(PortId p, VcId v) const
@@ -245,7 +252,7 @@ class Router
     RouterCore core_;
 
     RouterActivity activity_;
-    double occupancySum_ = 0.0;
+    std::uint64_t occupancySum_ = 0;
     Probe *probe_ = nullptr;
     Profiler *profiler_ = nullptr;
     PortId ejectPort_ = INVALID_PORT;

@@ -171,7 +171,7 @@ RouterPowerModel::power(const RouterActivity &activity) const
         (static_cast<double>(activity.bufferWrites) * bufWritePj_ +
          static_cast<double>(activity.bufferReads) * bufReadPj_) * to_watts;
     p.crossbar +=
-        static_cast<double>(activity.xbarTraversals) * xbarPj_ * to_watts;
+        static_cast<double>(activity.bufferReads) * xbarPj_ * to_watts;
     p.arbiters +=
         static_cast<double>(activity.arbOps) * arbPj_ * to_watts;
     p.links += activity.linkBitTraversals * linkPjPerBit_ * to_watts;
@@ -193,7 +193,6 @@ RouterPowerModel::powerAtActivity(double a) const
     act.cycles = cycles;
     act.bufferWrites = events;
     act.bufferReads = events;
-    act.xbarTraversals = events;
     act.arbOps = events;
     act.linkBitTraversals =
         static_cast<double>(events) * params_.bufferWidthBits;

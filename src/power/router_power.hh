@@ -56,8 +56,7 @@ struct PowerBreakdown
 struct RouterActivity
 {
     std::uint64_t bufferWrites = 0; ///< flits written into input FIFOs
-    std::uint64_t bufferReads = 0;  ///< flits read out of input FIFOs
-    std::uint64_t xbarTraversals = 0; ///< flits through the crossbar
+    std::uint64_t bufferReads = 0;  ///< FIFO reads = crossbar traversals
     std::uint64_t arbOps = 0;       ///< VA/SA arbitration grant operations
     std::uint64_t cycles = 0;       ///< elapsed router cycles
 
@@ -70,7 +69,6 @@ struct RouterActivity
     {
         bufferWrites += o.bufferWrites;
         bufferReads += o.bufferReads;
-        xbarTraversals += o.xbarTraversals;
         arbOps += o.arbOps;
         cycles += o.cycles;
         linkBitTraversals += o.linkBitTraversals;

@@ -13,22 +13,10 @@ namespace
 {
 
 constexpr MetricInfo kCtrInfo[] = {
-    {"buffer_writes", MetricScope::RouterPortVc,
-     "flits written into input buffers"},
-    {"buffer_reads", MetricScope::RouterPort,
-     "flits read out during switch traversal"},
-    {"xbar_grants", MetricScope::RouterPort,
-     "switch-allocator grants per output port"},
     {"credit_stalls", MetricScope::RouterPort,
      "switch requests blocked on zero downstream credits"},
     {"va_conflicts", MetricScope::RouterPortVc,
      "VC-allocation attempts that found no free downstream VC"},
-    {"link_flits", MetricScope::RouterPort,
-     "flits sent on the output channel"},
-    {"link_paired", MetricScope::RouterPort,
-     "cycles a wide link carried a second combined flit"},
-    {"occupancy_flit_cycles", MetricScope::Router,
-     "sum over cycles of buffered flits"},
     {"packets_injected", MetricScope::Global,
      "packets entering a source queue"},
     {"packets_delivered", MetricScope::Global,
@@ -101,16 +89,10 @@ MetricRegistry::MetricRegistry(const Dims &dims, Cycle epoch_cycles)
     for (int h = 0; h < static_cast<int>(Hist::NumHists); ++h)
         hists_.emplace_back(0.0, 4096.0, 1024);
 
-    bufferCapacity_.assign(static_cast<std::size_t>(dims_.routers), 0);
-    portLanes_.assign(
-        static_cast<std::size_t>(dims_.routers * dims_.ports), 0);
-    portInterRouter_.assign(
-        static_cast<std::size_t>(dims_.routers * dims_.ports), 0);
-
     auto n = static_cast<std::size_t>(dims_.routers);
-    lastOccupancy_.assign(n, 0);
-    lastLinkFlits_.assign(n, 0);
-    lastFlitsRouted_.assign(n, 0);
+    last_.occupancyFlitCycles.assign(n, 0);
+    last_.linkFlits.assign(n, 0);
+    last_.flitsRouted.assign(n, 0);
 }
 
 std::size_t
@@ -131,28 +113,10 @@ MetricRegistry::scopeSize(MetricScope s) const
 }
 
 void
-MetricRegistry::setBufferCapacity(int r, int slots)
-{
-    bufferCapacity_[static_cast<std::size_t>(r)] = slots;
-}
-
-void
-MetricRegistry::setPortLanes(int r, int p, int lanes)
-{
-    portLanes_[static_cast<std::size_t>(r * dims_.ports + p)] = lanes;
-}
-
-void
-MetricRegistry::setPortInterRouter(int r, int p, bool inter)
-{
-    portInterRouter_[static_cast<std::size_t>(r * dims_.ports + p)] =
-        inter ? 1 : 0;
-}
-
-void
-MetricRegistry::beginWindow(Cycle start)
+MetricRegistry::beginWindow(Cycle start, EpochRow totals)
 {
     windowStart_ = start;
+    last_ = std::move(totals);
 }
 
 std::uint64_t
@@ -162,13 +126,6 @@ MetricRegistry::total(Ctr c) const
     for (std::uint64_t v : counters_[static_cast<std::size_t>(c)])
         sum += v;
     return sum;
-}
-
-std::uint64_t
-MetricRegistry::at(Ctr c, int r) const
-{
-    return counters_[static_cast<std::size_t>(c)]
-                    [static_cast<std::size_t>(r)];
 }
 
 std::uint64_t
@@ -229,109 +186,34 @@ MetricRegistry::values(Ctr c) const
     return counters_[static_cast<std::size_t>(c)];
 }
 
-std::vector<double>
-MetricRegistry::bufferUtilizationPercent() const
-{
-    std::vector<double> util(static_cast<std::size_t>(dims_.routers),
-                             0.0);
-    double cycles = static_cast<double>(observedCycles_);
-    if (cycles <= 0.0)
-        return util;
-    for (int r = 0; r < dims_.routers; ++r) {
-        double cap =
-            static_cast<double>(bufferCapacity_[static_cast<std::size_t>(r)]);
-        if (cap <= 0.0)
-            continue;
-        util[static_cast<std::size_t>(r)] =
-            100.0 *
-            static_cast<double>(at(Ctr::OccupancyFlitCycles, r)) /
-            (cap * cycles);
-    }
-    return util;
-}
-
-std::vector<double>
-MetricRegistry::linkUtilizationPercent() const
-{
-    std::vector<double> util(static_cast<std::size_t>(dims_.routers),
-                             0.0);
-    double cycles = static_cast<double>(observedCycles_);
-    if (cycles <= 0.0)
-        return util;
-    for (int r = 0; r < dims_.routers; ++r) {
-        double sum = 0.0;
-        int count = 0;
-        for (int p = 0; p < dims_.ports; ++p) {
-            std::size_t idx =
-                static_cast<std::size_t>(r * dims_.ports + p);
-            if (!portInterRouter_[idx] || portLanes_[idx] <= 0)
-                continue;
-            sum += 100.0 * static_cast<double>(at(Ctr::LinkFlits, r, p)) /
-                   (static_cast<double>(portLanes_[idx]) * cycles);
-            ++count;
-        }
-        if (count > 0)
-            util[static_cast<std::size_t>(r)] = sum / count;
-    }
-    return util;
-}
-
-double
-MetricRegistry::combineRate() const
-{
-    // Busy cycles of wide links = flits - paired (each paired cycle
-    // carries two flits but occupies one cycle).
-    std::uint64_t flits = 0;
-    std::uint64_t paired = 0;
-    for (int r = 0; r < dims_.routers; ++r) {
-        for (int p = 0; p < dims_.ports; ++p) {
-            std::size_t idx =
-                static_cast<std::size_t>(r * dims_.ports + p);
-            if (portLanes_[idx] < 2)
-                continue;
-            flits += at(Ctr::LinkFlits, r, p);
-            paired += at(Ctr::LinkPaired, r, p);
-        }
-    }
-    std::uint64_t busy = flits - paired;
-    return busy ? static_cast<double>(paired) / static_cast<double>(busy)
-                : 0.0;
-}
-
 void
-MetricRegistry::rollEpoch()
+MetricRegistry::closeEpoch(const EpochRow &totals)
 {
+    auto n = static_cast<std::size_t>(dims_.routers);
     EpochRow row;
     row.cycles = cyclesInEpoch_;
-    auto n = static_cast<std::size_t>(dims_.routers);
     row.occupancyFlitCycles.resize(n);
     row.linkFlits.resize(n);
     row.flitsRouted.resize(n);
-
-    std::vector<std::uint64_t> link = perRouter(Ctr::LinkFlits);
-    std::vector<std::uint64_t> routed = perRouter(Ctr::BufferReads);
     for (std::size_t r = 0; r < n; ++r) {
-        std::uint64_t occ = at(Ctr::OccupancyFlitCycles,
-                               static_cast<int>(r));
-        row.occupancyFlitCycles[r] = occ - lastOccupancy_[r];
-        row.linkFlits[r] = link[r] - lastLinkFlits_[r];
-        row.flitsRouted[r] = routed[r] - lastFlitsRouted_[r];
-        lastOccupancy_[r] = occ;
-        lastLinkFlits_[r] = link[r];
-        lastFlitsRouted_[r] = routed[r];
+        row.occupancyFlitCycles[r] =
+            totals.occupancyFlitCycles[r] - last_.occupancyFlitCycles[r];
+        row.linkFlits[r] = totals.linkFlits[r] - last_.linkFlits[r];
+        row.flitsRouted[r] = totals.flitsRouted[r] - last_.flitsRouted[r];
     }
+    last_ = totals;
     epochs_.push_back(std::move(row));
     cyclesInEpoch_ = 0;
 }
 
 void
-MetricRegistry::finish()
+MetricRegistry::finish(const EpochRow &totals)
 {
     if (finished_)
         return;
     finished_ = true;
     if (cyclesInEpoch_ > 0)
-        rollEpoch();
+        closeEpoch(totals);
 }
 
 void
@@ -356,18 +238,6 @@ MetricRegistry::merge(const MetricRegistry &other)
             gauges_[g][i] = std::max(gauges_[g][i], other.gauges_[g][i]);
     for (std::size_t h = 0; h < hists_.size(); ++h)
         hists_[h].merge(other.hists_[h]);
-
-    // Adopt metadata from the other side where ours is unset (merging
-    // into a default-constructed accumulator).
-    for (std::size_t i = 0; i < bufferCapacity_.size(); ++i)
-        if (bufferCapacity_[i] == 0)
-            bufferCapacity_[i] = other.bufferCapacity_[i];
-    for (std::size_t i = 0; i < portLanes_.size(); ++i) {
-        if (portLanes_[i] == 0)
-            portLanes_[i] = other.portLanes_[i];
-        if (!portInterRouter_[i])
-            portInterRouter_[i] = other.portInterRouter_[i];
-    }
 
     // Epoch rows add element-wise; a longer series keeps its tail.
     if (other.epochs_.size() > epochs_.size())
@@ -402,18 +272,15 @@ MetricRegistry::footprintBytes() const
     for (const auto &vec : gauges_)
         b += vec.capacity() * sizeof(std::uint64_t);
     b += hists_.capacity() * sizeof(Histogram);
-    b += bufferCapacity_.capacity() * sizeof(int);
-    b += portLanes_.capacity() * sizeof(int);
-    b += portInterRouter_.capacity() * sizeof(std::uint8_t);
+    auto rowBytes = [](const EpochRow &row) {
+        return (row.occupancyFlitCycles.capacity() +
+                row.linkFlits.capacity() + row.flitsRouted.capacity()) *
+               sizeof(std::uint64_t);
+    };
     b += epochs_.capacity() * sizeof(EpochRow);
-    for (const EpochRow &row : epochs_) {
-        b += row.occupancyFlitCycles.capacity() * sizeof(std::uint64_t);
-        b += row.linkFlits.capacity() * sizeof(std::uint64_t);
-        b += row.flitsRouted.capacity() * sizeof(std::uint64_t);
-    }
-    b += lastOccupancy_.capacity() * sizeof(std::uint64_t);
-    b += lastLinkFlits_.capacity() * sizeof(std::uint64_t);
-    b += lastFlitsRouted_.capacity() * sizeof(std::uint64_t);
+    for (const EpochRow &row : epochs_)
+        b += rowBytes(row);
+    b += rowBytes(last_);
     return b;
 }
 
@@ -486,12 +353,6 @@ MetricRegistry::writeJson(JsonWriter &w) const
     }
     w.endObject();
 
-    w.key("derived").beginObject();
-    w.keyArray("buffer_util_pct", bufferUtilizationPercent());
-    w.keyArray("link_util_pct", linkUtilizationPercent());
-    w.keyValue("combine_rate", combineRate());
-    w.endObject();
-
     w.key("epochs").beginObject();
     {
         std::vector<std::uint64_t> cyc;
@@ -555,32 +416,26 @@ MetricRegistry::summary(int top_n) const
         static_cast<unsigned long long>(gauge(Gauge::PeakInFlight)));
     out += buf;
 
-    // Hottest routers by cumulative occupancy; the first places to
-    // look when a run stalls.
+    // Hottest routers by credit stalls; the first places to look when
+    // a run stalls. Network::dumpState() prints the occupancy grid.
+    std::vector<std::uint64_t> stalls = perRouter(Ctr::CreditStalls);
+    std::vector<std::uint64_t> conflicts = perRouter(Ctr::VaConflicts);
     std::vector<int> order(static_cast<std::size_t>(dims_.routers));
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = static_cast<int>(i);
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return at(Ctr::OccupancyFlitCycles, a) >
-               at(Ctr::OccupancyFlitCycles, b);
+        return stalls[static_cast<std::size_t>(a)] >
+               stalls[static_cast<std::size_t>(b)];
     });
-    out += "hottest routers (occupancy flit-cycles | credit stalls | "
-           "VA conflicts | peak occ):\n";
-    std::vector<std::uint64_t> stalls = perRouter(Ctr::CreditStalls);
-    std::vector<std::uint64_t> conflicts = perRouter(Ctr::VaConflicts);
+    out += "hottest routers (credit stalls | VA conflicts | peak occ):\n";
     for (int i = 0; i < top_n && i < dims_.routers; ++i) {
-        int r = order[static_cast<std::size_t>(i)];
+        auto r = static_cast<std::size_t>(order[static_cast<std::size_t>(i)]);
         std::snprintf(
-            buf, sizeof(buf),
-            "  router %2d: %10llu | %8llu | %8llu | %4llu\n", r,
+            buf, sizeof(buf), "  router %2zu: %8llu | %8llu | %4llu\n", r,
+            static_cast<unsigned long long>(stalls[r]),
+            static_cast<unsigned long long>(conflicts[r]),
             static_cast<unsigned long long>(
-                at(Ctr::OccupancyFlitCycles, r)),
-            static_cast<unsigned long long>(
-                stalls[static_cast<std::size_t>(r)]),
-            static_cast<unsigned long long>(
-                conflicts[static_cast<std::size_t>(r)]),
-            static_cast<unsigned long long>(
-                gauge(Gauge::PeakOccupancy, r)));
+                gauge(Gauge::PeakOccupancy, static_cast<int>(r))));
         out += buf;
     }
     return out;

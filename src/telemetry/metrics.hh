@@ -4,11 +4,17 @@
  *
  * A MetricRegistry holds a fixed catalog of named counters, gauges and
  * histograms over per-router × per-port × per-VC dimensions, plus
- * time-bucketed (epoch) series for the heat-map metrics. The registry
+ * time-bucketed (epoch) series of per-router activity. The registry
  * consumes Probe events (noc/probe.hh), which call the inline add()
  * methods below; with nothing attached the cost is a single
  * predictable branch per hook site, and configuring the build with
  * -DHNOC_TELEMETRY=OFF compiles the hooks out entirely.
+ *
+ * Buffer, crossbar, link and occupancy activity is not counted here:
+ * the network's always-on counters (RouterActivity, the router
+ * occupancy sum, Channel::flitsSent) are the only record of those
+ * events. The epoch rows are deltas of those counters, which the
+ * network hands over each time the epoch clock closes a row.
  *
  * Registries are single-threaded by design: every sim point owns its
  * own instance, and multi-seed / multi-point runs combine them after
@@ -53,14 +59,8 @@ enum class MetricScope : std::uint8_t
 /** The counter catalog. Scopes/names live in counterInfo(). */
 enum class Ctr : int
 {
-    BufferWrites,        ///< flits written into input buffers (r,p,vc)
-    BufferReads,         ///< flits read during switch traversal (r,p)
-    XbarGrants,          ///< switch-allocator grants (r, out port)
     CreditStalls,        ///< SA requests blocked on zero credits (r, out port)
     VaConflicts,         ///< VC-allocation attempts that failed (r,p,vc)
-    LinkFlits,           ///< flits sent on the output channel (r, out port)
-    LinkPaired,          ///< cycles a wide link carried a 2nd flit (r, out port)
-    OccupancyFlitCycles, ///< sum over cycles of buffered flits (r)
     PacketsInjected,     ///< packets entering a source queue (global)
     PacketsDelivered,    ///< packets fully ejected (global)
     FlitsEjected,        ///< flits delivered to destination NIs (global)
@@ -98,8 +98,7 @@ const MetricInfo &histogramInfo(Hist h);
 /**
  * Registry of all telemetry metrics for one network over one
  * measurement window. Construct via Network::makeMetricRegistry()
- * (which fills in the dimension/capacity metadata) or directly with
- * Dims for unit tests.
+ * (which sizes the dimensions) or directly with Dims for unit tests.
  */
 class MetricRegistry
 {
@@ -118,16 +117,6 @@ class MetricRegistry
     const Dims &dims() const { return dims_; }
     Cycle epochCycles() const { return epochCycles_; }
 
-    /** @name Metadata (filled by Network::makeMetricRegistry) */
-    ///@{
-    /** Total buffer slots of router @p r (occupancy normalization). */
-    void setBufferCapacity(int r, int slots);
-    /** Lane count of the channel driven by (r, p); 0 = no channel. */
-    void setPortLanes(int r, int p, int lanes);
-    /** Mark (r, p) as an inter-router link (Fig 1(b) accounting). */
-    void setPortInterRouter(int r, int p, bool inter);
-    ///@}
-
     /**
      * @name Hot-path hooks
      *
@@ -141,12 +130,6 @@ class MetricRegistry
     add(Ctr c, std::uint64_t n = 1)
     {
         slot(c, 0) += n;
-    }
-
-    void
-    add(Ctr c, int r, std::uint64_t n = 1)
-    {
-        slot(c, static_cast<std::size_t>(r)) += n;
     }
 
     void
@@ -181,16 +164,6 @@ class MetricRegistry
             s = v;
     }
 
-    /** Per-cycle occupancy sample for router @p r. */
-    void
-    occupancySample(int r, int occupied_flits)
-    {
-        add(Ctr::OccupancyFlitCycles, r,
-            static_cast<std::uint64_t>(occupied_flits));
-        gaugeMax(Gauge::PeakOccupancy, r,
-                 static_cast<std::uint64_t>(occupied_flits));
-    }
-
     void
     histAdd(Hist h, double x)
     {
@@ -198,24 +171,48 @@ class MetricRegistry
     }
 
     /**
-     * Advance the epoch clock by one cycle; rolls the per-epoch series
-     * every epochCycles() cycles. Called once per Network::step().
+     * Advance the epoch clock by one cycle. Called once per
+     * Network::step(). @return true when the current epoch is full;
+     * the caller then closes it with closeEpoch().
      */
-    void
-    tick(Cycle now)
+    bool
+    tick()
     {
-        (void)now;
         ++observedCycles_;
-        if (++cyclesInEpoch_ >= epochCycles_)
-            rollEpoch();
+        return ++cyclesInEpoch_ >= epochCycles_;
     }
     ///@}
 
-    /** Mark the start of the measurement window (absolute cycle). */
-    void beginWindow(Cycle start);
+    /** @name Epoch series */
+    ///@{
+    /**
+     * One epoch of per-router activity (raw integer sums). The same
+     * shape carries the network's cumulative counter totals into
+     * beginWindow(), closeEpoch() and finish(), which store the
+     * difference from the previous totals as a row.
+     */
+    struct EpochRow
+    {
+        Cycle cycles = 0; ///< cycles covered (last row may be partial)
+        std::vector<std::uint64_t> occupancyFlitCycles; ///< per router
+        std::vector<std::uint64_t> linkFlits;           ///< per router
+        std::vector<std::uint64_t> flitsRouted;         ///< per router
+    };
 
-    /** Flush the partial final epoch (idempotent). Call at detach. */
-    void finish();
+    /** Mark the start of the measurement window (absolute cycle) and
+     *  the counter totals the first epoch row is measured from. */
+    void beginWindow(Cycle start, EpochRow totals);
+
+    /** Close the current epoch: its row is @p totals minus the totals
+     *  at the previous boundary. */
+    void closeEpoch(const EpochRow &totals);
+
+    /** Close the partial final epoch against @p totals (idempotent).
+     *  Call at detach. */
+    void finish(const EpochRow &totals);
+
+    const std::vector<EpochRow> &epochs() const { return epochs_; }
+    ///@}
 
     /** @name Reading */
     ///@{
@@ -223,7 +220,6 @@ class MetricRegistry
     Cycle windowStart() const { return windowStart_; }
 
     std::uint64_t total(Ctr c) const;
-    std::uint64_t at(Ctr c, int r) const;
     std::uint64_t at(Ctr c, int r, int p) const;
     std::uint64_t at(Ctr c, int r, int p, int v) const;
     std::uint64_t gauge(Gauge g, int r = 0) const;
@@ -236,32 +232,6 @@ class MetricRegistry
     const std::vector<std::uint64_t> &values(Ctr c) const;
     ///@}
 
-    /** @name Derived utilization (the Fig 1 heat-map data) */
-    ///@{
-    /** Per-router buffer utilization %, occupancy / (capacity·cycles). */
-    std::vector<double> bufferUtilizationPercent() const;
-
-    /** Per-router mean outgoing inter-router link utilization %. */
-    std::vector<double> linkUtilizationPercent() const;
-
-    /** Fraction of busy wide-link cycles that carried two flits. */
-    double combineRate() const;
-    ///@}
-
-    /** @name Epoch series */
-    ///@{
-    /** One closed epoch of per-router activity (raw integer sums). */
-    struct EpochRow
-    {
-        Cycle cycles = 0; ///< cycles covered (last row may be partial)
-        std::vector<std::uint64_t> occupancyFlitCycles; ///< per router
-        std::vector<std::uint64_t> linkFlits;           ///< per router
-        std::vector<std::uint64_t> flitsRouted;         ///< per router
-    };
-
-    const std::vector<EpochRow> &epochs() const { return epochs_; }
-    ///@}
-
     /**
      * Merge @p other into this registry: counters, histograms, epoch
      * rows and observed cycles add; gauges take the maximum. Pure
@@ -272,8 +242,8 @@ class MetricRegistry
     void merge(const MetricRegistry &other);
 
     /**
-     * Steady-state memory footprint: counter/gauge arrays, metadata,
-     * and accumulated epoch rows, from container capacities.
+     * Steady-state memory footprint: counter/gauge arrays, the epoch
+     * baseline and accumulated epoch rows, from container capacities.
      * Histograms are counted shallow (their bucket arrays are small
      * and fixed). Grows with epochs, so call it at report time.
      */
@@ -298,7 +268,6 @@ class MetricRegistry
         return vec[idx];
     }
 
-    void rollEpoch();
     std::size_t scopeSize(MetricScope s) const;
 
     Dims dims_;
@@ -316,15 +285,9 @@ class MetricRegistry
         gauges_;
     std::vector<Histogram> hists_;
 
-    std::vector<int> bufferCapacity_;  ///< per router
-    std::vector<int> portLanes_;       ///< per (router, port)
-    std::vector<std::uint8_t> portInterRouter_; ///< per (router, port)
-
     std::vector<EpochRow> epochs_;
-    /** Counter snapshots at the last epoch boundary (delta source). */
-    std::vector<std::uint64_t> lastOccupancy_;
-    std::vector<std::uint64_t> lastLinkFlits_;
-    std::vector<std::uint64_t> lastFlitsRouted_;
+    /** Counter totals at the last epoch boundary (delta source). */
+    EpochRow last_;
 };
 
 } // namespace hnoc

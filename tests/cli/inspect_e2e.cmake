@@ -1,7 +1,7 @@
 # End-to-end pipeline test driven by CTest:
 #   hnoc_cli (two seeds, JSON run reports + Chrome trace + flit log +
 #   audit/progress)
-#     -> hnoc_inspect summary / top / heatmap / flitlog / diff
+#     -> hnoc_inspect summary / top / heatmap / converge / flitlog / diff
 # Invoked as:
 #   cmake -DHNOC_CLI=... -DHNOC_INSPECT=... -DWORK_DIR=... -P inspect_e2e.cmake
 # Fails (FATAL_ERROR) on any non-zero exit or missing expected output.
@@ -47,8 +47,13 @@ set(trace_line "chrome trace: .* \\(([0-9]+) events, ([0-9]+) packets\\)")
 if(NOT STEP_OUT MATCHES "${trace_line}")
     message(FATAL_ERROR "inspect_e2e: no chrome trace line:\n${STEP_OUT}")
 endif()
+set(trace_packets "${CMAKE_MATCH_2}")
 # HNOC_TELEMETRY=OFF builds record no flit events and say so.
-if(CMAKE_MATCH_2 EQUAL 0 AND NOT STEP_ERR MATCHES "HNOC_TELEMETRY=OFF")
+set(telemetry_off FALSE)
+if(STEP_ERR MATCHES "HNOC_TELEMETRY=OFF")
+    set(telemetry_off TRUE)
+endif()
+if(trace_packets EQUAL 0 AND NOT telemetry_off)
     message(FATAL_ERROR "inspect_e2e: chrome trace holds no packets")
 endif()
 run_step("cli seed 2" "${HNOC_CLI}"
@@ -65,14 +70,33 @@ run_step("inspect summary" "${HNOC_INSPECT}" summary "${WORK_DIR}/run_a.json")
 if(NOT STEP_OUT MATCHES "hnoc-run-report-v1")
     message(FATAL_ERROR "inspect_e2e: summary lacks schema line:\n${STEP_OUT}")
 endif()
+# The arbitration table and the converge replay read the registry's
+# epoch series, which the OFF build never ticks.
+if(NOT telemetry_off AND NOT STEP_OUT MATCHES "arbitration rates")
+    message(FATAL_ERROR
+        "inspect_e2e: summary lacks the arbitration table:\n${STEP_OUT}")
+endif()
 
+run_step("inspect converge"
+    "${HNOC_INSPECT}" converge "${WORK_DIR}/run_a.json")
+if(NOT telemetry_off AND NOT STEP_OUT MATCHES "epochs:")
+    message(FATAL_ERROR
+        "inspect_e2e: converge replays no epoch series:\n${STEP_OUT}")
+endif()
+
+# top and heatmap read the points' always-on utilization arrays.
 run_step("inspect top" "${HNOC_INSPECT}" top "${WORK_DIR}/run_a.json" -k 5)
-if(NOT STEP_OUT MATCHES "router")
+if(NOT STEP_OUT MATCHES "router +buffer %.*\n +[0-9]+ +[0-9.]+ +[0-9.]+")
     message(FATAL_ERROR "inspect_e2e: top lists no routers:\n${STEP_OUT}")
 endif()
 
 run_step("inspect heatmap"
     "${HNOC_INSPECT}" heatmap "${WORK_DIR}/run_a.json" -m buffer)
+run_step("inspect heatmap link"
+    "${HNOC_INSPECT}" heatmap "${WORK_DIR}/run_a.json" -m link)
+if(NOT STEP_OUT MATCHES "link utilization heat map")
+    message(FATAL_ERROR "inspect_e2e: no link heat map:\n${STEP_OUT}")
+endif()
 run_step("inspect flitlog" "${HNOC_INSPECT}" flitlog "${WORK_DIR}/run_a.jsonl")
 
 # Seed-different runs must diff without error (exit 0 by default even

@@ -148,5 +148,83 @@ TEST(Router, IntraPacketPairingTogglable)
     EXPECT_GT(run(on), run(off));
 }
 
+TEST(Router, BufferOccupancyMatchesPerVcFifos)
+{
+    // The flit count alone drives busy() and the occupancy sum behind
+    // the buffer heat map; it must equal what the input FIFOs hold.
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
+    Network net(cfg);
+    Rng rng(23);
+    int loaded = 0;
+    for (Cycle t = 1; t <= 2000; ++t) {
+        for (NodeId n = 0; n < 64; ++n) {
+            if (rng.uniform() < 0.06) {
+                auto dst = static_cast<NodeId>(rng.below(63));
+                if (dst >= n)
+                    ++dst;
+                net.enqueuePacket(n, dst, cfg.dataPacketFlits());
+            }
+        }
+        net.step();
+        if (t % 250 != 0)
+            continue;
+        int total = 0;
+        for (RouterId r = 0; r < cfg.numRouters(); ++r) {
+            const Router &router = net.router(r);
+            int fifos = 0;
+            for (PortId p = 0; p < router.numPorts(); ++p)
+                for (VcId v = 0; v < router.vcsPerPort(); ++v)
+                    fifos += router.inputVcOccupancy(p, v);
+            EXPECT_EQ(router.bufferOccupancy(), fifos)
+                << "router " << r << " @ cycle " << t;
+            total += fifos;
+        }
+        EXPECT_GT(total, 0) << "cycle " << t;
+        ++loaded;
+    }
+    EXPECT_EQ(loaded, 8);
+}
+
+TEST(Utilization, NormalizesByCapacityAndLanesAndSkipsEjection)
+{
+    // Smallest mesh: two routers joined by one link each way. Every
+    // channel, the NI links included, is two flit lanes wide.
+    NetworkConfig cfg;
+    cfg.radixX = 2;
+    cfg.radixY = 1;
+    cfg.uniformLinkBits = 2 * cfg.flitWidthBits;
+    Network net(cfg);
+    net.resetMeasurement();
+    net.enqueuePacket(0, 1, 6);
+    const Cycle window = 100;
+    std::uint64_t occ[2] = {0, 0};
+    for (Cycle c = 0; c < window; ++c) {
+        net.step();
+        for (RouterId r = 0; r < 2; ++r)
+            occ[r] += static_cast<std::uint64_t>(
+                net.router(r).bufferOccupancy());
+    }
+    ASSERT_EQ(net.packetsDelivered(), 1u);
+    ASSERT_EQ(net.measuredCycles(), window);
+    ASSERT_GT(occ[0], 0u);
+    ASSERT_GT(occ[1], 0u);
+
+    // Buffer: occupancy over capacity-cycles, where the capacity is
+    // 5 ports x 3 VCs x 5 flits = 75 slots.
+    std::vector<double> buf = net.bufferUtilizationPercent();
+    ASSERT_EQ(buf.size(), 2u);
+    EXPECT_DOUBLE_EQ(buf[0], 100.0 * static_cast<double>(occ[0]) / 7500.0);
+    EXPECT_DOUBLE_EQ(buf[1], 100.0 * static_cast<double>(occ[1]) / 7500.0);
+
+    // Links: router 0's one inter-router link carried the six flits on
+    // two lanes, 6 / (2 x 100) = 3 %. Router 1's one inter-router link
+    // carried nothing; its ejection link carried all six flits but is
+    // not an inter-router link, so it does not count.
+    std::vector<double> link = net.linkUtilizationPercent();
+    ASSERT_EQ(link.size(), 2u);
+    EXPECT_DOUBLE_EQ(link[0], 3.0);
+    EXPECT_EQ(link[1], 0.0);
+}
+
 } // namespace
 } // namespace hnoc

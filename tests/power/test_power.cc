@@ -124,7 +124,6 @@ TEST(PowerModel, MeasuredActivityMatchesAnalytic)
     act.cycles = 1000;
     act.bufferWrites = 2500; // 0.5 * 5 ports * 1000 cycles
     act.bufferReads = 2500;
-    act.xbarTraversals = 2500;
     act.arbOps = 2500;
     act.linkBitTraversals = 2500.0 * 128;
     EXPECT_NEAR(model.power(act).total(),

@@ -169,7 +169,7 @@ TEST(Blame, AttachedCollectorDoesNotPerturbSimulation)
     auto plain_reg = plain.makeMetricRegistry(500);
     plain.attachTelemetry(plain_reg.get());
     driveUniformRandom(plain, 3000);
-    plain_reg->finish();
+    plain.detachTelemetry();
 
     Network blamed(cfg);
     auto blame_reg = blamed.makeMetricRegistry(500);
@@ -177,7 +177,7 @@ TEST(Blame, AttachedCollectorDoesNotPerturbSimulation)
     auto bc = blamed.makeBlameCollector();
     blamed.attachBlame(bc.get());
     driveUniformRandom(blamed, 3000);
-    blame_reg->finish();
+    blamed.detachTelemetry();
 
     EXPECT_GT(plain.packetsDelivered(), 0u);
     EXPECT_EQ(plain.packetsDelivered(), blamed.packetsDelivered());

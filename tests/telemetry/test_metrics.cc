@@ -1,10 +1,11 @@
 /**
  * @file
  * MetricRegistry unit tests: counter/gauge/histogram semantics, epoch
- * bucketing, deterministic JSON serialization, and the load-bearing
- * guarantee that a parallel multi-seed run's merged registry is
- * bit-identical to the serial single-thread merge. Also covers the
- * JsonWriter and RunReport exporters.
+ * rows as deltas of the network's counter totals, deterministic JSON
+ * serialization, and the load-bearing guarantee that a parallel
+ * multi-seed run's merged registry is bit-identical to the serial
+ * single-thread merge. Also covers the JsonWriter and RunReport
+ * exporters.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +14,11 @@
 #include <string>
 
 #include "common/job_pool.hh"
+#include "heteronoc/layout.hh"
+#include "noc/channel.hh"
 #include "noc/network.hh"
 #include "noc/sim_harness.hh"
+#include "noc/traffic.hh"
 #include "telemetry/json_writer.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/run_report.hh"
@@ -35,6 +39,17 @@ smallDims()
     return d;
 }
 
+/** All-zero counter totals for the four smallDims() routers. */
+MetricRegistry::EpochRow
+zeroTotals()
+{
+    MetricRegistry::EpochRow t;
+    t.occupancyFlitCycles.assign(4, 0);
+    t.linkFlits.assign(4, 0);
+    t.flitsRouted.assign(4, 0);
+    return t;
+}
+
 // --------------------------------------------------------- counters --
 
 TEST(MetricRegistry, CounterScopesAccumulateIndependently)
@@ -42,29 +57,27 @@ TEST(MetricRegistry, CounterScopesAccumulateIndependently)
     MetricRegistry reg(smallDims());
     // Counts must be uint64-typed: a bare int in the count position
     // would overload-resolve as the next index instead.
-    reg.add(Ctr::PacketsInjected);                         // global
-    reg.add(Ctr::PacketsInjected, std::uint64_t{3});       // global, n=3
-    reg.add(Ctr::OccupancyFlitCycles, 2, std::uint64_t{7}); // router 2
-    reg.add(Ctr::XbarGrants, 1, 4);            // (router 1, port 4)
-    reg.add(Ctr::XbarGrants, 1, 4);
-    reg.add(Ctr::BufferWrites, 0, 1, 1, 5);    // (router 0, port 1, vc 1)
+    reg.add(Ctr::PacketsInjected);                     // global
+    reg.add(Ctr::PacketsInjected, std::uint64_t{3});   // global, n=3
+    reg.add(Ctr::CreditStalls, 1, 4);                  // (router 1, port 4)
+    reg.add(Ctr::CreditStalls, 1, 4, std::uint64_t{6});
+    reg.add(Ctr::VaConflicts, 0, 1, 1, 5); // (router 0, port 1, vc 1)
 
     EXPECT_EQ(reg.total(Ctr::PacketsInjected), 4u);
-    EXPECT_EQ(reg.at(Ctr::OccupancyFlitCycles, 2), 7u);
-    EXPECT_EQ(reg.at(Ctr::OccupancyFlitCycles, 1), 0u);
-    EXPECT_EQ(reg.at(Ctr::XbarGrants, 1, 4), 2u);
-    EXPECT_EQ(reg.total(Ctr::XbarGrants), 2u);
-    EXPECT_EQ(reg.at(Ctr::BufferWrites, 0, 1, 1), 5u);
-    EXPECT_EQ(reg.total(Ctr::BufferWrites), 5u);
+    EXPECT_EQ(reg.at(Ctr::CreditStalls, 1, 4), 7u);
+    EXPECT_EQ(reg.at(Ctr::CreditStalls, 1, 3), 0u);
+    EXPECT_EQ(reg.total(Ctr::CreditStalls), 7u);
+    EXPECT_EQ(reg.at(Ctr::VaConflicts, 0, 1, 1), 5u);
+    EXPECT_EQ(reg.total(Ctr::VaConflicts), 5u);
 }
 
 TEST(MetricRegistry, PerRouterReducesPortAndVcDims)
 {
     MetricRegistry reg(smallDims());
-    reg.add(Ctr::BufferWrites, 1, 0, 0, 2);
-    reg.add(Ctr::BufferWrites, 1, 4, 1, 3);
-    reg.add(Ctr::BufferWrites, 3, 2, 0, 1);
-    auto per = reg.perRouter(Ctr::BufferWrites);
+    reg.add(Ctr::VaConflicts, 1, 0, 0, 2);
+    reg.add(Ctr::VaConflicts, 1, 4, 1, 3);
+    reg.add(Ctr::VaConflicts, 3, 2, 0, 1);
+    auto per = reg.perRouter(Ctr::VaConflicts);
     ASSERT_EQ(per.size(), 4u);
     EXPECT_EQ(per[0], 0u);
     EXPECT_EQ(per[1], 5u);
@@ -77,10 +90,10 @@ TEST(MetricRegistry, GaugesKeepMaximum)
     reg.gaugeMax(Gauge::PeakInFlight, 10);
     reg.gaugeMax(Gauge::PeakInFlight, 4);
     EXPECT_EQ(reg.gauge(Gauge::PeakInFlight), 10u);
-    reg.occupancySample(2, 6);
-    reg.occupancySample(2, 3);
+    reg.gaugeMax(Gauge::PeakOccupancy, 2, 6);
+    reg.gaugeMax(Gauge::PeakOccupancy, 2, 3);
     EXPECT_EQ(reg.gauge(Gauge::PeakOccupancy, 2), 6u);
-    EXPECT_EQ(reg.at(Ctr::OccupancyFlitCycles, 2), 9u);
+    EXPECT_EQ(reg.gauge(Gauge::PeakOccupancy, 1), 0u);
 }
 
 TEST(MetricRegistry, HistogramsRecordSamples)
@@ -98,52 +111,44 @@ TEST(MetricRegistry, HistogramsRecordSamples)
 TEST(MetricRegistry, EpochBucketingSplitsCountersByTime)
 {
     MetricRegistry reg(smallDims(), /*epoch_cycles=*/10);
-    reg.beginWindow(100);
-    // Epoch 0: 4 occupancy flit-cycles at router 1.
-    for (int c = 0; c < 10; ++c) {
+    // The network's totals at attach are the first row's baseline:
+    // activity before the window never shows up in a row.
+    MetricRegistry::EpochRow live = zeroTotals();
+    live.occupancyFlitCycles[1] = 50;
+    live.linkFlits[0] = 20;
+    live.flitsRouted[3] = 7;
+    reg.beginWindow(100, live);
+    int closed = 0;
+    for (int c = 0; c < 15; ++c) {
         if (c < 4)
-            reg.occupancySample(1, 1);
-        reg.tick(100 + static_cast<Cycle>(c));
+            ++live.occupancyFlitCycles[1]; // epoch 0: 4 flit-cycles
+        if (c == 2)
+            live.flitsRouted[3] += 3; // epoch 0: 3 flits routed
+        if (c >= 10)
+            ++live.linkFlits[0]; // epoch 1 (partial): 5 link flits
+        if (reg.tick()) {
+            reg.closeEpoch(live);
+            ++closed;
+        }
     }
-    // Epoch 1 (partial, 5 cycles): 5 link flits at (0, 0).
-    for (int c = 0; c < 5; ++c) {
-        reg.add(Ctr::LinkFlits, 0, 0);
-        reg.tick(110 + static_cast<Cycle>(c));
-    }
-    reg.finish();
-    reg.finish(); // idempotent
+    EXPECT_EQ(closed, 1);
+    reg.finish(live);
+    live.linkFlits[0] += 100;
+    reg.finish(live); // idempotent
 
     ASSERT_EQ(reg.epochs().size(), 2u);
-    EXPECT_EQ(reg.epochs()[0].cycles, 10u);
-    EXPECT_EQ(reg.epochs()[0].occupancyFlitCycles[1], 4u);
-    EXPECT_EQ(reg.epochs()[0].linkFlits[0], 0u);
-    EXPECT_EQ(reg.epochs()[1].cycles, 5u);
-    EXPECT_EQ(reg.epochs()[1].occupancyFlitCycles[1], 0u);
-    EXPECT_EQ(reg.epochs()[1].linkFlits[0], 5u);
+    const auto &e0 = reg.epochs()[0];
+    const auto &e1 = reg.epochs()[1];
+    EXPECT_EQ(e0.cycles, 10u);
+    EXPECT_EQ(e0.occupancyFlitCycles[1], 4u);
+    EXPECT_EQ(e0.linkFlits[0], 0u);
+    EXPECT_EQ(e0.flitsRouted[3], 3u);
+    EXPECT_EQ(e1.cycles, 5u);
+    EXPECT_EQ(e1.occupancyFlitCycles[1], 0u);
+    EXPECT_EQ(e1.linkFlits[0], 5u);
+    EXPECT_EQ(e1.flitsRouted[3], 0u);
     EXPECT_EQ(reg.observedCycles(), 15u);
     EXPECT_EQ(reg.windowStart(), 100u);
-}
-
-TEST(MetricRegistry, DerivedUtilizationNormalizesByCapacityAndLanes)
-{
-    MetricRegistry reg(smallDims(), 100);
-    reg.setBufferCapacity(0, 10);
-    reg.setPortLanes(0, 0, 1);
-    reg.setPortInterRouter(0, 0, true);
-    reg.setPortLanes(0, 4, 1);
-    reg.setPortInterRouter(0, 4, false); // ejection port: excluded
-    for (int c = 0; c < 50; ++c) {
-        reg.occupancySample(0, 5);       // half full
-        reg.add(Ctr::LinkFlits, 0, 0);   // fully busy inter-router link
-        reg.add(Ctr::LinkFlits, 0, 4);   // ejection traffic (ignored)
-        reg.tick(static_cast<Cycle>(c));
-    }
-    reg.finish();
-    auto buf = reg.bufferUtilizationPercent();
-    auto link = reg.linkUtilizationPercent();
-    EXPECT_NEAR(buf[0], 50.0, 1e-9);
-    EXPECT_NEAR(link[0], 100.0, 1e-9);
-    EXPECT_EQ(buf[1], 0.0);
 }
 
 // ------------------------------------------------------------- merge --
@@ -152,21 +157,28 @@ TEST(MetricRegistry, MergeAddsCountersAndMaxesGauges)
 {
     MetricRegistry a(smallDims(), 10);
     MetricRegistry b(smallDims(), 10);
-    a.add(Ctr::BufferWrites, 0, 0, 0, 2);
-    b.add(Ctr::BufferWrites, 0, 0, 0, 3);
+    a.add(Ctr::VaConflicts, 0, 0, 0, 2);
+    b.add(Ctr::VaConflicts, 0, 0, 0, 3);
     a.gaugeMax(Gauge::PeakInFlight, 7);
     b.gaugeMax(Gauge::PeakInFlight, 9);
     a.histAdd(Hist::PacketLatencyCycles, 5.0);
     b.histAdd(Hist::PacketLatencyCycles, 15.0);
-    a.tick(0);
-    b.tick(0);
-    a.finish();
-    b.finish();
+    a.tick();
+    b.tick();
+    MetricRegistry::EpochRow ta = zeroTotals();
+    MetricRegistry::EpochRow tb = zeroTotals();
+    ta.linkFlits[2] = 4;
+    tb.linkFlits[2] = 6;
+    a.finish(ta);
+    b.finish(tb);
     a.merge(b);
-    EXPECT_EQ(a.at(Ctr::BufferWrites, 0, 0, 0), 5u);
+    EXPECT_EQ(a.at(Ctr::VaConflicts, 0, 0, 0), 5u);
     EXPECT_EQ(a.gauge(Gauge::PeakInFlight), 9u);
     EXPECT_EQ(a.histogram(Hist::PacketLatencyCycles).count(), 2u);
     EXPECT_EQ(a.observedCycles(), 2u);
+    ASSERT_EQ(a.epochs().size(), 1u);
+    EXPECT_EQ(a.epochs()[0].cycles, 2u);
+    EXPECT_EQ(a.epochs()[0].linkFlits[2], 10u);
 }
 
 TEST(MetricRegistry, MergeRejectsMismatchedDims)
@@ -237,35 +249,71 @@ TEST(MetricRegistry, ParallelMultiSeedMergeIsBitIdenticalToSerial)
                        simScale()));
 }
 
-TEST(MetricRegistry, RegistryMatchesNetworkCounters)
+TEST(MetricRegistry, EpochRowsSumToNetworkCounters)
 {
     if (!kTelemetryEnabled)
         GTEST_SKIP() << "hot-path hooks compiled out (HNOC_TELEMETRY=OFF)";
-    NetworkConfig cfg;
-    SimPointOptions opts = tinyOptions();
-    SimPointResult res =
-        runOpenLoop(cfg, TrafficPattern::UniformRandom, opts);
-    ASSERT_NE(res.metrics, nullptr);
-    const MetricRegistry &reg = *res.metrics;
+    // Diagonal+BL: wide links pair flits, so link flits and buffer
+    // reads are not a per-cycle count.
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
+    Network net(cfg);
+    TrafficGenerator gen(TrafficPattern::UniformRandom, cfg.numNodes(),
+                         cfg.radixX, 11);
+    auto load = [&](Cycle cycles) {
+        for (Cycle i = 0; i < cycles; ++i) {
+            for (NodeId n = 0; n < cfg.numNodes(); ++n) {
+                if (gen.shouldInject(n, 0.03, net.now())) {
+                    NodeId dst = gen.pickDest(n);
+                    if (dst != INVALID_NODE)
+                        net.enqueuePacket(n, dst, cfg.dataPacketFlits());
+                }
+            }
+            net.step();
+        }
+    };
+    load(300);
+    net.resetMeasurement();
+    auto reg = net.makeMetricRegistry(256);
+    net.attachTelemetry(reg.get());
+    load(1200); // four full epochs and a partial one
+    net.detachTelemetry();
+    ASSERT_EQ(reg->epochs().size(), 5u);
+    EXPECT_EQ(reg->epochs().back().cycles, 1200u - 4u * 256u);
 
-    // The registry's derived heat maps must agree with the legacy
-    // Network counters over the same measurement window.
-    auto buf = reg.bufferUtilizationPercent();
-    ASSERT_EQ(buf.size(), res.bufferUtilPct.size());
-    for (std::size_t i = 0; i < buf.size(); ++i)
-        EXPECT_NEAR(buf[i], res.bufferUtilPct[i], 0.2) << "router " << i;
-
-    auto link = reg.linkUtilizationPercent();
-    ASSERT_EQ(link.size(), res.linkUtilPct.size());
-    for (std::size_t i = 0; i < link.size(); ++i)
-        EXPECT_NEAR(link[i], res.linkUtilPct[i], 0.2) << "router " << i;
+    // Each router's epoch series sums exactly to the always-on
+    // counters it is the delta of.
+    const auto n = static_cast<std::size_t>(cfg.numRouters());
+    std::vector<std::uint64_t> occ(n, 0), link(n, 0), routed(n, 0);
+    for (const auto &row : reg->epochs()) {
+        for (std::size_t r = 0; r < n; ++r) {
+            occ[r] += row.occupancyFlitCycles[r];
+            link[r] += row.linkFlits[r];
+            routed[r] += row.flitsRouted[r];
+        }
+    }
+    std::uint64_t writes = 0;
+    std::uint64_t reads = 0;
+    for (RouterId r = 0; r < cfg.numRouters(); ++r) {
+        const Router &router = net.router(r);
+        auto i = static_cast<std::size_t>(r);
+        std::uint64_t sent = 0;
+        for (PortId p = 0; p < router.numPorts(); ++p)
+            if (const Channel *c = router.outputChannel(p))
+                sent += c->flitsSent();
+        EXPECT_EQ(occ[i], router.occupancySum()) << "router " << r;
+        EXPECT_EQ(routed[i], router.activity().bufferReads)
+            << "router " << r;
+        EXPECT_EQ(link[i], sent) << "router " << r;
+        writes += router.activity().bufferWrites;
+        reads += router.activity().bufferReads;
+    }
+    EXPECT_GT(reads, 0u);
+    EXPECT_GE(writes, reads);
 
     // Flow conservation inside the window.
-    EXPECT_GT(reg.total(Ctr::PacketsInjected), 0u);
-    EXPECT_EQ(reg.total(Ctr::PacketsDelivered),
-              reg.histogram(Hist::PacketLatencyCycles).count());
-    EXPECT_GE(reg.total(Ctr::BufferWrites),
-              reg.total(Ctr::BufferReads));
+    EXPECT_GT(reg->total(Ctr::PacketsInjected), 0u);
+    EXPECT_EQ(reg->total(Ctr::PacketsDelivered),
+              reg->histogram(Hist::PacketLatencyCycles).count());
 }
 
 // -------------------------------------------------------- JsonWriter --
@@ -305,10 +353,10 @@ TEST(JsonWriter, SerializationIsDeterministic)
     MetricRegistry a(smallDims(), 10);
     MetricRegistry b(smallDims(), 10);
     for (MetricRegistry *r : {&a, &b}) {
-        r->add(Ctr::LinkFlits, 1, 2, 3);
+        r->add(Ctr::VaConflicts, 1, 2, 1, 3);
         r->histAdd(Hist::NetworkLatencyCycles, 12.5);
-        r->tick(0);
-        r->finish();
+        r->tick();
+        r->finish(zeroTotals());
     }
     EXPECT_EQ(a.json(), b.json());
 }

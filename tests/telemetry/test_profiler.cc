@@ -334,7 +334,7 @@ TEST(Profiler, AttachedProfilerDoesNotPerturbSimulation)
     auto plain_reg = plain.makeMetricRegistry(500);
     plain.attachTelemetry(plain_reg.get());
     driveUniformRandom(plain, 3000);
-    plain_reg->finish();
+    plain.detachTelemetry();
 
     Network profiled(cfg);
     auto prof_reg = profiled.makeMetricRegistry(500);
@@ -342,7 +342,7 @@ TEST(Profiler, AttachedProfilerDoesNotPerturbSimulation)
     Profiler prof;
     profiled.attachProfiler(&prof);
     driveUniformRandom(profiled, 3000);
-    prof_reg->finish();
+    profiled.detachTelemetry();
 
     EXPECT_GT(plain.packetsDelivered(), 0u);
     EXPECT_EQ(plain.packetsDelivered(), profiled.packetsDelivered());

@@ -165,19 +165,28 @@ cmdSummary(const std::string &path)
     // grants per observed cycle), VA conflict rate, and the fraction
     // of switch requests lost to empty credit pools. High stall or
     // conflict rates with a low grant rate point at allocator
-    // contention rather than link saturation.
+    // contention rather than link saturation. Every SA grant routes
+    // one flit, so a router's grants are the column sum of the epoch
+    // series' flits_routed.
     const JsonValue *merged = nullptr;
     if (const JsonValue *regs = doc.find("registries"))
         merged = regs->find("merged");
     const JsonValue *ctrs = merged ? merged->find("counters") : nullptr;
+    const JsonValue *epochs = merged ? merged->find("epochs") : nullptr;
     double cycles = merged ? merged->numAt("observed_cycles", 0) : 0;
-    if (ctrs && cycles > 0) {
+    if (ctrs && epochs && cycles > 0) {
         auto perRouter = [&](const char *name) -> std::vector<double> {
             if (const JsonValue *c = ctrs->find(name))
                 return c->numbersAt("per_router");
             return {};
         };
-        std::vector<double> grants = perRouter("xbar_grants");
+        std::vector<double> grants;
+        for (const JsonValue &row : epochs->arrayAt("flits_routed")) {
+            grants.resize(std::max(grants.size(), row.array.size()), 0.0);
+            for (std::size_t r = 0; r < row.array.size(); ++r)
+                if (row.array[r].isNumber())
+                    grants[r] += row.array[r].number;
+        }
         std::vector<double> stalls = perRouter("credit_stalls");
         std::vector<double> conflicts = perRouter("va_conflicts");
         if (!grants.empty()) {
@@ -215,23 +224,29 @@ cmdSummary(const std::string &path)
 
 // -------------------------------------------------------------------- top
 
-/** Per-router utilization of a report: merged registry if present,
- *  else the first point's buffer_util_pct. */
+/** Per-router utilization of a report: the points' `<metric>_util_pct`
+ *  averaged with each point's measure_cycles_used as its weight, i.e.
+ *  the whole report's occupancy (or link flits) over its
+ *  capacity-cycles. Points of another router count are skipped. */
 std::vector<double>
 routerUtil(const JsonValue &doc, const char *metric)
 {
     std::string key = std::string(metric) + "_util_pct";
-    if (const JsonValue *regs = doc.find("registries"))
-        if (const JsonValue *merged = regs->find("merged"))
-            if (const JsonValue *derived = merged->find("derived")) {
-                std::vector<double> v = derived->numbersAt(key);
-                if (!v.empty())
-                    return v;
-            }
-    const auto &points = doc.arrayAt("points");
-    if (!points.empty())
-        return points.front().numbersAt(key);
-    return {};
+    std::vector<double> sum;
+    double cycles = 0.0;
+    for (const JsonValue &p : doc.arrayAt("points")) {
+        std::vector<double> v = p.numbersAt(key);
+        double w = p.numAt("measure_cycles_used", 0);
+        if (v.empty() || w <= 0.0 || (!sum.empty() && v.size() != sum.size()))
+            continue;
+        sum.resize(v.size(), 0.0);
+        for (std::size_t r = 0; r < v.size(); ++r)
+            sum[r] += v[r] * w;
+        cycles += w;
+    }
+    for (double &s : sum)
+        s /= cycles;
+    return sum;
 }
 
 int
