@@ -2,17 +2,23 @@
  * @file
  * Simulator cost scaling curve: wall-clock ns per simulated cycle per
  * tile and simulator bytes per tile as the mesh grows 8x8 -> 16x16 ->
- * 32x32 -> 48x48, for the homogeneous baseline and the Diagonal+BL
- * heterogeneous layout, plus a 16x16 concentration-4 concentrated
- * mesh (1024 tiles on 256 routers — a different router/NI balance).
+ * 24x24 -> 32x32 -> 48x48 for the homogeneous baseline (8 -> 32 for
+ * the Diagonal+BL heterogeneous layout), plus a 16x16 concentration-4
+ * concentrated mesh (1024 tiles on 256 routers — a different
+ * router/NI balance).
  * One google-benchmark per point, named `scaling/<layout>_<radix>`;
  * user counters carry the committed-trajectory inputs:
  *
  *   ns_per_cycle_per_tile  timed over an UNPROFILED mid-load run, so
  *                          the number is the simulator's real cost,
- *                          not the instrumented cost
+ *                          not the instrumented cost. It is wall
+ *                          time: a network of four or more blocks
+ *                          steps on a team of the shared pool's
+ *                          HNOC_THREADS threads (DESIGN.md §6h), so
+ *                          HNOC_THREADS=1 gives the one-thread cost
  *   bytes_per_tile         end-of-run memory audit (grown capacities;
- *                          deterministic for a fixed seed)
+ *                          deterministic for a fixed seed and thread
+ *                          count: a stepping team adds its outboxes)
  *   tiles                  radix * radix
  *   pct_*                  phase shares from a separate short PROFILED
  *                          run of an identically-loaded network (the
@@ -197,6 +203,7 @@ BENCHMARK_CAPTURE(scaling, mesh_8, LayoutKind::Baseline, 8);
 BENCHMARK_CAPTURE(scaling, hetero_8, LayoutKind::DiagonalBL, 8);
 BENCHMARK_CAPTURE(scaling, mesh_16, LayoutKind::Baseline, 16);
 BENCHMARK_CAPTURE(scaling, hetero_16, LayoutKind::DiagonalBL, 16);
+BENCHMARK_CAPTURE(scaling, mesh_24, LayoutKind::Baseline, 24);
 BENCHMARK_CAPTURE(scaling, mesh_32, LayoutKind::Baseline, 32);
 BENCHMARK_CAPTURE(scaling, hetero_32, LayoutKind::DiagonalBL, 32);
 BENCHMARK_CAPTURE(scalingCmesh, cmesh_16, 16, 4);

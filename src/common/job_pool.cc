@@ -7,6 +7,14 @@
 namespace hnoc
 {
 
+namespace
+{
+
+/** The pool whose workerLoop runs on this thread (JobPool::current). */
+thread_local JobPool *tlsPool = nullptr;
+
+} // namespace
+
 int
 JobPool::defaultThreadCount()
 {
@@ -27,6 +35,12 @@ JobPool::shared()
     return pool;
 }
 
+JobPool *
+JobPool::current()
+{
+    return tlsPool;
+}
+
 JobPool::JobPool(int threads)
 {
     int n = threads >= 1 ? threads : defaultThreadCount();
@@ -39,28 +53,71 @@ JobPool::~JobPool()
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
+        stopping_.store(true, std::memory_order_relaxed);
     }
     cv_.notify_all();
     for (std::thread &w : workers_)
         w.join();
 }
 
+bool
+JobPool::lend(std::function<void()> job)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // Every queued or lent job will take one of the idle workers.
+        auto idle = static_cast<std::size_t>(
+            idle_.load(std::memory_order_relaxed));
+        if (stopping_.load(std::memory_order_relaxed) ||
+            idle <= queue_.size() + lent_.size())
+            return false;
+        lent_.push_back(std::move(job));
+    }
+    // notify_all: a single notification could land on a park()ed job,
+    // whose predicate does not look at lent_.
+    cv_.notify_all();
+    return true;
+}
+
+void
+JobPool::unparkAll()
+{
+    // Taking the lock orders this wake after any park() predicate
+    // check still in progress, so none misses it.
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+    }
+    cv_.notify_all();
+}
+
 void
 JobPool::workerLoop()
 {
+    tlsPool = this;
     for (;;) {
         std::function<void()> job;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock,
-                     [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty())
+            idle_.fetch_add(1, std::memory_order_relaxed);
+            cv_.wait(lock, [this] {
+                return stopping_.load(std::memory_order_relaxed) ||
+                       !queue_.empty() || !lent_.empty();
+            });
+            idle_.fetch_sub(1, std::memory_order_relaxed);
+            if (!queue_.empty()) {
+                job = std::move(queue_.front());
+                queue_.pop_front();
+                queued_.store(queue_.size(), std::memory_order_relaxed);
+            } else if (!lent_.empty()) {
+                job = std::move(lent_.front());
+                lent_.pop_front();
+            } else {
                 return; // stopping_ and drained
-            job = std::move(queue_.front());
-            queue_.pop_front();
+            }
         }
-        job(); // packaged_task captures any exception in the future
+        // A submitted job is a packaged_task, which captures any
+        // exception in its future; a lent job must not throw.
+        job();
     }
 }
 

@@ -13,11 +13,19 @@
  * std::thread::hardware_concurrency(). A pool of size 1 still runs jobs
  * on its single worker thread, which keeps the code path identical for
  * the determinism tests.
+ *
+ * Lending: a job running on the pool may borrow idle workers for its
+ * own inner parallelism (StepTeam). lend() hands a job to a worker
+ * only when one is idle, never queueing it behind submitted work; a
+ * lent job polls wantsWorkerBack() and returns as soon as submitted
+ * work is queued or the pool is stopping, and may park() on the pool
+ * in between.
  */
 
 #ifndef HNOC_COMMON_JOB_POOL_HH
 #define HNOC_COMMON_JOB_POOL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -63,6 +71,10 @@ class JobPool
      */
     static JobPool &shared();
 
+    /** @return the pool whose worker is the calling thread, or nullptr
+     *  when the caller is not a pool worker. */
+    static JobPool *current();
+
     /**
      * Enqueue @p fn; the returned future yields its result (or
      * rethrows its exception) at get().
@@ -80,6 +92,7 @@ class JobPool
         {
             std::lock_guard<std::mutex> lock(mutex_);
             queue_.emplace_back([task] { (*task)(); });
+            queued_.store(queue_.size(), std::memory_order_relaxed);
         }
         cv_.notify_one();
         return fut;
@@ -107,13 +120,62 @@ class JobPool
         return results;
     }
 
+    /** @name Lending idle workers */
+    ///@{
+    /** Workers waiting for a job right now (a lock-free hint). */
+    int
+    idleWorkers() const
+    {
+        return idle_.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Run @p job on a worker that is idle now. Submitted jobs keep
+     * priority over lent ones. @return false, running nothing, when no
+     * worker is idle (beyond those already claimed by lent jobs) or
+     * the pool is stopping.
+     */
+    bool lend(std::function<void()> job);
+
+    /** True once a submitted job is queued or the pool is stopping: a
+     *  lent job should return its worker (a lock-free poll). */
+    bool
+    wantsWorkerBack() const
+    {
+        return queued_.load(std::memory_order_relaxed) > 0 ||
+               stopping_.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Block a lent job's worker until @p ready() holds or
+     * wantsWorkerBack(). @p ready must read only atomics, and whoever
+     * makes it true must then call unparkAll(), or the wake is lost.
+     */
+    template <typename Ready>
+    void
+    park(Ready ready)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&] {
+            return ready() || stopping_.load(std::memory_order_relaxed) ||
+                   !queue_.empty();
+        });
+    }
+
+    /** Wake every park()ed job to re-check its predicate. */
+    void unparkAll();
+    ///@}
+
   private:
     void workerLoop();
 
     std::mutex mutex_;
     std::condition_variable cv_;
-    std::deque<std::function<void()>> queue_;
-    bool stopping_ = false;
+    std::deque<std::function<void()>> queue_; ///< submitted jobs
+    std::deque<std::function<void()>> lent_;  ///< lent jobs, run second
+    std::atomic<std::size_t> queued_{0}; ///< queue_.size(), for polls
+    std::atomic<int> idle_{0};           ///< workers waiting in cv_
+    std::atomic<bool> stopping_{false};
     std::vector<std::thread> workers_;
 };
 

@@ -25,9 +25,13 @@
  * entry is bit-identical to visiting it.
  *
  * Newly woken ids are sort-merged before each scan, so visits run in
- * canonical ascending id order (§6g) and cost O(active). All storage
- * is reserved once at construction, so the steady state allocates
- * nothing. WakeHooks hold raw pointers into the Network's per-block
+ * canonical ascending id order (§6g) and cost O(active). A list is
+ * woken only by the thread that scans it: when a network steps on a
+ * team (§6h), a send whose list another thread scans wakes the
+ * sender's outbox, an ActiveList used through drainPending() alone,
+ * and the leader hands those ids on between cycles. All storage
+ * is reserved once, at construction (an outbox's when its team
+ * forms), so the steady state allocates nothing. WakeHooks hold raw pointers into the Network's per-block
  * std::vector<ActiveList>s, which therefore must never reallocate
  * once the hooks are set.
  */
@@ -120,6 +124,22 @@ class ActiveList
             }
         }
         items_.resize(keep);
+    }
+
+    /**
+     * Use as a wake outbox (a list that is never scanned): hand every
+     * id woken since the last drain to @p fn, in wake order, and
+     * forget it, so the next wake enlists it again.
+     */
+    template <typename Fn>
+    void
+    drainPending(Fn &&fn)
+    {
+        for (std::uint32_t id : pending_) {
+            inList_[id] = 0;
+            fn(id);
+        }
+        pending_.clear();
     }
 
     /** Current member count (entries that have gone idle included

@@ -4,8 +4,11 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
+#include "common/job_pool.hh"
 #include "common/logging.hh"
+#include "common/step_team.hh"
 #include "common/text_file.hh"
 #include "noc/config_io.hh"
 #include "power/frequency_model.hh"
@@ -70,22 +73,10 @@ Network::Network(const NetworkConfig &config)
     // schedule it. The hooks keep raw pointers into the per-block list
     // vectors, which setupBlocks() sized for good. Every component is
     // still idle here, so no list needs seeding.
-    for (std::size_t i = 0; i < ends_.size(); ++i) {
-        const ChannelEnds &e = ends_[i];
-        auto id = static_cast<std::uint32_t>(i);
-        if (!e.sinkIsRouter) {
-            e.chan->setWakeHooks(&ejectEnds_, &ejectEnds_, id);
-            continue;
-        }
-        // Credits return to the driver: a router, or — for NI-driven
-        // injection channels — the NI attached to the sink router, so
-        // either way the block that steps the receiver also delivers
-        // its credits.
-        RouterId cr = e.driverIsRouter ? e.driverRouter : e.sinkRouter;
-        e.chan->setWakeHooks(
-            &blockFlitEnds_[static_cast<std::size_t>(blockOf(e.sinkRouter))],
-            &blockCreditEnds_[static_cast<std::size_t>(blockOf(cr))], id);
-    }
+    for (std::size_t i = 0; i < ends_.size(); ++i)
+        ends_[i].chan->setWakeHooks(&flitListOf(ends_[i]),
+                                    &creditListOf(ends_[i]),
+                                    static_cast<std::uint32_t>(i));
     for (std::size_t i = 0; i < routers_.size(); ++i)
         routers_[i].setWakeHook(
             &blockRouters_[static_cast<std::size_t>(
@@ -97,6 +88,9 @@ Network::Network(const NetworkConfig &config)
             &blockNis_[static_cast<std::size_t>(blockOf(r))],
             static_cast<std::uint32_t>(i));
     }
+
+    // A team needs at least two blocks per thread (§6h).
+    teamEligible_ = !alwaysStep_ && numBlocks_ >= 4;
 }
 
 Network::~Network() = default;
@@ -523,6 +517,17 @@ Network::memoryAudit() const
     a.add("active_set", ends_.capacity() * sizeof(ChannelEnds) + lists,
           ends_.size() + routers_.size() + nis_.size());
 
+    // The stepping team's outboxes exist only once a team has formed,
+    // which depends on HNOC_THREADS and the host's cores (§6h), so
+    // this row, unlike the others, is not fixed by the seed alone.
+    if (team_) {
+        std::uint64_t outbox = 0;
+        for (const auto *outboxes : {&slotFlitOutbox_, &slotCreditOutbox_})
+            for (const ActiveList &l : *outboxes)
+                outbox += l.footprintBytes() + sizeof(ActiveList);
+        a.add("step_team_outboxes", outbox, slotFlitOutbox_.size());
+    }
+
     if (hotArena_.reservedBytes() > 0)
         a.add("hot_arena_pad",
               hotArena_.reservedBytes() - hotArena_.used(), 1);
@@ -699,6 +704,96 @@ Network::writePostmortem(const std::string &path,
 }
 
 void
+Network::deliverFlitsOf(ChannelEnds &e, Cycle now)
+{
+    // Flits are handed straight to their receiver — router input-VC
+    // SoA arrays or the NI — without staging in a scratch vector;
+    // per-channel delivery order (oldest first) is unchanged.
+    if (e.sinkIsRouter) {
+        Router &r = routers_[static_cast<std::size_t>(e.sinkRouter)];
+        e.chan->deliverFlitsTo(now, [&](const Flit &f) {
+            r.receiveFlit(e.sinkPort, f, now);
+        });
+        return;
+    }
+    NetworkInterface &ni = *nis_[static_cast<std::size_t>(e.sinkNode)];
+    e.chan->deliverFlitsTo(now, [&](const Flit &f) {
+        ++flitsDelivered_;
+        if (Probe *pr = probe())
+            pr->flitEject(now, f,
+                          config_.intraPacketPairing && e.chan->lanes() > 1);
+        Packet *done = ni.receiveFlit(f, now);
+        if (done) {
+            ++packetsDelivered_;
+            --livePackets_;
+            lastDelivery_ = now;
+            if (Probe *pr = probe())
+                pr->eject(now, *done);
+            if (client_)
+                client_->onPacketDelivered(*this, *done, now);
+            if (Probe *pr = probe())
+                pr->retire(*done);
+            freePacket(done);
+        }
+    });
+}
+
+void
+Network::deliverCreditsOf(ChannelEnds &e, Cycle now)
+{
+    if (e.driverIsRouter) {
+        Router &r = routers_[static_cast<std::size_t>(e.driverRouter)];
+        e.chan->deliverCreditsTo(now, [&](VcId vc) {
+            r.receiveCredit(e.driverPort, vc, now);
+        });
+    } else {
+        NetworkInterface &ni = *nis_[static_cast<std::size_t>(e.driverNode)];
+        e.chan->deliverCreditsTo(now, [&](VcId vc) { ni.receiveCredit(vc); });
+    }
+}
+
+void
+Network::deliverBlock(std::size_t b, Cycle now)
+{
+    // Prefetch look-ahead pays only when the chip's working set
+    // exceeds one cache block (multi-block networks streaming from
+    // L3); on a single-block network everything is already resident
+    // and the extra per-entry work is pure scan overhead.
+    const bool look_ahead = numBlocks_ > 1;
+    blockFlitEnds_[b].forEachActive(
+        [&](std::uint32_t i) { return ends_[i].chan->hasFlits(); },
+        [&](std::uint32_t i) { deliverFlitsOf(ends_[i], now); },
+        [&](std::uint32_t i) {
+            if (look_ahead)
+                ends_[i].chan->prefetchFlits();
+        });
+    blockCreditEnds_[b].forEachActive(
+        [&](std::uint32_t i) { return ends_[i].chan->hasCredits(); },
+        [&](std::uint32_t i) { deliverCreditsOf(ends_[i], now); },
+        [&](std::uint32_t i) {
+            if (look_ahead)
+                ends_[i].chan->prefetchCredits();
+        });
+}
+
+void
+Network::stepBlock(std::size_t b, Cycle now, Profiler *prof)
+{
+    const bool look_ahead = numBlocks_ > 1;
+    blockRouters_[b].forEachActive(
+        [&](std::uint32_t i) { return routers_[i].busy(); },
+        [&](std::uint32_t i) { routers_[i].step(now); },
+        [&](std::uint32_t i) {
+            if (look_ahead)
+                routers_[i].prefetchStep();
+        });
+    ProfScope s(prof, ProfPhase::NiInject);
+    blockNis_[b].forEachActive(
+        [&](std::uint32_t i) { return nis_[i]->busy(); },
+        [&](std::uint32_t i) { nis_[i]->stepInject(now); });
+}
+
+void
 Network::step()
 {
     Cycle now = cycle_;
@@ -716,57 +811,11 @@ Network::step()
 
     // Channel delivery (flits, then credits) is split into a flit
     // role and a credit role so the cache-blocked path can run each
-    // in its receiver's block pass. Flits and credits are handed
-    // straight to their receiver — router input-VC SoA arrays or the
-    // NI — without staging in a scratch vector; per-channel delivery
-    // order (flits, then credits, each oldest-first) is unchanged.
-    auto deliverFlitsOf = [&](ChannelEnds &e) {
-        if (e.sinkIsRouter) {
-            Router &r = routers_[static_cast<std::size_t>(e.sinkRouter)];
-            e.chan->deliverFlitsTo(now, [&](const Flit &f) {
-                r.receiveFlit(e.sinkPort, f, now);
-            });
-        } else {
-            NetworkInterface &ni =
-                *nis_[static_cast<std::size_t>(e.sinkNode)];
-            e.chan->deliverFlitsTo(now, [&](const Flit &f) {
-                ++flitsDelivered_;
-                if (Probe *pr = probe())
-                    pr->flitEject(now, f, config_.intraPacketPairing &&
-                                              e.chan->lanes() > 1);
-                Packet *done = ni.receiveFlit(f, now);
-                if (done) {
-                    ++packetsDelivered_;
-                    --livePackets_;
-                    lastDelivery_ = now;
-                    if (Probe *pr = probe())
-                        pr->eject(now, *done);
-                    if (client_)
-                        client_->onPacketDelivered(*this, *done, now);
-                    if (Probe *pr = probe())
-                        pr->retire(*done);
-                    freePacket(done);
-                }
-            });
-        }
-    };
-    auto deliverCreditsOf = [&](ChannelEnds &e) {
-        if (e.driverIsRouter) {
-            Router &r =
-                routers_[static_cast<std::size_t>(e.driverRouter)];
-            e.chan->deliverCreditsTo(now, [&](VcId vc) {
-                r.receiveCredit(e.driverPort, vc, now);
-            });
-        } else {
-            NetworkInterface &ni =
-                *nis_[static_cast<std::size_t>(e.driverNode)];
-            e.chan->deliverCreditsTo(now,
-                                     [&](VcId vc) { ni.receiveCredit(vc); });
-        }
-    };
+    // in its receiver's block pass; per-channel delivery order
+    // (flits, then credits, each oldest-first) is unchanged.
     auto deliverEnd = [&](ChannelEnds &e) {
-        deliverFlitsOf(e);
-        deliverCreditsOf(e);
+        deliverFlitsOf(e, now);
+        deliverCreditsOf(e, now);
     };
 
     if (alwaysStep_) {
@@ -807,20 +856,6 @@ Network::step()
         // Each list scan asks the component's own predicate before the
         // visit and drops entries with no work (active_set.hh).
         //
-        // Prefetch look-ahead pays only when the chip's working set
-        // exceeds one cache block (multi-block networks streaming
-        // from L3); on a single-block network everything is already
-        // resident and the extra per-entry work is pure scan
-        // overhead.
-        const bool look_ahead = numBlocks_ > 1;
-        auto pre_flits = [&](std::uint32_t i) {
-            if (look_ahead)
-                ends_[i].chan->prefetchFlits();
-        };
-        auto pre_credits = [&](std::uint32_t i) {
-            if (look_ahead)
-                ends_[i].chan->prefetchCredits();
-        };
         // Eject pass first: terminal (NI-sink) ends in canonical node
         // order — flit consumption, delivery callbacks, and the
         // credit return to the driver router's ejection port (a
@@ -828,64 +863,49 @@ Network::step()
         // step).
         if (ejectEnds_.size() > 0) {
             ProfScope s(prof, ProfPhase::NiEject);
+            const bool look_ahead = numBlocks_ > 1;
             ejectEnds_.forEachActive(
                 [&](std::uint32_t i) { return !ends_[i].chan->idle(); },
                 [&](std::uint32_t i) { deliverEnd(ends_[i]); },
                 [&](std::uint32_t i) {
-                    pre_flits(i);
-                    pre_credits(i);
+                    if (look_ahead) {
+                        ends_[i].chan->prefetchFlits();
+                        ends_[i].chan->prefetchCredits();
+                    }
                 });
         }
         // Then per block: deliver the block's inbound flits and
         // outbound-channel credits, step its routers, inject from its
         // NIs — touching each block's packed hot state once per cycle
-        // while it is cache-resident.
-        for (int b = 0; b < numBlocks_; ++b) {
-            auto bi = static_cast<std::size_t>(b);
-            ActiveList &fl = blockFlitEnds_[bi];
-            ActiveList &cl = blockCreditEnds_[bi];
-            ActiveList &rl = blockRouters_[bi];
-            ActiveList &nl = blockNis_[bi];
-            if (fl.size() == 0 && cl.size() == 0 && rl.size() == 0 &&
-                nl.size() == 0)
-                continue;
-            std::chrono::steady_clock::time_point t0;
-            if (prof)
-                t0 = std::chrono::steady_clock::now();
-            {
-                ProfScope s(prof, ProfPhase::ChannelDelivery);
-                fl.forEachActive(
-                    [&](std::uint32_t i) { return ends_[i].chan->hasFlits(); },
-                    [&](std::uint32_t i) { deliverFlitsOf(ends_[i]); },
-                    pre_flits);
-                cl.forEachActive(
-                    [&](std::uint32_t i) {
-                        return ends_[i].chan->hasCredits();
-                    },
-                    [&](std::uint32_t i) { deliverCreditsOf(ends_[i]); },
-                    pre_credits);
+        // while it is cache-resident. A big network may instead run
+        // all deliveries, then all steps, on its team (§6h).
+        if (!(teamEligible_ && stepOnTeam())) {
+            for (std::size_t b = 0, nb = static_cast<std::size_t>(numBlocks_);
+                 b < nb; ++b) {
+                if (blockFlitEnds_[b].size() == 0 &&
+                    blockCreditEnds_[b].size() == 0 &&
+                    blockRouters_[b].size() == 0 &&
+                    blockNis_[b].size() == 0)
+                    continue;
+                std::chrono::steady_clock::time_point t0;
+                if (prof)
+                    t0 = std::chrono::steady_clock::now();
+                {
+                    ProfScope s(prof, ProfPhase::ChannelDelivery);
+                    deliverBlock(b, now);
+                }
+                stepBlock(b, now, prof);
+                if (prof)
+                    prof->addBlock(
+                        b, static_cast<std::uint64_t>(
+                               std::chrono::duration_cast<
+                                   std::chrono::nanoseconds>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count()));
             }
-            rl.forEachActive(
-                [&](std::uint32_t i) { return routers_[i].busy(); },
-                [&](std::uint32_t i) { routers_[i].step(now); },
-                [&](std::uint32_t i) {
-                    if (look_ahead)
-                        routers_[i].prefetchStep();
-                });
-            {
-                ProfScope s(prof, ProfPhase::NiInject);
-                nl.forEachActive(
-                    [&](std::uint32_t i) { return nis_[i]->busy(); },
-                    [&](std::uint32_t i) { nis_[i]->stepInject(now); });
-            }
-            if (prof)
-                prof->addBlock(
-                    bi, static_cast<std::uint64_t>(
-                            std::chrono::duration_cast<
-                                std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count()));
         }
+        if (team_)
+            mergeWakeOutboxes();
     }
 
     if (Probe *pr = probe()) {
@@ -895,6 +915,127 @@ Network::step()
     }
 
     ++cycle_;
+}
+
+int
+Network::stepThreads() const
+{
+    return team_ ? team_->peakThreads() : 1;
+}
+
+bool
+Network::stepOnTeam()
+{
+    // Attached instruments see events in serial order, so they keep
+    // the serial loop.
+    if (probe_ != nullptr || profiler_ != nullptr)
+        return false;
+    // Helpers come from the pool running this thread, else the shared
+    // pool. A team stays with the pool it formed on: stepped from a
+    // thread of another pool, the network steps serially.
+    JobPool *pool = JobPool::current();
+    if (pool == nullptr)
+        pool = &JobPool::shared();
+    if (!team_) {
+        // A pool busy with other points has no worker to lend; form
+        // the team once it does.
+        if (pool->idleWorkers() == 0)
+            return false;
+        formTeam(*pool);
+        if (!team_)
+            return false;
+    }
+    return &team_->pool() == pool && team_->runCycle();
+}
+
+void
+Network::formTeam(JobPool &pool)
+{
+    // The pool's size (HNOC_THREADS) bounds the team, leader included,
+    // and so do the host's cores: team threads wait on each other
+    // every phase, so one more than the cores would always wait.
+    int threads = std::min(pool.threadCount(), numBlocks_ / 2);
+    if (unsigned hw = std::thread::hardware_concurrency(); hw >= 1)
+        threads = std::min(threads, static_cast<int>(hw));
+    if (threads < 2) {
+        teamEligible_ = false;
+        return;
+    }
+
+    // One slot per team thread: a contiguous, static block partition.
+    auto ns = static_cast<std::size_t>(threads);
+    slotBlocks_.resize(ns + 1);
+    std::vector<int> block_slot(static_cast<std::size_t>(numBlocks_));
+    for (int s = 0; s <= threads; ++s)
+        slotBlocks_[static_cast<std::size_t>(s)] = numBlocks_ * s / threads;
+    for (int s = 0; s < threads; ++s)
+        for (int b = slotBlocks_[static_cast<std::size_t>(s)];
+             b < slotBlocks_[static_cast<std::size_t>(s) + 1]; ++b)
+            block_slot[static_cast<std::size_t>(b)] = s;
+    auto slot_of = [&](RouterId r) {
+        return static_cast<std::size_t>(
+            block_slot[static_cast<std::size_t>(blockOf(r))]);
+    };
+
+    // A send in the step phase (router steps, NI injection) may wake
+    // a list that another slot scans, or the leader's eject list;
+    // those wakes go to the sending slot's outbox. A router-driven
+    // end's flits are sent by its driver, its credits by its sink; an
+    // NI-driven end lives inside one block, and an ejection end's
+    // credits are sent by the leader's eject pass.
+    slotFlitOutbox_.resize(ns);
+    slotCreditOutbox_.resize(ns);
+    std::vector<std::size_t> flit_count(ns, 0);
+    std::vector<std::size_t> credit_count(ns, 0);
+    for (std::size_t i = 0; i < ends_.size(); ++i) {
+        const ChannelEnds &e = ends_[i];
+        ActiveList *flits = &flitListOf(e);
+        ActiveList *credits = &creditListOf(e);
+        if (e.driverIsRouter) {
+            std::size_t driver = slot_of(e.driverRouter);
+            std::size_t sink =
+                e.sinkIsRouter ? slot_of(e.sinkRouter) : ns; // eject list
+            if (sink != driver) {
+                flits = &slotFlitOutbox_[driver];
+                ++flit_count[driver];
+            }
+            if (sink != driver && sink < ns) {
+                credits = &slotCreditOutbox_[sink];
+                ++credit_count[sink];
+            }
+        }
+        e.chan->setWakeHooks(flits, credits, static_cast<std::uint32_t>(i));
+    }
+    for (std::size_t s = 0; s < ns; ++s) {
+        slotFlitOutbox_[s].reserve(ends_.size(), flit_count[s]);
+        slotCreditOutbox_[s].reserve(ends_.size(), credit_count[s]);
+    }
+    team_ = std::make_unique<StepTeam>(pool, threads, &Network::teamSlot,
+                                       this);
+}
+
+void
+Network::teamSlot(void *net, int phase, int slot)
+{
+    auto &n = *static_cast<Network *>(net);
+    auto s = static_cast<std::size_t>(slot);
+    for (int b = n.slotBlocks_[s]; b < n.slotBlocks_[s + 1]; ++b) {
+        if (phase == 0)
+            n.deliverBlock(static_cast<std::size_t>(b), n.cycle_);
+        else
+            n.stepBlock(static_cast<std::size_t>(b), n.cycle_, nullptr);
+    }
+}
+
+void
+Network::mergeWakeOutboxes()
+{
+    for (std::size_t s = 0; s < slotFlitOutbox_.size(); ++s) {
+        slotFlitOutbox_[s].drainPending(
+            [&](std::uint32_t i) { flitListOf(ends_[i]).wake(i); });
+        slotCreditOutbox_[s].drainPending(
+            [&](std::uint32_t i) { creditListOf(ends_[i]).wake(i); });
+    }
 }
 
 Cycle

@@ -28,7 +28,9 @@
 namespace hnoc
 {
 
+class JobPool;
 class Network;
+class StepTeam;
 
 /** Callback interface for packet producers/consumers. */
 class NetworkClient
@@ -88,6 +90,13 @@ class Network
 
     /** @return block count of the cache-blocked step order. */
     int numBlocks() const { return numBlocks_; }
+
+    /**
+     * @return the most threads that have stepped one cycle of this
+     * network together: 1 until a stepping team forms (DESIGN.md
+     * §6h). Results are bit-identical for every count.
+     */
+    int stepThreads() const;
 
     /** Advance one clock cycle. */
     void step();
@@ -311,6 +320,64 @@ class Network
 
     Channel *makeChannel(int width_bits, int flit_delay, int credit_delay);
     void setupBlocks();
+
+    /** @name The list each channel-end role wakes (§6a) */
+    ///@{
+    /** Flit role: the sink router's block, or the eject list. */
+    ActiveList &
+    flitListOf(const ChannelEnds &e)
+    {
+        return e.sinkIsRouter
+                   ? blockFlitEnds_[static_cast<std::size_t>(
+                         blockOf(e.sinkRouter))]
+                   : ejectEnds_;
+    }
+
+    /** Credit role: the block of the router that receives the
+     *  credits — the driver router, or for NI-driven injection
+     *  channels the sink router, whose block steps the NI — or the
+     *  eject list. */
+    ActiveList &
+    creditListOf(const ChannelEnds &e)
+    {
+        if (!e.sinkIsRouter)
+            return ejectEnds_;
+        RouterId r = e.driverIsRouter ? e.driverRouter : e.sinkRouter;
+        return blockCreditEnds_[static_cast<std::size_t>(blockOf(r))];
+    }
+    ///@}
+
+    /** @name Per-cycle passes (§6g) */
+    ///@{
+    /** Deliver the flits of @p e due at @p now to its sink. */
+    void deliverFlitsOf(ChannelEnds &e, Cycle now);
+    /** Deliver the credits of @p e due at @p now to its driver. */
+    void deliverCreditsOf(ChannelEnds &e, Cycle now);
+    /** Block @p b's deliveries: its inbound flits, then the credits
+     *  its routers and NIs receive. */
+    void deliverBlock(std::size_t b, Cycle now);
+    /** Block @p b's router steps, then its NI injections (timed as
+     *  NiInject on @p prof). */
+    void stepBlock(std::size_t b, Cycle now, Profiler *prof);
+    ///@}
+
+    /** @name Stepping team (§6h) */
+    ///@{
+    /** Run this cycle's block passes on the team. @return false, with
+     *  nothing run, when the cycle must step serially. */
+    bool stepOnTeam();
+    /** Partition the blocks into slots, route cross-slot wakes to
+     *  outboxes and create team_ on @p pool, or rule the team out for
+     *  good. */
+    void formTeam(JobPool &pool);
+    /** StepTeam item: phase 0 delivers, phase 1 steps, the blocks of
+     *  slot @p slot. */
+    static void teamSlot(void *net, int phase, int slot);
+    /** Hand the cycle's outboxed wakes to their lists, in slot
+     *  order. */
+    void mergeWakeOutboxes();
+    ///@}
+
     void packHotArena();
     Packet *allocPacket();
     void freePacket(Packet *pkt);
@@ -386,6 +453,22 @@ class Network
 
     std::vector<std::unique_ptr<Packet>> packetArena_;
     std::vector<Packet *> freeList_;
+
+    /**
+     * Stepping team (§6h). Only an active-set network with at least
+     * two blocks per team thread is eligible; the team forms at the
+     * first step with nothing attached. Slot s steps the blocks
+     * [slotBlocks_[s], slotBlocks_[s + 1]). A send whose wake belongs
+     * to a list another slot scans (or to the eject list) wakes the
+     * sending slot's outbox instead, merged after the cycle.
+     */
+    bool teamEligible_ = false;
+    std::vector<int> slotBlocks_;
+    std::vector<ActiveList> slotFlitOutbox_;
+    std::vector<ActiveList> slotCreditOutbox_;
+    /** Declared last, so it is destroyed first: its helpers are told
+     *  to leave before the state they stepped goes away. */
+    std::unique_ptr<StepTeam> team_;
 };
 
 /** Per-packet network latency aggregates (Fig 11 style), in ns. */

@@ -405,6 +405,7 @@ runOpenLoop(const NetworkConfig &config, TrafficPattern pattern,
         res.drainTruncated = drained >= opts.drainCycles && res.saturated;
     }
     res.watchdogTrips = watchdog.trips();
+    res.stepThreads = net.stepThreads();
     if (recorder)
         net.attachFlightRecorder(nullptr);
     res.flightRecorder = std::move(recorder);

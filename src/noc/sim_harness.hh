@@ -156,6 +156,10 @@ struct SimPointResult
     /** Stall-cause blame attribution (opts.collectBlame). shared_ptr
      *  so results stay cheap to copy through the batch layer. */
     std::shared_ptr<BlameCollector> blame;
+
+    /** Host detail, not a simulated result: Network::stepThreads() at
+     *  the end of the run (DESIGN.md §6h). */
+    int stepThreads = 1;
 };
 
 /** Run a single open-loop point. */

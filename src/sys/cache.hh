@@ -69,12 +69,8 @@ class CacheArray
         return addr & ~static_cast<Addr>(blockBytes_ - 1);
     }
 
-    /** @name Statistics */
-    ///@{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    /** Valid lines displaced by insert(). */
     std::uint64_t evictions = 0;
-    ///@}
 
     /** Simulator-memory footprint of the line array (tag/state/LRU
      *  metadata — no data payloads are simulated). */

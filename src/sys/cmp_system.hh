@@ -133,8 +133,8 @@ class CmpSystem : public NetworkClient
 
     /**
      * Per-component memory breakdown: the network's audit extended
-     * with the L1/L2 arrays, the full-map MESI directory (the
-     * O(tiles)-per-line structure flagged by ROADMAP item 1), live
+     * with the L1/L2 arrays, the full-map MESI directory (a hash-map
+     * entry with an O(tiles) sharer list per tracked line), live
      * directory transactions, and the message arena. Directory bytes
      * scale with tracked lines × sharer-list length, so run it after
      * warmup for a representative number.

@@ -1,19 +1,26 @@
 /**
  * @file
  * JobPool unit tests: sizing, FIFO dispatch, ordered result
- * collection, exception propagation through futures, and saturation
- * with far more jobs than workers.
+ * collection, exception propagation through futures, saturation
+ * with far more jobs than workers, and lending idle workers to a
+ * StepTeam (whose parked helpers must never hold up a shutdown).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/job_pool.hh"
+#include "common/step_team.hh"
+#include "heteronoc/layout.hh"
+#include "noc/network.hh"
 
 namespace hnoc
 {
@@ -138,6 +145,87 @@ TEST(JobPool, DestructorDrainsPendingJobs)
         // No get(): destruction must still run every queued job.
     }
     EXPECT_EQ(done.load(), 64);
+}
+
+TEST(JobPool, LendNeedsAnIdleWorker)
+{
+    JobPool pool(1);
+    std::atomic<bool> release{false};
+    auto blocker = pool.submit([&] {
+        while (!release.load())
+            std::this_thread::yield();
+    });
+    while (pool.idleWorkers() != 0)
+        std::this_thread::yield();
+    EXPECT_FALSE(pool.lend([] {}));
+    release.store(true);
+    blocker.get();
+
+    while (pool.idleWorkers() != 1)
+        std::this_thread::yield();
+    std::atomic<bool> ran{false};
+    EXPECT_TRUE(pool.lend([&] { ran.store(true); }));
+    while (!ran.load())
+        std::this_thread::yield();
+}
+
+/** Step @p team from a worker of @p pool (as a sim point does) until
+ *  a helper has run items of a cycle with it, or a generous deadline
+ *  passes. */
+bool
+formTeam(JobPool &pool, const std::function<int()> &step_threads,
+         const std::function<void()> &step)
+{
+    return pool
+        .submit([&] {
+            auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (step_threads() < 2 &&
+                   std::chrono::steady_clock::now() < deadline)
+                step();
+            return step_threads() >= 2;
+        })
+        .get();
+}
+
+/** Long enough for idle helpers to stop spinning and park. */
+void
+letHelpersPark()
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+TEST(JobPool, DestroyingPoolWithParkedTeamDoesNotHang)
+{
+    std::atomic<int> items{0};
+    auto count = [](void *ctx, int, int) {
+        static_cast<std::atomic<int> *>(ctx)->fetch_add(1);
+    };
+    std::unique_ptr<StepTeam> team;
+    {
+        JobPool pool(3);
+        team = std::make_unique<StepTeam>(pool, 3, count, &items);
+        EXPECT_TRUE(formTeam(
+            pool, [&] { return team->peakThreads(); },
+            [&] { team->runCycle(); }));
+        letHelpersPark();
+    } // ~JobPool: the parked helpers must leave, or this joins forever
+    team.reset();
+    EXPECT_EQ(items.load() % 6, 0); // whole cycles only
+}
+
+TEST(JobPool, DestroyingNetworkWithParkedTeamDoesNotHang)
+{
+    JobPool pool(4);
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
+    cfg.blockTiles = 8; // 8 blocks: a 4-thread team
+    auto net = std::make_unique<Network>(cfg);
+    EXPECT_TRUE(formTeam(
+        pool, [&] { return net->stepThreads(); }, [&] { net->step(); }));
+    letHelpersPark();
+    net.reset(); // ~Network releases the parked helpers
+    // The workers are free again: a submitted job runs.
+    EXPECT_EQ(pool.submit([] { return 5; }).get(), 5);
 }
 
 } // namespace

@@ -3,17 +3,25 @@
  * Parallel experiment engine determinism: sweepLoad / runBatch must
  * produce bit-identical SimPointResults to the serial reference path
  * regardless of thread count (1, 4, and an HNOC_THREADS=1 env-sized
- * pool).
+ * pool). A multi-block network stepped on a team of pool workers
+ * (DESIGN.md §6h) must match its serial and always-step runs too.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <future>
+#include <thread>
 #include <vector>
 
+#include "bench_util.hh"
 #include "common/job_pool.hh"
 #include "heteronoc/layout.hh"
 #include "noc/sim_harness.hh"
+#include "sys/cmp_system.hh"
+#include "sys/workloads.hh"
+#include "telemetry/run_report.hh"
 
 namespace hnoc
 {
@@ -268,6 +276,173 @@ TEST(ParallelDeterminism, MultiPatternMatchesSerialLoop)
     }
     JobPool pool2(2);
     expectBitIdentical(runBatch(batch, &pool2), serial);
+}
+
+/** Run @p fn as a job on @p pool, the way a sweep runs its points,
+ *  so the point's Network draws its team from that pool. */
+template <typename Fn>
+auto
+onPool(JobPool &pool, Fn fn)
+{
+    return pool.submit(fn).get();
+}
+
+/** The point's metrics as the run report writes them. */
+std::string
+pointJson(const SimPointResult &r)
+{
+    RunReport report("test", "step team");
+    report.addPoint("point", r);
+    return report.json();
+}
+
+TEST(ParallelDeterminism, BigMeshTeamMatchesSerialAndAlwaysStep)
+{
+    // 16x16 auto-sizes to 4 blocks: a 2-thread team on a 4-thread
+    // pool, serial on a 1-thread pool.
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL, 16);
+    NetworkConfig always = cfg;
+    always.alwaysStep = true;
+    SimPointOptions opts = quickOptions();
+    opts.warmupCycles = 500;
+    opts.measureCycles = 1500;
+    opts.drainCycles = 3000;
+    opts.injectionRate = 0.2 * (8.0 / 16) / cfg.dataPacketFlits();
+
+    JobPool pool1(1);
+    JobPool pool4(4);
+    auto run = [&](JobPool &pool, const NetworkConfig &c) {
+        return onPool(pool, [&] {
+            return runOpenLoop(c, TrafficPattern::UniformRandom, opts);
+        });
+    };
+    SimPointResult serial = run(pool1, cfg);
+    SimPointResult team = run(pool4, cfg);
+    SimPointResult reference = run(pool4, always);
+
+    EXPECT_EQ(serial.stepThreads, 1);
+    EXPECT_EQ(reference.stepThreads, 1);
+    EXPECT_GE(team.stepThreads, 2) << "the team never formed";
+    EXPECT_GT(serial.trackedDelivered, 0u);
+    expectBitIdentical(team, serial);
+    expectBitIdentical(reference, serial);
+    EXPECT_EQ(pointJson(team), pointJson(serial));
+    EXPECT_EQ(pointJson(reference), pointJson(serial));
+}
+
+void
+expectBitIdentical(const bench::CmpRunResult &a, const bench::CmpRunResult &b)
+{
+    EXPECT_EQ(a.avgLatencyNs, b.avgLatencyNs);
+    EXPECT_EQ(a.queuingNs, b.queuingNs);
+    EXPECT_EQ(a.blockingNs, b.blockingNs);
+    EXPECT_EQ(a.transferNs, b.transferNs);
+    EXPECT_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.power.buffers, b.power.buffers);
+    EXPECT_EQ(a.power.crossbar, b.power.crossbar);
+    EXPECT_EQ(a.power.arbiters, b.power.arbiters);
+    EXPECT_EQ(a.power.links, b.power.links);
+    EXPECT_EQ(a.powerW, b.powerW);
+    EXPECT_EQ(a.roundTripMean, b.roundTripMean);
+    EXPECT_EQ(a.roundTripStd, b.roundTripStd);
+}
+
+/** One CMP point in runCmpExperiment's shape, measured in chunks;
+ *  @p between(chunk) runs after each chunk. */
+template <typename Between>
+bench::CmpRunResult
+cmpPoint(const NetworkConfig &net_cfg, int *step_threads, Between between)
+{
+    CmpConfig cmp;
+    cmp.seed = 11;
+    CmpSystem sys(net_cfg, cmp);
+    sys.assignWorkloadAll(workloadByName("TPC-C"));
+    sys.warmCaches(2000);
+    sys.run(500);
+    sys.resetStats();
+    for (int chunk = 0; chunk < 4; ++chunk) {
+        sys.run(400);
+        between(chunk);
+    }
+    EXPECT_TRUE(sys.network().auditCreditConservation());
+    *step_threads = sys.network().stepThreads();
+
+    bench::CmpRunResult res;
+    res.avgLatencyNs = sys.netLatency().totalNs.mean();
+    res.queuingNs = sys.netLatency().queuingNs.mean();
+    res.blockingNs = sys.netLatency().blockingNs.mean();
+    res.transferNs = sys.netLatency().transferNs.mean();
+    res.ipc = sys.avgIpc();
+    res.power = sys.networkPower();
+    res.powerW = res.power.total();
+    res.roundTripMean = sys.roundTripCoreCycles().mean();
+    res.roundTripStd = sys.roundTripCoreCycles().stddev();
+    return res;
+}
+
+TEST(ParallelDeterminism, MultiBlockCmpTeamMatchesSerialAndAlwaysStep)
+{
+    // 8x8 with 8-tile blocks: 8 blocks, a 4-thread team.
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
+    cfg.blockTiles = 8;
+    NetworkConfig always = cfg;
+    always.alwaysStep = true;
+    auto nothing = [](int) {};
+
+    JobPool pool1(1);
+    JobPool pool4(4);
+    int serial_threads = 0;
+    int team_threads = 0;
+    int reference_threads = 0;
+    bench::CmpRunResult serial = onPool(
+        pool1, [&] { return cmpPoint(cfg, &serial_threads, nothing); });
+    bench::CmpRunResult team = onPool(
+        pool4, [&] { return cmpPoint(cfg, &team_threads, nothing); });
+    bench::CmpRunResult reference = onPool(pool4, [&] {
+        return cmpPoint(always, &reference_threads, nothing);
+    });
+
+    EXPECT_EQ(serial_threads, 1);
+    EXPECT_EQ(reference_threads, 1);
+    EXPECT_GE(team_threads, 2) << "the team never formed";
+    EXPECT_GT(serial.ipc, 0.0);
+    expectBitIdentical(team, serial);
+    expectBitIdentical(reference, serial);
+}
+
+TEST(ParallelDeterminism, TeamChurnMatchesSerial)
+{
+    // Jobs queued on the pool mid-run take the helpers' workers back;
+    // the point steps serially while they run, recruits again after,
+    // and still matches the serial run bit for bit.
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
+    cfg.blockTiles = 8;
+    auto nothing = [](int) {};
+
+    JobPool pool1(1);
+    int serial_threads = 0;
+    bench::CmpRunResult serial = onPool(
+        pool1, [&] { return cmpPoint(cfg, &serial_threads, nothing); });
+
+    JobPool pool4(4);
+    int team_threads = 0;
+    std::vector<std::future<void>> busy;
+    bench::CmpRunResult churned = onPool(pool4, [&] {
+        return cmpPoint(cfg, &team_threads, [&](int chunk) {
+            if (chunk % 2 != 0)
+                return;
+            for (int i = 0; i < 3; ++i)
+                busy.push_back(pool4.submit([] {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(20));
+                }));
+        });
+    });
+    for (auto &f : busy)
+        f.get();
+
+    EXPECT_GE(team_threads, 2) << "the team never formed";
+    expectBitIdentical(churned, serial);
 }
 
 TEST(ParallelDeterminism, SeedDerivationIsStableAndDecorrelated)

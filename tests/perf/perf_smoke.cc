@@ -1,10 +1,12 @@
 /**
  * @file
  * perf-smoke CTest target: one short load sweep through the parallel
- * experiment engine, checked bit-identical against the serial path.
+ * experiment engine, checked bit-identical against the serial path,
+ * then one multi-block point stepped on a team of pool workers.
  * Small enough to run under ThreadSanitizer (-DHNOC_TSAN=ON), where it
- * exercises the JobPool queue, the future hand-off and the shared-state
- * audit of the sim harness under real contention:
+ * exercises the JobPool queue, the future hand-off, the shared-state
+ * audit of the sim harness and the stepping team under real
+ * contention:
  *
  *   ctest -L perf-smoke --output-on-failure
  */
@@ -55,7 +57,36 @@ main()
             return 1;
         }
     }
+
+    // One multi-block point alone on the pool: its Network steps on a
+    // team of the idle workers (barrier, wake outboxes, helpers joining
+    // and leaving; DESIGN.md §6h), checked against the always-step
+    // loop.
+    NetworkConfig blocked = cfg;
+    blocked.blockTiles = 8;
+    NetworkConfig always = blocked;
+    always.alwaysStep = true;
+    SimPointOptions one = opts;
+    one.injectionRate = 0.03;
+    SimPointResult team = pool.submit([&] {
+        return runOpenLoop(blocked, TrafficPattern::UniformRandom, one);
+    }).get();
+    SimPointResult ref =
+        runOpenLoop(always, TrafficPattern::UniformRandom, one);
+    if (team.stepThreads < 2) {
+        std::fprintf(stderr, "perf_smoke: the stepping team never "
+                             "formed\n");
+        return 1;
+    }
+    if (team.avgLatencyNs != ref.avgLatencyNs ||
+        team.acceptedRate != ref.acceptedRate ||
+        team.trackedDelivered != ref.trackedDelivered) {
+        std::fprintf(stderr, "perf_smoke: team/always-step mismatch\n");
+        return 1;
+    }
+
     std::printf("perf_smoke: %zu points, %d threads, parallel == "
-                "serial\n", par.size(), pool.threadCount());
+                "serial; one point on a %d-thread team == always-step\n",
+                par.size(), pool.threadCount(), team.stepThreads);
     return 0;
 }
