@@ -155,6 +155,24 @@ class RingBuffer
         count_ = 0;
     }
 
+    /** Remove every element matching @p pred; the rest keep their
+     *  order. */
+    template <typename Pred>
+    void
+    eraseIf(Pred pred)
+    {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < count_; ++i) {
+            T &v = ptr_[(head_ + i) & (cap_ - 1)];
+            if (pred(v))
+                continue;
+            if (kept != i)
+                ptr_[(head_ + kept) & (cap_ - 1)] = std::move(v);
+            ++kept;
+        }
+        count_ = kept;
+    }
+
   private:
     static std::size_t
     roundUpPow2(std::size_t n)

@@ -1071,13 +1071,13 @@ Network::minTransferCycles(NodeId src, NodeId dst, int num_flits) const
 }
 
 double
-NetLatencyStats::add(const Network &net, const Packet &pkt)
+NetLatencyStats::add(const Network &net, const Packet &pkt,
+                     Cycle transfer_cycles)
 {
     double ns = net.nsPerCycle();
     auto total = static_cast<double>(pkt.ejectedAt - pkt.createdAt);
     auto queuing = static_cast<double>(pkt.queuingLatency());
-    auto transfer = static_cast<double>(
-        net.minTransferCycles(pkt.src, pkt.dst, pkt.numFlits));
+    auto transfer = static_cast<double>(transfer_cycles);
     double blocking = std::max(0.0, total - queuing - transfer);
     totalNs.add(total * ns);
     queuingNs.add(queuing * ns);

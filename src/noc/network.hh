@@ -485,7 +485,17 @@ struct NetLatencyStats
      * @p net, and the in-network blocking that remains.
      * @return the total in cycles.
      */
-    double add(const Network &net, const Packet &pkt);
+    double
+    add(const Network &net, const Packet &pkt)
+    {
+        return add(net, pkt,
+                   net.minTransferCycles(pkt.src, pkt.dst, pkt.numFlits));
+    }
+
+    /** add(@p net, @p pkt) with the packet's minTransferCycles
+     *  supplied by a caller that caches it per route. */
+    double add(const Network &net, const Packet &pkt,
+               Cycle transfer_cycles);
 
     void
     reset()

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/page_allocator.hh"
 #include "common/types.hh"
 
 namespace hnoc
@@ -28,6 +29,12 @@ enum class CacheState : std::uint8_t
 /**
  * A set-associative array of coherence-tracked lines.
  * Pure state container: controllers decide what to do on evictions.
+ *
+ * Storage is two flat arrays (DESIGN.md §6i): one word per way holding
+ * the block-aligned tag with the CacheState in its low two bits, and a
+ * parallel LRU stamp per way. A set scan reads only the packed words.
+ * Block size and set count must be powers of two; sets are indexed
+ * with a mask.
  */
 class CacheArray
 {
@@ -57,8 +64,9 @@ class CacheArray
     /** Drop the line (invalidate) if present. */
     void invalidate(Addr addr);
 
-    /** Mark as most-recently used. */
-    void touch(Addr addr);
+    /** Mark as most-recently used.
+     *  @return false (and no effect) if the line is not resident */
+    bool touch(Addr addr);
 
     int blockBytes() const { return blockBytes_; }
 
@@ -72,29 +80,34 @@ class CacheArray
     /** Valid lines displaced by insert(). */
     std::uint64_t evictions = 0;
 
-    /** Simulator-memory footprint of the line array (tag/state/LRU
+    /** Simulator-memory footprint of the line arrays (tag/state/LRU
      *  metadata — no data payloads are simulated). */
     std::uint64_t
     footprintBytes() const
     {
         return static_cast<std::uint64_t>(sizeof(*this)) +
-               lines_.capacity() * sizeof(Line);
+               lines_.capacity() * sizeof(Addr) +
+               lastUse_.capacity() * sizeof(std::uint64_t);
     }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        CacheState state = CacheState::Invalid;
-        std::uint64_t lastUse = 0;
-    };
+    static constexpr Addr STATE_MASK = 3;
 
-    std::size_t setIndex(Addr addr) const;
+    /** @return the first way index of @p addr's set. */
+    std::size_t setBase(Addr addr) const;
+
+    /** @return the way of @p set_base holding valid block @p tag, or
+     *  -1. */
+    int findWay(std::size_t set_base, Addr tag) const;
 
     int ways_;
     int blockBytes_;
-    std::size_t numSets_;
-    std::vector<Line> lines_; ///< numSets * ways
+    int blockShift_;
+    std::size_t setMask_;
+    /** numSets * ways: tag | state */
+    std::vector<Addr, PageAllocator<Addr>> lines_;
+    /** numSets * ways */
+    std::vector<std::uint64_t, PageAllocator<std::uint64_t>> lastUse_;
     std::uint64_t useClock_ = 0;
 };
 

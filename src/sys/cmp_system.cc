@@ -1,6 +1,7 @@
 #include "sys/cmp_system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -15,7 +16,25 @@ CmpSystem::CmpSystem(const NetworkConfig &net_config,
     net_->setClient(this);
     clkRatio_ = config_.coreClockGHz / net_->clockGHz();
 
+    if (config_.l1LatencyCoreCycles < 1 || config_.l2LatencyCoreCycles < 1 ||
+        config_.dramLatencyCoreCycles < 1)
+        fatal("CmpSystem: controller latencies must be >= 1 core cycle");
+    l1Net_ = coreToNet(config_.l1LatencyCoreCycles);
+    l2Net_ = coreToNet(config_.l2LatencyCoreCycles);
+    dramNet_ = coreToNet(config_.dramLatencyCoreCycles);
+    // Memory messages are handled one cycle after delivery; the
+    // horizon must exceed the longest delay.
+    Cycle max_delay = std::max({l1Net_, l2Net_, dramNet_, Cycle{1}});
+    Cycle horizon = 1;
+    while (horizon <= max_delay)
+        horizon <<= 1;
+    calendar_.resize(static_cast<std::size_t>(horizon));
+    calendarMask_ = horizon - 1;
+
     int nodes = net_->topology().numNodes();
+    // The CacheArrays built below reject a block size that is not a
+    // power of two.
+    blockShift_ = std::countr_zero(static_cast<unsigned>(config_.blockBytes));
     cores_.resize(static_cast<std::size_t>(nodes));
     banks_.resize(static_cast<std::size_t>(nodes));
     mcs_.resize(static_cast<std::size_t>(nodes));
@@ -40,16 +59,40 @@ CmpSystem::CmpSystem(const NetworkConfig &net_config,
             core.window = config_.smallWindowInstrs;
             core.maxOutstanding = config_.smallMaxOutstanding;
         }
+        core.loads.reset(static_cast<std::size_t>(core.maxOutstanding));
+        core.mshrs.reserve(static_cast<std::size_t>(core.maxOutstanding));
 
-        banks_[static_cast<std::size_t>(n)].l2 =
-            std::make_unique<CacheArray>(config_.l2BankBytes,
-                                         config_.l2Ways,
-                                         config_.blockBytes);
+        Bank &bank = banks_[static_cast<std::size_t>(n)];
+        bank.l2 = std::make_unique<CacheArray>(
+            config_.l2BankBytes, config_.l2Ways, config_.blockBytes);
+        // Half a slot per L2 line (4096 slots for the default bank),
+        // which grows past 3072 entries. After the figures' warm-up the
+        // fullest bank holds 1012 (vips) to 2632 (canl) lines, so those
+        // tables never grow; libquantum's (up to 4603) grow once
+        // (DESIGN.md §6i).
+        bank.dir = AddrTable<DirEntry>(static_cast<std::size_t>(
+            config_.l2BankBytes / static_cast<std::uint64_t>(
+                                      config_.blockBytes) / 2));
     }
 
+    // Contention-free transfer time per route for a control and a data
+    // packet, the only two lengths sent (Network::minTransferCycles
+    // walks the route, so it is not called per delivery).
+    transferCycles_.reserve(static_cast<std::size_t>(nodes) *
+                            static_cast<std::size_t>(nodes) * 2);
+    for (NodeId src = 0; src < nodes; ++src) {
+        for (NodeId dst = 0; dst < nodes; ++dst) {
+            transferCycles_.push_back(net_->minTransferCycles(src, dst, 1));
+            transferCycles_.push_back(net_->minTransferCycles(
+                src, dst, net_->dataPacketFlits()));
+        }
+    }
     mcTiles_ = mcTiles(config_.mcPlacement, net_config.radixX);
-    for (NodeId t : mcTiles_)
-        mcs_[static_cast<std::size_t>(t)].present = true;
+    for (NodeId t : mcTiles_) {
+        MemController &mc = mcs_[static_cast<std::size_t>(t)];
+        mc.present = true;
+        mc.queue.reset(64, /*growable=*/true);
+    }
 }
 
 CmpSystem::~CmpSystem() = default;
@@ -81,8 +124,6 @@ CmpSystem::idleCore(NodeId core)
 void
 CmpSystem::warmCaches(int memops_per_core)
 {
-    Addr victim = 0;
-    CacheState vstate = CacheState::Invalid;
     for (std::size_t n = 0; n < cores_.size(); ++n) {
         Core &core = cores_[n];
         if (core.idle || !core.gen)
@@ -94,59 +135,56 @@ CmpSystem::warmCaches(int memops_per_core)
         for (int i = 0; i < memops_per_core; ++i) {
             TraceRecord rec = twin.next();
             Addr block = core.l1->blockAddr(rec.addr);
-            Bank &bank = banks_[static_cast<std::size_t>(
-                homeTile(block))];
-            bank.l2->insert(block, CacheState::Shared, victim, vstate);
-            DirEntry &entry = bank.dir[block];
-            if (rec.isWrite) {
-                for (NodeId s : entry.sharers)
-                    cores_[static_cast<std::size_t>(s)].l1->invalidate(
-                        block);
-                if (entry.exclusive && entry.owner != INVALID_NODE &&
-                    entry.owner != static_cast<NodeId>(n))
-                    cores_[static_cast<std::size_t>(entry.owner)]
-                        .l1->invalidate(block);
-                entry.sharers.clear();
-                entry.exclusive = true;
-                entry.owner = static_cast<NodeId>(n);
-                core.l1->insert(block, CacheState::Modified, victim,
-                                vstate);
-            } else {
-                if (entry.exclusive &&
-                    entry.owner != static_cast<NodeId>(n)) {
-                    if (entry.owner != INVALID_NODE) {
-                        Core &oc = cores_[static_cast<std::size_t>(
-                            entry.owner)];
-                        if (oc.l1->lookup(block) != CacheState::Invalid)
-                            oc.l1->setState(block, CacheState::Shared);
-                        entry.sharers.push_back(entry.owner);
-                    }
-                    entry.exclusive = false;
-                    entry.owner = INVALID_NODE;
-                }
-                if (core.l1->lookup(block) == CacheState::Invalid) {
-                    bool first = entry.sharers.empty() &&
-                                 !entry.exclusive;
-                    if (first) {
-                        entry.exclusive = true;
-                        entry.owner = static_cast<NodeId>(n);
-                        core.l1->insert(block, CacheState::Exclusive,
-                                        victim, vstate);
-                    } else {
-                        if (std::find(entry.sharers.begin(),
-                                      entry.sharers.end(),
-                                      static_cast<NodeId>(n)) ==
-                            entry.sharers.end())
-                            entry.sharers.push_back(
-                                static_cast<NodeId>(n));
-                        core.l1->insert(block, CacheState::Shared,
-                                        victim, vstate);
-                    }
-                } else {
-                    core.l1->touch(block);
-                }
-            }
+            warmAccess(static_cast<NodeId>(n), core,
+                       banks_[static_cast<std::size_t>(homeTile(block))],
+                       block, rec.isWrite);
         }
+    }
+}
+
+void
+CmpSystem::warmAccess(NodeId id, Core &core, Bank &bank, Addr block,
+                      bool is_write)
+{
+    Addr victim = 0;
+    CacheState vstate = CacheState::Invalid;
+    bank.l2->insert(block, CacheState::Shared, victim, vstate);
+    DirEntry &entry = bank.dir.findOrInsert(block);
+    if (is_write) {
+        entry.sharers.forEach(bank.sharerPool, [&](NodeId s) {
+            cores_[static_cast<std::size_t>(s)].l1->invalidate(block);
+        });
+        if (entry.exclusive && entry.owner != INVALID_NODE &&
+            entry.owner != id)
+            cores_[static_cast<std::size_t>(entry.owner)].l1->invalidate(
+                block);
+        entry.sharers.clear(bank.sharerPool);
+        entry.exclusive = true;
+        entry.owner = id;
+        core.l1->insert(block, CacheState::Modified, victim, vstate);
+        return;
+    }
+    if (entry.exclusive && entry.owner != id) {
+        if (entry.owner != INVALID_NODE) {
+            Core &oc = cores_[static_cast<std::size_t>(entry.owner)];
+            if (oc.l1->lookup(block) != CacheState::Invalid)
+                oc.l1->setState(block, CacheState::Shared);
+            entry.sharers.append(bank.sharerPool, entry.owner);
+        }
+        entry.exclusive = false;
+        entry.owner = INVALID_NODE;
+    }
+    if (core.l1->touch(block)) {
+        // L1 hit.
+    } else if (entry.sharers.empty() && !entry.exclusive) {
+        // First reader gets Exclusive.
+        entry.exclusive = true;
+        entry.owner = id;
+        core.l1->insert(block, CacheState::Exclusive, victim, vstate);
+    } else {
+        if (!entry.sharers.contains(bank.sharerPool, id))
+            entry.sharers.append(bank.sharerPool, id);
+        core.l1->insert(block, CacheState::Shared, victim, vstate);
     }
 }
 
@@ -160,11 +198,35 @@ CmpSystem::coreToNet(int core_cycles) const
 NodeId
 CmpSystem::homeTile(Addr block) const
 {
-    Addr blk = block / static_cast<Addr>(config_.blockBytes);
+    Addr blk = block >> blockShift_;
     // Fold in high bits so private regions spread over all banks.
     Addr mixed = blk ^ (blk >> 12) ^ (blk >> 28);
     return static_cast<NodeId>(
         mixed % static_cast<Addr>(cores_.size()));
+}
+
+void
+CmpSystem::schedule(Cycle at, const Event &ev)
+{
+    // Bucket at & mask is drained at cycle `at` only if the delay is in
+    // [1, horizon); anything else would fire early or out of order.
+    if (at <= now_ || at - now_ > calendarMask_)
+        panic("CmpSystem: event for cycle %llu scheduled at cycle %llu, "
+              "outside the calendar horizon %llu",
+              static_cast<unsigned long long>(at),
+              static_cast<unsigned long long>(now_),
+              static_cast<unsigned long long>(calendarMask_ + 1));
+    calendar_[static_cast<std::size_t>(at & calendarMask_)].push(eventPool_,
+                                                                ev);
+}
+
+CmpSystem::Mshr *
+CmpSystem::findMshr(Core &core, Addr block)
+{
+    for (Mshr &m : core.mshrs)
+        if (m.block == block)
+            return &m;
+    return nullptr;
 }
 
 Msg *
@@ -245,16 +307,16 @@ CmpSystem::l1Misses() const
 void
 CmpSystem::preCycle(Network &, Cycle now)
 {
-    // 1. Deliver due controller events.
-    while (!events_.empty() && events_.begin()->first <= now) {
-        Event ev = events_.begin()->second;
-        events_.erase(events_.begin());
-        if (ev.isSend)
-            sendMsg(ev.msg.sender, ev.tile, ev.msg.type, ev.msg.block,
-                    ev.msg.requester, now);
-        else
-            handleMsg(ev.tile, ev.msg, now);
-    }
+    now_ = now;
+    // 1. Deliver this cycle's controller events in scheduling order.
+    calendar_[static_cast<std::size_t>(now & calendarMask_)].drain(
+        eventPool_, [&](const Event &ev) {
+            if (ev.isSend)
+                sendMsg(ev.msg.sender, ev.tile, ev.msg.type, ev.msg.block,
+                        ev.msg.requester, now);
+            else
+                handleMsg(ev.tile, ev.msg, now);
+        });
 
     // 2. Memory-controller service: start DRAM accesses.
     for (NodeId t : mcTiles_) {
@@ -270,8 +332,7 @@ CmpSystem::preCycle(Network &, Cycle now)
             ev.tile = req.requester; // home tile
             ev.msg = {MsgType::MemData, req.block, t, req.requester};
             ev.isSend = true;
-            events_.emplace(now + coreToNet(config_.dramLatencyCoreCycles),
-                            ev);
+            schedule(now + dramNet_, ev);
         }
     }
 
@@ -323,8 +384,7 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
 {
     Addr block = core.l1->blockAddr(rec.addr);
 
-    auto mshr_it = core.mshrs.find(block);
-    if (mshr_it != core.mshrs.end()) {
+    if (const Mshr *pending = findMshr(core, block)) {
         // Miss already outstanding for this block.
         if (!rec.isWrite) {
             if (static_cast<int>(core.loads.size()) >=
@@ -333,7 +393,7 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
             core.loads.push_back({block, core.retired});
             return true; // coalesced load
         }
-        if (mshr_it->second.isWrite)
+        if (pending->isWrite)
             return true; // store coalesces into pending GetX
         return false;    // write after pending read: stall
     }
@@ -367,9 +427,10 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
         return false;
 
     Mshr mshr;
-    mshr.isWrite = rec.isWrite;
+    mshr.block = block;
     mshr.issuedAt = now;
-    core.mshrs.emplace(block, mshr);
+    mshr.isWrite = rec.isWrite;
+    core.mshrs.push_back(mshr);
     ++core.l1Misses;
 
     if (!rec.isWrite)
@@ -395,23 +456,6 @@ CmpSystem::installLine(NodeId id, Core &core, Addr block, CacheState state,
     }
 }
 
-void
-CmpSystem::completeLoads(NodeId id, Core &core, Addr block, Cycle now)
-{
-    (void)id;
-    for (auto it = core.loads.begin(); it != core.loads.end();) {
-        if (it->block == block)
-            it = core.loads.erase(it);
-        else
-            ++it;
-    }
-    auto mshr_it = core.mshrs.find(block);
-    if (mshr_it != core.mshrs.end()) {
-        roundTrip_.add(static_cast<double>(now - mshr_it->second.issuedAt) *
-                       clkRatio_);
-    }
-}
-
 // ----------------------------------------------------------- messaging --
 
 void
@@ -423,8 +467,7 @@ CmpSystem::sendMsg(NodeId src, NodeId dst, MsgType type, Addr block,
     if (src == dst) {
         // Same-tile access: no network traversal; charge the bank
         // access latency.
-        events_.emplace(now + coreToNet(config_.l2LatencyCoreCycles),
-                        Event{dst, msg});
+        schedule(now + l2Net_, Event{dst, msg});
         return;
     }
     int flits = carriesData(msg.type) ? net_->dataPacketFlits() : 1;
@@ -441,7 +484,10 @@ CmpSystem::onPacketDelivered(Network &net, Packet &pkt, Cycle now)
         panic("CmpSystem: packet without message context");
 
     // Network latency accounting (Fig 11).
-    netStats_.add(net, pkt);
+    std::size_t route = static_cast<std::size_t>(pkt.src) * cores_.size() +
+                        static_cast<std::size_t>(pkt.dst);
+    netStats_.add(net, pkt,
+                  transferCycles_[route * 2 + (pkt.numFlits == 1 ? 0 : 1)]);
 
     // Charge the receiving controller's access latency, then handle.
     Cycle delay;
@@ -451,7 +497,7 @@ CmpSystem::onPacketDelivered(Network &net, Packet &pkt, Cycle now)
       case MsgType::PutM:
       case MsgType::InvAck:
       case MsgType::OwnerWb:
-        delay = coreToNet(config_.l2LatencyCoreCycles);
+        delay = l2Net_;
         break;
       case MsgType::MemRead:
       case MsgType::MemWrite:
@@ -459,10 +505,10 @@ CmpSystem::onPacketDelivered(Network &net, Packet &pkt, Cycle now)
         delay = 1;
         break;
       default:
-        delay = coreToNet(config_.l1LatencyCoreCycles);
+        delay = l1Net_;
         break;
     }
-    events_.emplace(now + delay, Event{pkt.dst, *m});
+    schedule(now + delay, Event{pkt.dst, *m});
     freeMsg(m);
 }
 
@@ -514,23 +560,25 @@ CmpSystem::coreHandle(NodeId tile, const Msg &msg, Cycle now)
                                       ? CacheState::Exclusive
                                       : CacheState::Modified);
         installLine(tile, core, block, state, now);
-        completeLoads(tile, core, block, now);
-        auto it = core.mshrs.find(block);
-        if (it != core.mshrs.end()) {
-            if (it->second.invalidatedWhilePending) {
+        core.loads.eraseIf(
+            [block](const OutstandingLoad &l) { return l.block == block; });
+        if (Mshr *mshr = findMshr(core, block)) {
+            roundTrip_.add(static_cast<double>(now - mshr->issuedAt) *
+                           clkRatio_);
+            if (mshr->invalidatedWhilePending) {
                 // The data is used once (the miss that requested it)
                 // and the line is dropped to respect the later
                 // invalidation that overtook it in the network.
                 core.l1->invalidate(block);
             }
-            core.mshrs.erase(it);
+            *mshr = core.mshrs.back();
+            core.mshrs.pop_back();
         }
         break;
       }
       case MsgType::Inv: {
-        auto it = core.mshrs.find(block);
-        if (it != core.mshrs.end())
-            it->second.invalidatedWhilePending = true;
+        if (Mshr *mshr = findMshr(core, block))
+            mshr->invalidatedWhilePending = true;
         else
             core.l1->invalidate(block);
         sendMsg(tile, msg.sender, MsgType::InvAck, block, msg.requester,
@@ -575,29 +623,27 @@ CmpSystem::dirHandle(NodeId tile, const Msg &msg, Cycle now)
         dirStartTxn(tile, msg, now);
         break;
       case MsgType::InvAck: {
-        auto it = bank.busy.find(block);
-        if (it == bank.busy.end())
+        Txn *txn = bank.busy.find(block);
+        if (!txn)
             break; // ack for an already-satisfied (stale-sharer) inv
-        if (--it->second.pendingInvAcks <= 0)
-            dirRespond(tile, block, it->second, now);
+        if (--txn->pendingInvAcks <= 0)
+            dirRespond(tile, block, *txn, now);
         break;
       }
       case MsgType::OwnerWb: {
         // Fill the L2 with the owner's (possibly dirty) line.
         fillL2(tile, block, CacheState::Modified, now);
-        auto it = bank.busy.find(block);
-        if (it != bank.busy.end()) {
-            it->second.waitingOwner = false;
-            dirRespond(tile, block, it->second, now);
+        if (Txn *txn = bank.busy.find(block)) {
+            txn->waitingOwner = false;
+            dirRespond(tile, block, *txn, now);
         }
         break;
       }
       case MsgType::MemData: {
         fillL2(tile, block, CacheState::Shared, now);
-        auto it = bank.busy.find(block);
-        if (it != bank.busy.end()) {
-            it->second.waitingMem = false;
-            dirRespond(tile, block, it->second, now);
+        if (Txn *txn = bank.busy.find(block)) {
+            txn->waitingMem = false;
+            dirRespond(tile, block, *txn, now);
         }
         break;
       }
@@ -625,19 +671,18 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
     Bank &bank = banks_[static_cast<std::size_t>(tile)];
     Addr block = msg.block;
 
-    auto busy_it = bank.busy.find(block);
-    if (busy_it != bank.busy.end()) {
-        busy_it->second.deferred.push_back(msg);
+    if (Txn *busy = bank.busy.find(block)) {
+        busy->deferred.push(bank.deferredPool, msg);
         return;
     }
 
     if (msg.type == MsgType::PutM) {
         // Writebacks complete immediately (no transaction).
-        auto dir_it = bank.dir.find(block);
-        if (dir_it != bank.dir.end() && dir_it->second.exclusive &&
-            dir_it->second.owner == msg.sender) {
+        DirEntry *owned = bank.dir.find(block);
+        if (owned && owned->exclusive && owned->owner == msg.sender) {
             fillL2(tile, block, CacheState::Modified, now);
-            bank.dir.erase(dir_it);
+            owned->sharers.clear(bank.sharerPool);
+            bank.dir.erase(block);
         }
         // Stale PutM (owner changed since): data is already current.
         sendMsg(tile, msg.sender, MsgType::WbAck, block, msg.sender, now);
@@ -648,7 +693,8 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
     txn.req = msg.type;
     txn.requester = msg.sender;
 
-    DirEntry &entry = bank.dir[block]; // creates Uncached entry if new
+    // Creates an Uncached entry if new.
+    DirEntry &entry = bank.dir.findOrInsert(block);
 
     // A silently-dropped Exclusive line can leave the requester itself
     // registered as owner: treat as unowned.
@@ -670,20 +716,21 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
             bank.l2->touch(block);
         }
     } else { // GetX
-        txn.upgrade =
-            std::find(entry.sharers.begin(), entry.sharers.end(),
-                      txn.requester) != entry.sharers.end();
+        txn.upgrade = entry.sharers.contains(bank.sharerPool,
+                                             txn.requester);
         if (entry.exclusive) {
             txn.waitingOwner = true;
             sendMsg(tile, entry.owner, MsgType::FwdGetX, block,
                     txn.requester, now);
         } else {
-            for (NodeId s : entry.sharers) {
+            // Fan-out in sharer insertion order (the order is visible
+            // in message timing).
+            entry.sharers.forEach(bank.sharerPool, [&](NodeId s) {
                 if (s == txn.requester)
-                    continue;
+                    return;
                 ++txn.pendingInvAcks;
                 sendMsg(tile, s, MsgType::Inv, block, txn.requester, now);
-            }
+            });
             if (!txn.upgrade &&
                 bank.l2->lookup(block) == CacheState::Invalid) {
                 txn.waitingMem = true;
@@ -694,9 +741,9 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
         }
     }
 
-    auto [it, inserted] = bank.busy.emplace(block, std::move(txn));
-    (void)inserted;
-    dirRespond(tile, block, it->second, now);
+    Txn &live = bank.busy.findOrInsert(block);
+    live = txn;
+    dirRespond(tile, block, live, now);
 }
 
 void
@@ -706,7 +753,7 @@ CmpSystem::dirRespond(NodeId tile, Addr block, Txn &txn, Cycle now)
         return;
 
     Bank &bank = banks_[static_cast<std::size_t>(tile)];
-    DirEntry &entry = bank.dir[block];
+    DirEntry &entry = bank.dir.findOrInsert(block);
 
     MsgType type;
     if (txn.req == MsgType::GetS) {
@@ -720,17 +767,16 @@ CmpSystem::dirRespond(NodeId tile, Addr block, Txn &txn, Cycle now)
             type = MsgType::DataS;
             if (was_owned) {
                 // Owner was demoted by FwdGetS.
-                entry.sharers.push_back(entry.owner);
+                entry.sharers.append(bank.sharerPool, entry.owner);
                 entry.exclusive = false;
                 entry.owner = INVALID_NODE;
             }
-            if (std::find(entry.sharers.begin(), entry.sharers.end(),
-                          txn.requester) == entry.sharers.end())
-                entry.sharers.push_back(txn.requester);
+            if (!entry.sharers.contains(bank.sharerPool, txn.requester))
+                entry.sharers.append(bank.sharerPool, txn.requester);
         }
     } else { // GetX
         type = txn.upgrade ? MsgType::UpgradeAck : MsgType::DataM;
-        entry.sharers.clear();
+        entry.sharers.clear(bank.sharerPool);
         entry.exclusive = true;
         entry.owner = txn.requester;
     }
@@ -743,14 +789,14 @@ void
 CmpSystem::dirFinishTxn(NodeId tile, Addr block, Cycle now)
 {
     Bank &bank = banks_[static_cast<std::size_t>(tile)];
-    auto it = bank.busy.find(block);
-    if (it == bank.busy.end())
+    const Txn *txn = bank.busy.find(block);
+    if (!txn)
         return;
-    std::vector<Msg> deferred = std::move(it->second.deferred);
-    bank.busy.erase(it);
+    MsgFifo deferred = txn->deferred;
+    bank.busy.erase(block);
     // Replay deferred requests in arrival order; each may re-block.
-    for (const Msg &m : deferred)
-        dirStartTxn(tile, m, now);
+    deferred.drain(bank.deferredPool,
+                   [&](const Msg &m) { dirStartTxn(tile, m, now); });
 }
 
 // -------------------------------------------------------------- memory --
@@ -792,33 +838,24 @@ CmpSystem::memoryAudit() const
     }
     a.add("l2_banks", b, n);
 
-    // Full-map MESI directory: per tracked line one hash node (key +
-    // DirEntry + bucket links) plus the sharers vector, whose
-    // capacity grows toward O(tiles) per widely shared line — the
-    // scaling blocker this audit exists to measure. Hash-node
-    // overhead is estimated at two pointers per node (libstdc++
-    // layout); bucket arrays are counted exactly.
+    // Full-map MESI directory: the table slots of every bank plus the
+    // pooled sharer chunks of lines with more than two sharers — the
+    // O(tiles) part, the scaling blocker this audit exists to measure.
+    // Both are counted exactly from capacity.
     std::uint64_t entries = 0;
     b = 0;
     for (const Bank &bank : banks_) {
-        b += bank.dir.bucket_count() * sizeof(void *);
-        for (const auto &kv : bank.dir) {
-            b += sizeof(kv) + 2 * sizeof(void *);
-            b += kv.second.sharers.capacity() * sizeof(NodeId);
-            ++entries;
-        }
+        b += bank.dir.footprintBytes() + bank.sharerPool.footprintBytes();
+        entries += bank.dir.size();
     }
     a.add("mesi_directory", b, entries);
 
     b = 0;
     std::uint64_t txns = 0;
     for (const Bank &bank : banks_) {
-        b += bank.busy.bucket_count() * sizeof(void *);
-        for (const auto &kv : bank.busy) {
-            b += sizeof(kv) + 2 * sizeof(void *);
-            b += kv.second.deferred.size() * sizeof(Msg);
-            ++txns;
-        }
+        b += bank.busy.footprintBytes() +
+             bank.deferredPool.footprintBytes();
+        txns += bank.busy.size();
     }
     a.add("directory_txns", b, txns);
 

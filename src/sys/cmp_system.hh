@@ -17,14 +17,14 @@
 
 #include <array>
 #include <deque>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/ring_buffer.hh"
 #include "common/stats.hh"
 #include "noc/network.hh"
 #include "sys/cache.hh"
+#include "sys/dir_table.hh"
 #include "sys/mc_placement.hh"
 #include "sys/protocol.hh"
 #include "sys/workloads.hh"
@@ -133,10 +133,11 @@ class CmpSystem : public NetworkClient
 
     /**
      * Per-component memory breakdown: the network's audit extended
-     * with the L1/L2 arrays, the full-map MESI directory (a hash-map
-     * entry with an O(tiles) sharer list per tracked line), live
-     * directory transactions, and the message arena. Directory bytes
-     * scale with tracked lines × sharer-list length, so run it after
+     * with the L1/L2 arrays, the full-map MESI directory (table slots
+     * plus the pooled sharer chunks), live directory transactions
+     * (table slots plus the pooled deferred requests), and the message
+     * arena. Every row is exact: capacities of the flat tables and
+     * pools. Directory bytes grow with tracked lines, so run it after
      * warmup for a representative number.
      */
     MemoryAudit memoryAudit() const;
@@ -154,8 +155,9 @@ class CmpSystem : public NetworkClient
 
     struct Mshr
     {
-        bool isWrite = false;
+        Addr block = 0;
         Cycle issuedAt = 0;
+        bool isWrite = false;
         bool invalidatedWhilePending = false;
     };
 
@@ -175,8 +177,11 @@ class CmpSystem : public NetworkClient
         bool hasPending = false;
         int nonMemLeft = 0;
 
-        std::deque<OutstandingLoad> loads;
-        std::unordered_map<Addr, Mshr> mshrs;
+        /** Loads in issue order (fixed capacity maxOutstanding). */
+        RingBuffer<OutstandingLoad> loads;
+        /** Outstanding misses, unordered; reserved to maxOutstanding,
+         *  which issueMemOp never exceeds. */
+        std::vector<Mshr> mshrs;
 
         std::uint64_t l1Hits = 0;
         std::uint64_t l1Misses = 0;
@@ -192,27 +197,29 @@ class CmpSystem : public NetworkClient
         bool waitingMem = false;
         bool waitingOwner = false;
         bool upgrade = false; ///< requester already held the line shared
-        std::vector<Msg> deferred;
+        MsgFifo deferred;     ///< in Bank::deferredPool, arrival order
     };
 
     struct DirEntry
     {
-        bool exclusive = false;
         NodeId owner = INVALID_NODE;
-        std::vector<NodeId> sharers;
+        bool exclusive = false;
+        SharerList sharers; ///< in Bank::sharerPool, insertion order
     };
 
     struct Bank
     {
         std::unique_ptr<CacheArray> l2;
-        std::unordered_map<Addr, DirEntry> dir;
-        std::unordered_map<Addr, Txn> busy;
+        AddrTable<DirEntry> dir;
+        AddrTable<Txn> busy;
+        SharerPool sharerPool;
+        MsgPool deferredPool;
     };
 
     struct MemController
     {
         bool present = false;
-        std::deque<Msg> queue;
+        RingBuffer<Msg> queue;
         Cycle nextFree = 0;
     };
 
@@ -227,12 +234,18 @@ class CmpSystem : public NetworkClient
     // --- helpers -------------------------------------------------------
     Cycle coreToNet(int core_cycles) const;
     NodeId homeTile(Addr block) const;
+    /** Queue @p ev for the preCycle of cycle @p at (> now). */
+    void schedule(Cycle at, const Event &ev);
+    static Mshr *findMshr(Core &core, Addr block);
+    /** Apply one functional warm-up access by core @p id to @p block,
+     *  whose home bank is @p bank. */
+    void warmAccess(NodeId id, Core &core, Bank &bank, Addr block,
+                    bool is_write);
     void stepCore(NodeId id, Core &core, Cycle now);
     bool issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
                     Cycle now);
     void installLine(NodeId id, Core &core, Addr block, CacheState state,
                      Cycle now);
-    void completeLoads(NodeId id, Core &core, Addr block, Cycle now);
 
     /** Send a @p type message for @p block from @p src (its sender)
      *  to @p dst on behalf of @p requester. */
@@ -264,12 +277,28 @@ class CmpSystem : public NetworkClient
     std::vector<MemController> mcs_;
     std::vector<NodeId> mcTiles_;
 
-    std::multimap<Cycle, Event> events_;
+    int blockShift_ = 0; ///< log2(blockBytes)
+
+    /** Controller latencies in network cycles (each >= 1). */
+    Cycle l1Net_ = 1;
+    Cycle l2Net_ = 1;
+    Cycle dramNet_ = 1;
+
+    /** Calendar queue: one FIFO per cycle, indexed cycle & mask, all
+     *  in one node pool. Every delay is in [1, horizon), so a bucket
+     *  only ever holds events of the next cycle that maps to it
+     *  (DESIGN.md §6i). */
+    std::vector<PoolFifo<Event>> calendar_;
+    ChainPool<Event> eventPool_;
+    Cycle calendarMask_ = 0;
+    Cycle now_ = 0; ///< cycle of the latest preCycle
 
     std::deque<std::unique_ptr<Msg>> msgArena_;
     std::vector<Msg *> msgFree_;
 
     // measurement
+    /** Network::minTransferCycles per (src, dst, carries data). */
+    std::vector<Cycle> transferCycles_;
     NetLatencyStats netStats_;
     RunningStat roundTrip_;
     Cycle statsStart_ = 0;
