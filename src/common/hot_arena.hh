@@ -10,8 +10,14 @@
  * hot state spans several megabytes) thrash the TLB long before they
  * exhaust cache bandwidth. The arena fixes both halves: components
  * carve their hot storage from one region laid out in block visit
- * order, and the region is 2 MiB-aligned and MADV_HUGEPAGE-advised so
- * the kernel can back it with huge pages (one TLB entry per 2 MiB).
+ * order, and a region of half a huge page or more is 2 MiB-aligned and
+ * MADV_HUGEPAGE-advised so the kernel can back it with huge pages (one
+ * TLB entry per 2 MiB). A smaller region is rounded to 4 KiB pages
+ * only: a huge page would keep 2 MiB resident for it, and its few
+ * pages fit the TLB anyway. Such a region is a pooled page block
+ * (page_allocator.hh), so networks built and dropped on several
+ * threads reuse one set of blocks instead of leaving freed regions
+ * resident in each thread's malloc arena.
  *
  * Carving is monotonic and permanent — there is no free(); the arena
  * is sized once from the components' declared needs and released as a
@@ -29,6 +35,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <new>
+
+#include "common/page_allocator.hh"
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -37,27 +46,40 @@
 namespace hnoc
 {
 
-/** Monotonic bump allocator over one huge-page-aligned region. */
+/** Monotonic bump allocator over one page-aligned region. */
 class HotArena
 {
   public:
     static constexpr std::size_t kHugePage = 2u * 1024 * 1024;
+    static constexpr std::size_t kPage = 4096;
 
     HotArena() = default;
     ~HotArena() { release(); }
     HotArena(const HotArena &) = delete;
     HotArena &operator=(const HotArena &) = delete;
 
-    /** Reserve room for @p bytes (rounded up to whole huge pages) and
-     *  advise huge-page backing. Drops any previous region. A failed
-     *  reservation leaves the arena empty, which every alloc()
-     *  reports as exhaustion. */
+    /** Reserve room for @p bytes. From half a huge page up, the region
+     *  is rounded up to whole huge pages and advised huge-page
+     *  backing; below that, rounded up to whole 4 KiB pages. Drops any
+     *  previous region. A failed reservation leaves the arena empty,
+     *  which every alloc() reports as exhaustion. */
     void
     reserve(std::size_t bytes)
     {
         release();
         if (bytes == 0)
             return;
+        if (bytes < kHugePage / 2) {
+            std::size_t size = (bytes + kPage - 1) / kPage * kPage;
+            try {
+                base_ = static_cast<std::byte *>(
+                    detail::takePagedBlock(size));
+            } catch (const std::bad_alloc &) {
+                return;
+            }
+            size_ = size;
+            return;
+        }
         size_ = (bytes + kHugePage - 1) / kHugePage * kHugePage;
         base_ = static_cast<std::byte *>(
             std::aligned_alloc(kHugePage, size_));
@@ -91,7 +113,12 @@ class HotArena
     void
     release()
     {
-        std::free(base_);
+        // Pooled regions are below half a huge page; advised ones are
+        // whole huge pages.
+        if (size_ >= kHugePage)
+            std::free(base_);
+        else if (base_ != nullptr)
+            detail::keepPagedBlock(base_, size_);
         base_ = nullptr;
         size_ = 0;
         used_ = 0;

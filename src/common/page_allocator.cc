@@ -29,6 +29,12 @@ constexpr std::size_t kBins = 16;
 std::mutex binMutex;
 std::array<PagedBin, kBins> bins;
 
+#if !defined(__linux__)
+/** Blocks are page-aligned on every platform (a HotArena's 64-B
+ *  carves rely on it). */
+constexpr std::align_val_t kFallbackAlign{4096};
+#endif
+
 } // namespace
 
 void *
@@ -51,7 +57,7 @@ takePagedBlock(std::size_t bytes)
         throw std::bad_alloc();
     return p;
 #else
-    return ::operator new(bytes);
+    return ::operator new(bytes, kFallbackAlign);
 #endif
 }
 
@@ -73,7 +79,7 @@ keepPagedBlock(void *p, std::size_t bytes) noexcept
 #if defined(__linux__)
     ::munmap(p, bytes);
 #else
-    ::operator delete(p);
+    ::operator delete(p, kFallbackAlign);
 #endif
 }
 

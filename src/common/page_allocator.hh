@@ -19,7 +19,8 @@
  * blocks are mapped straight from the OS (page-aligned, populated in
  * the same call, since the containers fill every slot at once). Pooled
  * blocks are never returned to the OS. Smaller blocks use
- * std::allocator.
+ * std::allocator. A network's hot arena below 1 MiB (hot_arena.hh)
+ * takes its region from the same free lists.
  */
 
 #ifndef HNOC_COMMON_PAGE_ALLOCATOR_HH
@@ -34,8 +35,8 @@ namespace hnoc
 namespace detail
 {
 
-/** A block of exactly @p bytes: a pooled one of that size, else a new
- *  mapping. Throws std::bad_alloc. */
+/** A page-aligned block of exactly @p bytes: a pooled one of that
+ *  size, else a new mapping. Throws std::bad_alloc. */
 void *takePagedBlock(std::size_t bytes);
 
 /** Return @p p, of @p bytes, to the pool for its size. */

@@ -31,10 +31,11 @@ enum class CacheState : std::uint8_t
  * Pure state container: controllers decide what to do on evictions.
  *
  * Storage is two flat arrays (DESIGN.md §6i): one word per way holding
- * the block-aligned tag with the CacheState in its low two bits, and a
- * parallel LRU stamp per way. A set scan reads only the packed words.
- * Block size and set count must be powers of two; sets are indexed
- * with a mask.
+ * the block-aligned tag with the CacheState in its low two bits, and
+ * one recency word per set listing its way ids in 4-bit fields, most
+ * recently used first. A set scan reads only the packed words. At most
+ * 16 ways; block size and set count must be powers of two, and sets
+ * are indexed with a mask.
  */
 class CacheArray
 {
@@ -87,18 +88,29 @@ class CacheArray
     {
         return static_cast<std::uint64_t>(sizeof(*this)) +
                lines_.capacity() * sizeof(Addr) +
-               lastUse_.capacity() * sizeof(std::uint64_t);
+               recency_.capacity() * sizeof(std::uint64_t);
     }
 
   private:
     static constexpr Addr STATE_MASK = 3;
+    /** Ways one recency word can order. */
+    static constexpr int MAX_WAYS = 16;
 
-    /** @return the first way index of @p addr's set. */
-    std::size_t setBase(Addr addr) const;
+    /** @return the index of @p addr's set. */
+    std::size_t setOf(Addr addr) const;
+
+    std::size_t
+    baseOf(std::size_t set) const
+    {
+        return set * static_cast<std::size_t>(ways_);
+    }
 
     /** @return the way of @p set_base holding valid block @p tag, or
      *  -1. */
     int findWay(std::size_t set_base, Addr tag) const;
+
+    /** Make @p way the most recently used of @p set. */
+    void promote(std::size_t set, int way);
 
     int ways_;
     int blockBytes_;
@@ -106,9 +118,9 @@ class CacheArray
     std::size_t setMask_;
     /** numSets * ways: tag | state */
     std::vector<Addr, PageAllocator<Addr>> lines_;
-    /** numSets * ways */
-    std::vector<std::uint64_t, PageAllocator<std::uint64_t>> lastUse_;
-    std::uint64_t useClock_ = 0;
+    /** numSets: way ids, field 0 (low nibble) most recent; fields at
+     *  or past ways_ hold 0xF */
+    std::vector<std::uint64_t> recency_;
 };
 
 } // namespace hnoc

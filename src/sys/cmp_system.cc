@@ -3,15 +3,41 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 
 namespace hnoc
 {
 
+namespace
+{
+
+/** @return @p net_config, once its tile count is known to fit the
+ *  directory's 16-bit ids (SharerId). Checked before the Network is
+ *  built, which would size every per-tile structure first. */
+const NetworkConfig &
+checkTileCount(const NetworkConfig &net_config)
+{
+    constexpr long long max_tiles = std::numeric_limits<SharerId>::max();
+    // Two int factors cannot overflow; the third is applied only to a
+    // product already within the limit.
+    long long routers =
+        static_cast<long long>(net_config.radixX) * net_config.radixY;
+    if (routers > max_tiles || routers * net_config.concentration > max_tiles)
+        fatal("CmpSystem: %d x %d routers x %d terminals is more than "
+              "%lld tiles (16-bit directory ids)",
+              net_config.radixX, net_config.radixY,
+              net_config.concentration, max_tiles);
+    return net_config;
+}
+
+} // namespace
+
 CmpSystem::CmpSystem(const NetworkConfig &net_config,
                      const CmpConfig &config)
-    : config_(config), net_(std::make_unique<Network>(net_config))
+    : config_(config),
+      net_(std::make_unique<Network>(checkTileCount(net_config)))
 {
     net_->setClient(this);
     clkRatio_ = config_.coreClockGHz / net_->clockGHz();
@@ -154,32 +180,26 @@ CmpSystem::warmAccess(NodeId id, Core &core, Bank &bank, Addr block,
         entry.sharers.forEach(bank.sharerPool, [&](NodeId s) {
             cores_[static_cast<std::size_t>(s)].l1->invalidate(block);
         });
-        if (entry.exclusive && entry.owner != INVALID_NODE &&
-            entry.owner != id)
+        if (entry.owned() && entry.owner != id)
             cores_[static_cast<std::size_t>(entry.owner)].l1->invalidate(
                 block);
         entry.sharers.clear(bank.sharerPool);
-        entry.exclusive = true;
-        entry.owner = id;
+        entry.setOwner(id);
         core.l1->insert(block, CacheState::Modified, victim, vstate);
         return;
     }
-    if (entry.exclusive && entry.owner != id) {
-        if (entry.owner != INVALID_NODE) {
-            Core &oc = cores_[static_cast<std::size_t>(entry.owner)];
-            if (oc.l1->lookup(block) != CacheState::Invalid)
-                oc.l1->setState(block, CacheState::Shared);
-            entry.sharers.append(bank.sharerPool, entry.owner);
-        }
-        entry.exclusive = false;
-        entry.owner = INVALID_NODE;
+    if (entry.owned() && entry.owner != id) {
+        Core &oc = cores_[static_cast<std::size_t>(entry.owner)];
+        if (oc.l1->lookup(block) != CacheState::Invalid)
+            oc.l1->setState(block, CacheState::Shared);
+        entry.sharers.append(bank.sharerPool, entry.owner);
+        entry.setOwner(INVALID_NODE);
     }
     if (core.l1->touch(block)) {
         // L1 hit.
-    } else if (entry.sharers.empty() && !entry.exclusive) {
+    } else if (entry.sharers.empty() && !entry.owned()) {
         // First reader gets Exclusive.
-        entry.exclusive = true;
-        entry.owner = id;
+        entry.setOwner(id);
         core.l1->insert(block, CacheState::Exclusive, victim, vstate);
     } else {
         if (!entry.sharers.contains(bank.sharerPool, id))
@@ -679,7 +699,7 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
     if (msg.type == MsgType::PutM) {
         // Writebacks complete immediately (no transaction).
         DirEntry *owned = bank.dir.find(block);
-        if (owned && owned->exclusive && owned->owner == msg.sender) {
+        if (owned && owned->owner == msg.sender) {
             fillL2(tile, block, CacheState::Modified, now);
             owned->sharers.clear(bank.sharerPool);
             bank.dir.erase(block);
@@ -698,13 +718,11 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
 
     // A silently-dropped Exclusive line can leave the requester itself
     // registered as owner: treat as unowned.
-    if (entry.exclusive && entry.owner == txn.requester) {
-        entry.exclusive = false;
-        entry.owner = INVALID_NODE;
-    }
+    if (entry.owner == txn.requester)
+        entry.setOwner(INVALID_NODE);
 
     if (msg.type == MsgType::GetS) {
-        if (entry.exclusive) {
+        if (entry.owned()) {
             txn.waitingOwner = true;
             sendMsg(tile, entry.owner, MsgType::FwdGetS, block,
                     txn.requester, now);
@@ -718,7 +736,7 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
     } else { // GetX
         txn.upgrade = entry.sharers.contains(bank.sharerPool,
                                              txn.requester);
-        if (entry.exclusive) {
+        if (entry.owned()) {
             txn.waitingOwner = true;
             sendMsg(tile, entry.owner, MsgType::FwdGetX, block,
                     txn.requester, now);
@@ -757,19 +775,17 @@ CmpSystem::dirRespond(NodeId tile, Addr block, Txn &txn, Cycle now)
 
     MsgType type;
     if (txn.req == MsgType::GetS) {
-        bool was_owned = entry.exclusive;
+        bool was_owned = entry.owned();
         if (entry.sharers.empty() && !was_owned) {
             // First reader gets Exclusive (the E of MESI).
             type = MsgType::DataE;
-            entry.exclusive = true;
-            entry.owner = txn.requester;
+            entry.setOwner(txn.requester);
         } else {
             type = MsgType::DataS;
             if (was_owned) {
                 // Owner was demoted by FwdGetS.
                 entry.sharers.append(bank.sharerPool, entry.owner);
-                entry.exclusive = false;
-                entry.owner = INVALID_NODE;
+                entry.setOwner(INVALID_NODE);
             }
             if (!entry.sharers.contains(bank.sharerPool, txn.requester))
                 entry.sharers.append(bank.sharerPool, txn.requester);
@@ -777,8 +793,7 @@ CmpSystem::dirRespond(NodeId tile, Addr block, Txn &txn, Cycle now)
     } else { // GetX
         type = txn.upgrade ? MsgType::UpgradeAck : MsgType::DataM;
         entry.sharers.clear(bank.sharerPool);
-        entry.exclusive = true;
-        entry.owner = txn.requester;
+        entry.setOwner(txn.requester);
     }
 
     sendMsg(tile, txn.requester, type, block, txn.requester, now);
@@ -863,6 +878,15 @@ CmpSystem::memoryAudit() const
           msgArena_.size() * (sizeof(std::unique_ptr<Msg>) + sizeof(Msg)) +
               msgFree_.capacity() * sizeof(Msg *),
           msgArena_.size());
+
+    // The controller-event calendar (bucket heads and the shared node
+    // pool), the memory-controller queues and the transfer-time table.
+    b = calendar_.capacity() * sizeof(PoolFifo<Event>) +
+        eventPool_.footprintBytes() +
+        transferCycles_.capacity() * sizeof(Cycle);
+    for (const MemController &mc : mcs_)
+        b += mc.queue.capacity() * sizeof(Msg);
+    a.add("cmp_queues", b, calendar_.size() + mcTiles_.size() + 1);
     return a;
 }
 

@@ -135,10 +135,11 @@ class CmpSystem : public NetworkClient
      * Per-component memory breakdown: the network's audit extended
      * with the L1/L2 arrays, the full-map MESI directory (table slots
      * plus the pooled sharer chunks), live directory transactions
-     * (table slots plus the pooled deferred requests), and the message
-     * arena. Every row is exact: capacities of the flat tables and
-     * pools. Directory bytes grow with tracked lines, so run it after
-     * warmup for a representative number.
+     * (table slots plus the pooled deferred requests), the message
+     * arena, and the event calendar, memory-controller queues and
+     * transfer-time table. Every row is exact: capacities of the flat
+     * tables and pools. Directory bytes grow with tracked lines, so
+     * run it after warmup for a representative number.
      */
     MemoryAudit memoryAudit() const;
 
@@ -200,11 +201,16 @@ class CmpSystem : public NetworkClient
         MsgFifo deferred;     ///< in Bank::deferredPool, arrival order
     };
 
+    /** 16 B: with its key, a directory slot is 24 B. */
     struct DirEntry
     {
-        NodeId owner = INVALID_NODE;
-        bool exclusive = false;
+        /** The E/M holder, or INVALID_NODE when none holds the line
+         *  exclusively (see SharerId for the width). */
+        SharerId owner = INVALID_NODE;
         SharerList sharers; ///< in Bank::sharerPool, insertion order
+
+        bool owned() const { return owner != INVALID_NODE; }
+        void setOwner(NodeId id) { owner = static_cast<SharerId>(id); }
     };
 
     struct Bank

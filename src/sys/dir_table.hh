@@ -251,13 +251,17 @@ class ChainPool
     std::size_t live_ = 0;
 };
 
-using SharerChunk = std::array<NodeId, 7>;
+/** A sharer id: CmpSystem rejects more than INT16_MAX tiles. */
+using SharerId = std::int16_t;
+/** 14 ids and the link: 32 B per pooled node. */
+using SharerChunk = std::array<SharerId, 14>;
 using SharerPool = ChainPool<SharerChunk>;
 
 /**
  * A sharer list in insertion order: the first INLINE ids in the entry,
  * the rest in a chain of pooled chunks. Holds no duplicates only if
  * the caller checks contains() before append(), as the directory does.
+ * Ids are stored in 16 bits, so the list is 12 B.
  */
 class SharerList
 {
@@ -277,13 +281,13 @@ class SharerList
     {
         std::uint32_t n = count_ < INLINE ? count_ : INLINE;
         for (std::uint32_t i = 0; i < n; ++i)
-            if (pred(inline_[i]))
+            if (pred(NodeId{inline_[i]}))
                 return true;
         std::uint32_t left = count_ - n;
         for (std::uint32_t c = spill_; left > 0; c = pool[c].next) {
             std::uint32_t k = left < CHUNK ? left : CHUNK;
             for (std::uint32_t i = 0; i < k; ++i)
-                if (pred(pool[c].value[i]))
+                if (pred(NodeId{pool[c].value[i]}))
                     return true;
             left -= k;
         }
@@ -310,8 +314,9 @@ class SharerList
     void
     append(SharerPool &pool, NodeId id)
     {
+        auto sid = static_cast<SharerId>(id);
         if (count_ < INLINE) {
-            inline_[count_++] = id;
+            inline_[count_++] = sid;
             return;
         }
         std::uint32_t pos = count_ - INLINE;
@@ -326,7 +331,7 @@ class SharerList
                 pool[tail].next = fresh;
             tail = fresh;
         }
-        pool[tail].value[pos % CHUNK] = id;
+        pool[tail].value[pos % CHUNK] = sid;
         ++count_;
     }
 
@@ -345,9 +350,9 @@ class SharerList
     }
 
   private:
-    std::uint32_t count_ = 0;
+    std::uint16_t count_ = 0;
+    SharerId inline_[INLINE] = {};
     std::uint32_t spill_ = SharerPool::NIL; ///< first chunk
-    NodeId inline_[INLINE] = {};
 };
 
 /**

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/geometry.hh"
+#include "common/hot_arena.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -184,6 +186,44 @@ TEST(HeatMap, Formats)
     std::string s = formatHeatMap(v, 2, "t");
     EXPECT_NE(s.find("1.0"), std::string::npos);
     EXPECT_NE(s.find("4.0"), std::string::npos);
+}
+
+TEST(HotArena, HugePagesOnlyFromHalfAHugePage)
+{
+    constexpr std::size_t kHuge = HotArena::kHugePage;
+    auto reserved = [](std::size_t bytes, std::size_t align) {
+        HotArena arena;
+        arena.reserve(bytes);
+        // The first carve is the region's base.
+        std::byte *base = arena.alloc(1, 1);
+        EXPECT_NE(base, nullptr) << bytes;
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(base) % align, 0u)
+            << bytes;
+        return arena.reservedBytes();
+    };
+    // An 8x8 network's hot state (~0.4 MB) keeps to 4 KiB pages.
+    EXPECT_EQ(reserved(1, HotArena::kPage), HotArena::kPage);
+    EXPECT_EQ(reserved(600 * 1024 + 1, HotArena::kPage),
+              151 * HotArena::kPage);
+    EXPECT_EQ(reserved(kHuge / 2 - 1, HotArena::kPage), kHuge / 2);
+    // From 1 MiB up, whole huge pages.
+    EXPECT_EQ(reserved(kHuge / 2, kHuge), kHuge);
+    EXPECT_EQ(reserved(kHuge + 1, kHuge), 2 * kHuge);
+
+    HotArena empty;
+    empty.reserve(0);
+    EXPECT_EQ(empty.reservedBytes(), 0u);
+    EXPECT_EQ(empty.alloc(1), nullptr);
+
+    // A small region is a pooled page block: the next arena of the
+    // same size, on any thread, reuses the one just released.
+    HotArena first;
+    first.reserve(77 * HotArena::kPage);
+    std::byte *base = first.alloc(1, 1);
+    first.reserve(0);
+    HotArena second;
+    second.reserve(77 * HotArena::kPage);
+    EXPECT_EQ(second.alloc(1, 1), base);
 }
 
 } // namespace

@@ -29,8 +29,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "heteronoc/layout.hh"
@@ -483,6 +485,33 @@ TEST(Footprint, SteadyStateMemoryAuditIsConstant)
     EXPECT_GT(warm.totalBytes(), 0u);
     EXPECT_EQ(warm.totalBytes(), later.totalBytes());
     EXPECT_EQ(warm.tiles, nodes);
+}
+
+TEST(Footprint, WarmedCmpMetadataMatchesGeometry)
+{
+    // Table 2(a) on 8x8: per tile an L1 of 64 sets x 4 ways, an L2
+    // bank of 512 sets x 16 ways and a 4096-slot directory table. A
+    // cache costs one tag word per way and one recency word per set; a
+    // directory slot costs 24 B. A layout change that re-inflates this
+    // metadata fails here. The workload touches private lines only, so
+    // no line gains a third sharer (the pooled sharer chunks stay
+    // empty), and ~2048 lines per bank stay under the tables' 3072-
+    // entry growth point.
+    WorkloadProfile priv = workloadByName("vips");
+    priv.sharedFrac = 0.0;
+    priv.privateBlocks = 2048;
+    CmpSystem sys(makeLayoutConfig(LayoutKind::Baseline), CmpConfig{});
+    sys.assignWorkloadAll(priv);
+    sys.warmCaches(20000);
+
+    std::map<std::string, std::uint64_t> rows;
+    for (const auto &c : sys.memoryAudit().components)
+        rows[c.name] = c.bytes;
+    constexpr std::uint64_t kTiles = 64;
+    constexpr std::uint64_t kArray = sizeof(CacheArray);
+    EXPECT_EQ(rows["l1_caches"], kTiles * (256 * 8 + 64 * 8 + kArray));
+    EXPECT_EQ(rows["l2_banks"], kTiles * (8192 * 8 + 512 * 8 + kArray));
+    EXPECT_EQ(rows["mesi_directory"], kTiles * 4096 * 24);
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * CacheArray unit tests: lookup/insert/invalidate semantics, LRU
  * replacement, state transitions, set-index mixing, and a differential
  * check of the packed flat arrays against a one-struct-per-line
- * reference model.
+ * reference model with per-line LRU stamps.
  */
 
 #include <gtest/gtest.h>
@@ -128,6 +128,12 @@ TEST(CacheArrayDeathTest, SetCountMustBePowerOfTwo)
     // that is not a power of two is rejected up front.
     EXPECT_DEATH(CacheArray(3 * 4 * BLOCK, 4, BLOCK), "power of two");
     EXPECT_DEATH(CacheArray(4 * 1024, 4, 96), "power of two");
+}
+
+TEST(CacheArrayDeathTest, AtMostSixteenWays)
+{
+    // A set's recency word holds one 4-bit way id per way.
+    EXPECT_DEATH(CacheArray(17 * BLOCK, 17, BLOCK), "at most 16");
 }
 
 /**
@@ -348,10 +354,27 @@ differential(std::uint64_t size_bytes, int ways, std::uint32_t seed)
     EXPECT_GT(hits, 2000);
 }
 
+TEST(CacheArray, MatchesReferenceModelDirectMapped)
+{
+    differential(2 * 1024, 1, 5); // 16 sets x 1 way
+}
+
 TEST(CacheArray, MatchesReferenceModelTwoWay)
 {
     differential(2 * 1024, 2, 1);   // 8 sets x 2 ways
     differential(4 * 1024, 2, 2);   // 16 sets x 2 ways
+}
+
+TEST(CacheArray, MatchesReferenceModelThreeWay)
+{
+    // Leaves 13 unused fields in every recency word.
+    differential(3 * 1024, 3, 6); // 8 sets x 3 ways
+}
+
+TEST(CacheArray, MatchesReferenceModelFourWay)
+{
+    differential(4 * 1024, 4, 7);  // 8 sets x 4 ways
+    differential(32 * 1024, 4, 8); // the L1: 64 sets x 4 ways
 }
 
 TEST(CacheArray, MatchesReferenceModelSixteenWay)

@@ -194,5 +194,22 @@ TEST_F(CmpEndToEnd, AsymmetricCoresDifferInIpc)
     EXPECT_GT(large_ipc, small_ipc * 1.5);
 }
 
+TEST(CmpSystemDeathTest, AtMostInt16MaxTiles)
+{
+    // The directory keeps owners and sharers as 16-bit ids. 256 x 128
+    // is one tile too many. The config is also one the Network would
+    // reject (a routerVcs entry per router is missing), so the check
+    // is seen to run before any per-tile state is built.
+    NetworkConfig net;
+    net.radixX = 256;
+    net.radixY = 128;
+    net.routerVcs = {3};
+    EXPECT_DEATH(CmpSystem(net, CmpConfig{}), "more than 32767 tiles");
+    // A product that overflows 32 bits is caught too.
+    net.radixX = 65536;
+    net.radixY = 65536;
+    EXPECT_DEATH(CmpSystem(net, CmpConfig{}), "more than 32767 tiles");
+}
+
 } // namespace
 } // namespace hnoc

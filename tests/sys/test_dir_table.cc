@@ -229,6 +229,25 @@ TEST(SharerList, OrderSurvivesSpillBoundaries)
     EXPECT_TRUE(contents(list, pool).empty());
 }
 
+TEST(SharerList, KeepsSixteenBitIds)
+{
+    // Ids are stored in 16 bits: the extremes survive, inline and
+    // spilled alike.
+    SharerPool pool;
+    SharerList list;
+    std::vector<NodeId> want;
+    for (NodeId lo = 0; lo < 10; ++lo)
+        for (NodeId id : {lo, NodeId{32767} - lo}) {
+            list.append(pool, id);
+            want.push_back(id);
+        }
+    EXPECT_EQ(contents(list, pool), want);
+    EXPECT_TRUE(list.contains(pool, 32767));
+    EXPECT_TRUE(list.contains(pool, 32758));
+    EXPECT_FALSE(list.contains(pool, 32757));
+    list.clear(pool);
+}
+
 TEST(PoolFifo, DrainsInPushOrderAndRecyclesNodes)
 {
     MsgPool pool;
