@@ -1,111 +1,93 @@
 /**
  * @file
- * One contiguous, huge-page-friendly backing region for per-cycle hot
- * state (§6g).
+ * One contiguous backing region for per-cycle hot state (§6g).
  *
  * The blocked step loop streams every component's hot state once per
  * cycle. When that state lives in thousands of small heap allocations
  * it is scattered across the address space: the stream costs one DTLB
  * entry per 4 KiB page it crosses, and big meshes (a 32x32 network's
  * hot state spans several megabytes) thrash the TLB long before they
- * exhaust cache bandwidth. The arena fixes both halves: components
- * carve their hot storage from one region laid out in block visit
- * order, and a region of half a huge page or more is 2 MiB-aligned and
- * MADV_HUGEPAGE-advised so the kernel can back it with huge pages (one
- * TLB entry per 2 MiB). A smaller region is rounded to 4 KiB pages
- * only: a huge page would keep 2 MiB resident for it, and its few
- * pages fit the TLB anyway. Such a region is a pooled page block
- * (page_allocator.hh), so networks built and dropped on several
- * threads reuse one set of blocks instead of leaving freed regions
- * resident in each thread's malloc arena.
+ * exhaust cache bandwidth. The arena fixes both halves: every router
+ * and channel carves its hot storage from one region, in block visit
+ * order, and the region is one page block (page_allocator.hh), which
+ * from 1 MiB up is 2 MiB-aligned and advised huge-page backing.
  *
  * Carving is monotonic and permanent — there is no free(); the arena
  * is sized once from the components' declared needs and released as a
- * whole. Every alloc() is cache-line aligned by default, so packed
- * sections keep the alignment guarantees they had as standalone
- * allocations. Exhaustion (or a failed reservation) degrades
- * gracefully: alloc() returns nullptr and callers keep their
- * self-owned storage — placement is a pure performance property,
- * never a correctness one.
+ * whole. Every carve starts on a fresh cache line, so packed sections
+ * never share a line. The arena is the only home of that storage:
+ * carving past the reservation is a sizing bug and panics, and a
+ * failed reservation throws std::bad_alloc.
  */
 
 #ifndef HNOC_COMMON_HOT_ARENA_HH
 #define HNOC_COMMON_HOT_ARENA_HH
 
 #include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <memory>
 
+#include "common/logging.hh"
 #include "common/page_allocator.hh"
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 namespace hnoc
 {
 
-/** Monotonic bump allocator over one page-aligned region. */
+/** One section a component carved from the arena (layout checks). */
+struct HotSpan
+{
+    const void *at = nullptr;
+    std::size_t bytes = 0;
+};
+
+/** Monotonic bump allocator over one page block. */
 class HotArena
 {
   public:
-    static constexpr std::size_t kHugePage = 2u * 1024 * 1024;
-    static constexpr std::size_t kPage = 4096;
+    static constexpr std::size_t kLine = 64;
 
     HotArena() = default;
     ~HotArena() { release(); }
     HotArena(const HotArena &) = delete;
     HotArena &operator=(const HotArena &) = delete;
 
-    /** Reserve room for @p bytes. From half a huge page up, the region
-     *  is rounded up to whole huge pages and advised huge-page
-     *  backing; below that, rounded up to whole 4 KiB pages. Drops any
-     *  previous region. A failed reservation leaves the arena empty,
-     *  which every alloc() reports as exhaustion. */
+    /** Round @p bytes up to whole cache lines: what a carve of that
+     *  size takes from the arena at most. */
+    static constexpr std::size_t
+    lineBytes(std::size_t bytes)
+    {
+        return (bytes + kLine - 1) / kLine * kLine;
+    }
+
+    /** Reserve a block of at least @p bytes
+     *  (detail::pagedBlockBytes), dropping any previous region. */
     void
     reserve(std::size_t bytes)
     {
         release();
         if (bytes == 0)
             return;
-        if (bytes < kHugePage / 2) {
-            std::size_t size = (bytes + kPage - 1) / kPage * kPage;
-            try {
-                base_ = static_cast<std::byte *>(
-                    detail::takePagedBlock(size));
-            } catch (const std::bad_alloc &) {
-                return;
-            }
-            size_ = size;
-            return;
-        }
-        size_ = (bytes + kHugePage - 1) / kHugePage * kHugePage;
-        base_ = static_cast<std::byte *>(
-            std::aligned_alloc(kHugePage, size_));
-        if (base_ == nullptr) {
-            size_ = 0;
-            return;
-        }
-#if defined(__linux__)
-        ::madvise(base_, size_, MADV_HUGEPAGE);
-#endif
+        std::size_t size = detail::pagedBlockBytes(bytes);
+        base_ = static_cast<std::byte *>(detail::takePagedBlock(size));
+        size_ = size;
     }
 
-    /** Carve @p bytes at @p align (power of two); nullptr when the
-     *  arena is unreserved or the carve does not fit. */
-    std::byte *
-    alloc(std::size_t bytes, std::size_t align = 64)
+    /** Carve @p n copies of @p init on a fresh cache line. */
+    template <typename T>
+    T *
+    carve(std::size_t n, const T &init = T{})
     {
-        if (base_ == nullptr)
-            return nullptr;
-        std::size_t off = (used_ + align - 1) & ~(align - 1);
-        if (off + bytes > size_)
-            return nullptr;
-        used_ = off + bytes;
-        return base_ + off;
+        static_assert(alignof(T) <= kLine);
+        std::size_t off = lineBytes(used_);
+        if (off + n * sizeof(T) > size_)
+            panic("hot arena: a %zu-byte carve at offset %zu overruns "
+                  "the %zu-byte reservation", n * sizeof(T), off, size_);
+        used_ = off + n * sizeof(T);
+        T *p = reinterpret_cast<T *>(base_ + off);
+        std::uninitialized_fill_n(p, n, init);
+        return p;
     }
 
+    const std::byte *base() const { return base_; }
     std::size_t used() const { return used_; }
     std::size_t reservedBytes() const { return size_; }
 
@@ -113,11 +95,7 @@ class HotArena
     void
     release()
     {
-        // Pooled regions are below half a huge page; advised ones are
-        // whole huge pages.
-        if (size_ >= kHugePage)
-            std::free(base_);
-        else if (base_ != nullptr)
+        if (base_ != nullptr)
             detail::keepPagedBlock(base_, size_);
         base_ = nullptr;
         size_ = 0;

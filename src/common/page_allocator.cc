@@ -1,6 +1,7 @@
 #include "common/page_allocator.hh"
 
 #include <array>
+#include <cstdint>
 #include <mutex>
 #include <new>
 
@@ -29,10 +30,20 @@ constexpr std::size_t kBins = 16;
 std::mutex binMutex;
 std::array<PagedBin, kBins> bins;
 
+bool
+huge(std::size_t bytes)
+{
+    return bytes >= kHugePage / 2;
+}
+
 #if !defined(__linux__)
-/** Blocks are page-aligned on every platform (a HotArena's 64-B
- *  carves rely on it). */
-constexpr std::align_val_t kFallbackAlign{4096};
+/** Elsewhere blocks are aligned the same way (a HotArena's 64-B
+ *  carves rely on it), with no advice to give. */
+std::align_val_t
+alignOf(std::size_t bytes)
+{
+    return std::align_val_t{huge(bytes) ? kHugePage : kPage};
+}
 #endif
 
 } // namespace
@@ -40,7 +51,8 @@ constexpr std::align_val_t kFallbackAlign{4096};
 void *
 takePagedBlock(std::size_t bytes)
 {
-    {
+    bytes = pagedBlockBytes(bytes);
+    if (!huge(bytes)) {
         std::lock_guard<std::mutex> lock(binMutex);
         for (PagedBin &bin : bins) {
             if (bin.bytes != bytes || bin.head == nullptr)
@@ -51,20 +63,37 @@ takePagedBlock(std::size_t bytes)
         }
     }
 #if defined(__linux__)
-    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
-    if (p == MAP_FAILED)
+    // A huge block is over-mapped by one huge page and trimmed to the
+    // aligned window. It is left unpopulated, so that first touch
+    // after the advice faults in huge pages.
+    std::size_t slack = huge(bytes) ? kHugePage : 0;
+    void *raw = ::mmap(nullptr, bytes + slack, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS |
+                           (slack == 0 ? MAP_POPULATE : 0),
+                       -1, 0);
+    if (raw == MAP_FAILED)
         throw std::bad_alloc();
-    return p;
+    if (slack == 0)
+        return raw;
+    auto *p = static_cast<std::byte *>(raw);
+    std::size_t head =
+        (kHugePage - reinterpret_cast<std::uintptr_t>(p) % kHugePage) %
+        kHugePage;
+    if (head != 0)
+        ::munmap(p, head);
+    ::munmap(p + head + bytes, slack - head);
+    ::madvise(p + head, bytes, MADV_HUGEPAGE);
+    return p + head;
 #else
-    return ::operator new(bytes, kFallbackAlign);
+    return ::operator new(bytes, alignOf(bytes));
 #endif
 }
 
 void
 keepPagedBlock(void *p, std::size_t bytes) noexcept
 {
-    {
+    bytes = pagedBlockBytes(bytes);
+    if (!huge(bytes)) {
         std::lock_guard<std::mutex> lock(binMutex);
         for (PagedBin &bin : bins) {
             if (bin.bytes == 0)
@@ -79,7 +108,7 @@ keepPagedBlock(void *p, std::size_t bytes) noexcept
 #if defined(__linux__)
     ::munmap(p, bytes);
 #else
-    ::operator delete(p, kFallbackAlign);
+    ::operator delete(p, alignOf(bytes));
 #endif
 }
 

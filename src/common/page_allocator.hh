@@ -1,7 +1,8 @@
 /**
  * @file
- * A standard allocator that keeps large blocks out of malloc's
- * per-thread arenas.
+ * The one page-level allocator: a standard allocator that keeps large
+ * blocks out of malloc's per-thread arenas, and the page blocks under
+ * every network's hot arena (hot_arena.hh).
  *
  * malloc keeps freed memory in the arena of the thread that allocated
  * it, and glibc raises its mmap threshold after the first large block
@@ -19,8 +20,16 @@
  * blocks are mapped straight from the OS (page-aligned, populated in
  * the same call, since the containers fill every slot at once). Pooled
  * blocks are never returned to the OS. Smaller blocks use
- * std::allocator. A network's hot arena below 1 MiB (hot_arena.hh)
- * takes its region from the same free lists.
+ * std::allocator.
+ *
+ * A block of half a huge page (1 MiB) or more is different: it is
+ * rounded up to whole 2 MiB pages, mapped 2 MiB-aligned and advised
+ * MADV_HUGEPAGE, so the kernel can back it with huge pages (one TLB
+ * entry per 2 MiB; a 32x32 network's hot arena is several MB). It is
+ * left unpopulated, so the first touch faults in huge pages, and it is
+ * unmapped on release instead of pooled. Below 1 MiB a huge page would
+ * keep 2 MiB resident for little TLB gain, so those blocks stay on
+ * 4 KiB pages.
  */
 
 #ifndef HNOC_COMMON_PAGE_ALLOCATOR_HH
@@ -35,11 +44,25 @@ namespace hnoc
 namespace detail
 {
 
-/** A page-aligned block of exactly @p bytes: a pooled one of that
- *  size, else a new mapping. Throws std::bad_alloc. */
+constexpr std::size_t kPage = 4096;
+constexpr std::size_t kHugePage = 2u * 1024 * 1024;
+
+/** Size of the block takePagedBlock(@p bytes) returns: whole huge
+ *  pages from half a huge page up, whole 4 KiB pages below. */
+constexpr std::size_t
+pagedBlockBytes(std::size_t bytes)
+{
+    std::size_t unit = bytes >= kHugePage / 2 ? kHugePage : kPage;
+    return (bytes + unit - 1) / unit * unit;
+}
+
+/** A block of pagedBlockBytes(@p bytes): 2 MiB-aligned and advised
+ *  huge-page backing from 1 MiB up, else page-aligned, pooled or newly
+ *  mapped. Throws std::bad_alloc. */
 void *takePagedBlock(std::size_t bytes);
 
-/** Return @p p, of @p bytes, to the pool for its size. */
+/** Release @p p, taken for @p bytes: unmap a huge block, pool the
+ *  rest for their size. */
 void keepPagedBlock(void *p, std::size_t bytes) noexcept;
 
 } // namespace detail

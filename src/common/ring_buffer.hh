@@ -65,8 +65,8 @@ class RingBuffer
      * Bind to caller-owned storage of exactly boundCapacity(@p
      * capacity) slots (drops contents; the buffer becomes
      * fixed-capacity). The storage must outlive this buffer and never
-     * move — used to pack many FIFOs into one contiguous hot
-     * allocation (§6g).
+     * move — used to carve the NoC's FIFOs and pipes from one hot
+     * arena (§6g).
      */
     void
     bindStorage(T *storage, std::size_t capacity)
@@ -79,28 +79,11 @@ class RingBuffer
         growable_ = false;
     }
 
-    /**
-     * Move the live contents into caller-owned @p storage of the same
-     * capacity (elements keep their ring positions, so head/count are
-     * preserved) and bind to it; the previously owned storage is
-     * released and the buffer becomes fixed-capacity.
-     */
-    void
-    moveStorageTo(T *storage)
-    {
-        for (std::size_t i = 0; i < count_; ++i) {
-            std::size_t s = (head_ + i) & (cap_ - 1);
-            storage[s] = std::move(ptr_[s]);
-        }
-        buf_.reset();
-        ptr_ = storage;
-        growable_ = false;
-    }
-
     bool empty() const { return count_ == 0; }
     bool full() const { return count_ == cap_; }
     std::size_t size() const { return count_; }
     std::size_t capacity() const { return cap_; }
+    const T *data() const { return ptr_; }
 
     void
     push_back(const T &v)

@@ -11,13 +11,15 @@
  * rate and latency: at most max(lanes, 2) entries enter per cycle and
  * every entry is drained within delay + 1 cycles of being sent (the
  * Network scans every non-idle channel every cycle), so
- * max(lanes, 2) * (delay + 2) slots can never overflow. The steady
- * state therefore allocates nothing.
+ * max(lanes, 2) * (delay + 2) slots can never overflow. A channel is
+ * constructed with sizes only; place() carves both pipes from the
+ * network's hot arena (§6g), so the steady state allocates nothing.
  */
 
 #ifndef HNOC_NOC_CHANNEL_HH
 #define HNOC_NOC_CHANNEL_HH
 
+#include <array>
 #include <cstdint>
 
 #include "common/bitops.hh"
@@ -43,10 +45,8 @@ class alignas(64) Channel
      */
     Channel(int id, int width_bits, int lanes, int flit_delay,
             int credit_delay)
-        : flitPipe_(pipeCapacity(lanes, flit_delay)),
-          creditPipe_(pipeCapacity(lanes, credit_delay)), id_(id),
-          widthBits_(width_bits), lanes_(lanes), flitDelay_(flit_delay),
-          creditDelay_(credit_delay)
+        : id_(id), widthBits_(width_bits), lanes_(lanes),
+          flitDelay_(flit_delay), creditDelay_(credit_delay)
     {}
 
     int id() const { return id_; }
@@ -125,29 +125,32 @@ class alignas(64) Channel
     bool idle() const { return !hasFlits() && !hasCredits(); }
     ///@}
 
-    /** Bytes moveToArena() will carve (each pipe 64-B aligned). */
+    /** Bytes place() carves from the arena (each pipe rounded up to
+     *  whole cache lines). */
     std::size_t
     arenaBytes() const
     {
-        auto r64 = [](std::size_t b) { return (b + 63) / 64 * 64; };
-        return r64(flitPipe_.capacity() * sizeof(TimedFlit)) +
-               r64(creditPipe_.capacity() * sizeof(TimedCredit));
+        return HotArena::lineBytes(flitPipeBytes()) +
+               HotArena::lineBytes(creditPipeBytes());
     }
 
-    /** Relocate both pipes' storage into @p arena (§6g), preserving
-     *  in-flight contents. Exhaustion keeps the self-owned storage —
-     *  placement is a performance property only. */
+    /** Carve both pipes from @p arena (§6g). Call once, before the
+     *  first send. */
     void
-    moveToArena(HotArena &arena)
+    place(HotArena &arena)
     {
-        auto *nf = reinterpret_cast<TimedFlit *>(
-            arena.alloc(flitPipe_.capacity() * sizeof(TimedFlit)));
-        if (nf != nullptr)
-            flitPipe_.moveStorageTo(nf);
-        auto *nc = reinterpret_cast<TimedCredit *>(
-            arena.alloc(creditPipe_.capacity() * sizeof(TimedCredit)));
-        if (nc != nullptr)
-            creditPipe_.moveStorageTo(nc);
+        std::size_t f = pipeSlots(flitDelay_);
+        flitPipe_.bindStorage(arena.carve<TimedFlit>(f), f);
+        std::size_t c = pipeSlots(creditDelay_);
+        creditPipe_.bindStorage(arena.carve<TimedCredit>(c), c);
+    }
+
+    /** Start and size of each placed pipe, in carve order. */
+    std::array<HotSpan, 2>
+    placedSections() const
+    {
+        return {{{flitPipe_.data(), flitPipeBytes()},
+                 {creditPipe_.data(), creditPipeBytes()}}};
     }
 
     /** @name Prefetch one active-list entry ahead of a delivery (§6g):
@@ -229,16 +232,13 @@ class alignas(64) Channel
     ///@}
 
     /** Steady-state memory footprint: both pipes plus the object.
-     *  Pipe capacities are fixed at construction, so this is constant
-     *  over a channel's lifetime. */
+     *  Pipe capacities follow from the constructor's sizes, so this is
+     *  constant over a channel's lifetime. */
     std::uint64_t
     footprintBytes() const
     {
         return static_cast<std::uint64_t>(sizeof(*this)) +
-               static_cast<std::uint64_t>(flitPipe_.capacity()) *
-                   sizeof(TimedFlit) +
-               static_cast<std::uint64_t>(creditPipe_.capacity()) *
-                   sizeof(TimedCredit);
+               flitPipeBytes() + creditPipeBytes();
     }
 
   private:
@@ -254,14 +254,29 @@ class alignas(64) Channel
         VcId vc = 0;
     };
 
-    /** Occupancy bound: <= max(lanes, 2) sends per cycle, each drained
-     *  within delay + 1 cycles (+1 slack for the same-cycle window). */
-    static std::size_t
-    pipeCapacity(int lanes, int delay)
+    /** Ring slots of a pipe with @p delay: the occupancy bound of
+     *  <= max(lanes, 2) sends per cycle, each drained within delay + 1
+     *  cycles (+1 slack for the same-cycle window), rounded up to the
+     *  ring's power of two. */
+    std::size_t
+    pipeSlots(int delay) const
     {
-        int rate = lanes > 2 ? lanes : 2;
-        return static_cast<std::size_t>(rate) *
-               static_cast<std::size_t>(delay + 2);
+        int rate = lanes_ > 2 ? lanes_ : 2;
+        return RingBuffer<TimedFlit>::boundCapacity(
+            static_cast<std::size_t>(rate) *
+            static_cast<std::size_t>(delay + 2));
+    }
+
+    std::size_t
+    flitPipeBytes() const
+    {
+        return pipeSlots(flitDelay_) * sizeof(TimedFlit);
+    }
+
+    std::size_t
+    creditPipeBytes() const
+    {
+        return pipeSlots(creditDelay_) * sizeof(TimedCredit);
     }
 
     // Line-per-role member order (§6g): on a line-aligned object each

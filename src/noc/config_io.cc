@@ -100,16 +100,6 @@ routingFromName(const std::string &s)
     fatal("config: unknown routing mode '%s'", s.c_str());
 }
 
-SaPolicy
-saPolicyFromName(const std::string &s)
-{
-    if (s == "round-robin")
-        return SaPolicy::RoundRobin;
-    if (s == "oldest-first")
-        return SaPolicy::OldestFirst;
-    fatal("config: unknown sa_policy '%s'", s.c_str());
-}
-
 template <typename T>
 std::string
 joinInts(const std::vector<T> &v)
@@ -164,10 +154,6 @@ configToString(const NetworkConfig &c)
         out << "table_nodes=" << joinInts(c.tableRoutedNodes) << '\n';
     out << "escape_threshold=" << c.escapeThreshold << '\n';
     out << "intra_packet_pairing=" << (c.intraPacketPairing ? 1 : 0)
-        << '\n';
-    out << "sa_policy="
-        << (c.saPolicy == SaPolicy::OldestFirst ? "oldest-first"
-                                                : "round-robin")
         << '\n';
     out << "always_step=" << (c.alwaysStep ? 1 : 0) << '\n';
     out << "block_tiles=" << c.blockTiles << '\n';
@@ -235,8 +221,6 @@ configFromString(const std::string &text)
             parse(c.escapeThreshold);
         else if (key == "intra_packet_pairing")
             parse(c.intraPacketPairing);
-        else if (key == "sa_policy")
-            c.saPolicy = saPolicyFromName(val);
         else if (key == "always_step")
             parse(c.alwaysStep);
         else if (key == "block_tiles")

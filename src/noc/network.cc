@@ -67,7 +67,7 @@ Network::Network(const NetworkConfig &config)
 
     build();
     setupBlocks();
-    packHotArena();
+    placeHotState();
 
     // Point every component's wake hooks at the active lists that
     // schedule it. The hooks keep raw pointers into the per-block list
@@ -124,8 +124,7 @@ Network::build()
     for (RouterId r = 0; r < n_routers; ++r) {
         routers_.emplace_back(
             r, ports, config_.vcsOf(r), config_.bufferDepth, *routing_,
-            config_.escapeThreshold, config_.intraPacketPairing,
-            config_.saPolicy);
+            config_.escapeThreshold, config_.intraPacketPairing);
     }
 
     // Inter-router channels: one per directed (router, dir-port) pair.
@@ -197,11 +196,6 @@ Network::build()
         ee.driverPort = lp;
         ends_.push_back(ee);
     }
-
-    // All ports are wired: pack each router's per-output credit
-    // counters into their aligned hot rows.
-    for (auto &router : routers_)
-        router.finalizeWiring();
 }
 
 void
@@ -212,7 +206,7 @@ Network::setupBlocks()
     int tiles = config_.blockTiles;
     if (tiles <= 0) {
         // Auto-size: fit one block's component state (routers +
-        // channels + NIs, measured from the real footprints) in the
+        // channels + NIs, from their footprint formulas) in the
         // L2 budget, rounded down to whole mesh rows so blocks stay
         // spatially contiguous.
         std::uint64_t bytes = 0;
@@ -273,36 +267,56 @@ Network::setupBlocks()
     }
 }
 
+template <typename ChanFn, typename RouterFn>
 void
-Network::packHotArena()
+Network::forEachInVisitOrder(ChanFn &&on_chan, RouterFn &&on_router) const
 {
-    std::size_t bytes = 0;
-    for (const auto &r : routers_)
-        bytes += r.coreArenaBytes();
-    for (const auto &c : channels_)
-        bytes += c->arenaBytes();
-    hotArena_.reserve(bytes);
-
-    // Carve in the blocked step loop's visit order (§6g): terminal
-    // ejection channels first (the global eject pass), then for each
-    // block its delivered channels followed by its routers, so the
-    // per-cycle stream walks the arena front to back.
+    // The blocked step loop's order (§6g): terminal ejection channels
+    // first (the global eject pass), then for each block its delivered
+    // channels followed by its routers.
     for (const ChannelEnds &e : ends_)
         if (!e.sinkIsRouter)
-            e.chan->moveToArena(hotArena_);
+            on_chan(*e.chan);
     auto n_routers = static_cast<RouterId>(routers_.size());
     for (int b = 0; b < numBlocks_; ++b) {
         for (const ChannelEnds &e : ends_)
             if (e.sinkIsRouter && blockOf(e.sinkRouter) == b)
-                e.chan->moveToArena(hotArena_);
+                on_chan(*e.chan);
         auto lo = static_cast<RouterId>(b) *
                   static_cast<RouterId>(blockTiles_);
         RouterId hi = std::min(
             lo + static_cast<RouterId>(blockTiles_), n_routers);
         for (RouterId r = lo; r < hi; ++r)
-            routers_[static_cast<std::size_t>(r)].moveCoreToArena(
-                hotArena_);
+            on_router(static_cast<std::size_t>(r));
     }
+}
+
+void
+Network::placeHotState()
+{
+    std::size_t bytes = 0;
+    for (const auto &r : routers_)
+        bytes += r.arenaBytes();
+    for (const auto &c : channels_)
+        bytes += c->arenaBytes();
+    hotArena_.reserve(bytes);
+    // Carving in visit order lets the per-cycle stream walk the arena
+    // front to back.
+    forEachInVisitOrder([&](Channel &c) { c.place(hotArena_); },
+                        [&](std::size_t r) { routers_[r].place(hotArena_); });
+}
+
+std::vector<HotSpan>
+Network::hotSections() const
+{
+    std::vector<HotSpan> out;
+    auto add = [&](const auto &sections) {
+        out.insert(out.end(), sections.begin(), sections.end());
+    };
+    forEachInVisitOrder(
+        [&](const Channel &c) { add(c.placedSections()); },
+        [&](std::size_t r) { add(routers_[r].placedSections()); });
+    return out;
 }
 
 Packet *

@@ -256,13 +256,22 @@ class Network
     BlameCollector *blame() const { return attached_.blame; }
 
     /**
-     * Per-component steady-state memory breakdown: routers (SoA core
-     * + scratch), channels (pipes), NIs, the packet arena, the
-     * active lists, and any attached registry/recorder. Byte
-     * counts come from container capacities, so the audit reflects
-     * grown high-water marks, not just construction-time sizes.
+     * Per-component steady-state memory breakdown: routers (SoA core),
+     * channels (pipes), NIs, the packet arena, the active lists, the
+     * hot arena's unused tail, and any attached registry/recorder.
+     * Byte counts come from container capacities, so the audit
+     * reflects grown high-water marks, not just construction-time
+     * sizes.
      */
     MemoryAudit memoryAudit() const;
+
+    /** The arena every router's and channel's hot storage lives in. */
+    const HotArena &hotArena() const { return hotArena_; }
+
+    /** Every section placed in the hot arena, in placement (= block
+     *  visit) order: two pipes per channel, FIFO/hot/credit sections
+     *  per router. */
+    std::vector<HotSpan> hotSections() const;
     ///@}
 
     /** @name Diagnostics */
@@ -378,7 +387,14 @@ class Network
     void mergeWakeOutboxes();
     ///@}
 
-    void packHotArena();
+    /** Size the hot arena from every component's arenaBytes() and
+     *  place each component in it, in visit order (§6g). */
+    void placeHotState();
+
+    /** Call @p on_chan(Channel &) and @p on_router(router index) in
+     *  the blocked step loop's visit order. */
+    template <typename ChanFn, typename RouterFn>
+    void forEachInVisitOrder(ChanFn &&on_chan, RouterFn &&on_router) const;
     Packet *allocPacket();
     void freePacket(Packet *pkt);
 
@@ -428,7 +444,7 @@ class Network
     int numBlocks_ = 1;
 
     /** Block-ordered, huge-page-backed storage for router cores and
-     *  channel pipes (§6g); sized once by packHotArena(). */
+     *  channel pipes (§6g); sized and carved once by placeHotState(). */
     HotArena hotArena_;
     ActiveList ejectEnds_;
     std::vector<ActiveList> blockFlitEnds_;

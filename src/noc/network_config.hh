@@ -64,16 +64,6 @@ enum class RoutingMode
     TableXY,
 };
 
-/** Switch-allocation arbitration policy (Fig 6 stage-2 arbiters). */
-enum class SaPolicy
-{
-    /** Rotating-priority arbiters (the common hardware choice). */
-    RoundRobin,
-    /** Oldest-waiting-head first: better fairness near saturation at
-     *  the cost of wider comparators. */
-    OldestFirst,
-};
-
 /** Complete static description of one network instance. */
 struct NetworkConfig
 {
@@ -119,9 +109,6 @@ struct NetworkConfig
      * router"). Cross-VC combining per §3.3 is always enabled.
      */
     bool intraPacketPairing = true;
-
-    /** Switch-allocator arbitration policy. */
-    SaPolicy saPolicy = SaPolicy::RoundRobin;
 
     /**
      * Force the exhaustive per-cycle reference loop instead of

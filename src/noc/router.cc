@@ -1,7 +1,5 @@
 #include "noc/router.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace hnoc
@@ -9,10 +7,10 @@ namespace hnoc
 
 Router::Router(RouterId id, int num_ports, int vcs, int buffer_depth,
                const RoutingAlgorithm &routing, int escape_threshold,
-               bool intra_packet_pairing, SaPolicy sa_policy)
-    : id_(id), bufferDepth_(buffer_depth), routing_(routing),
+               bool intra_packet_pairing)
+    : id_(id), routing_(routing),
       escapeThreshold_(escape_threshold),
-      intraPacketPairing_(intra_packet_pairing), saPolicy_(sa_policy)
+      intraPacketPairing_(intra_packet_pairing)
 {
     core_.init(num_ports, vcs, buffer_depth);
 }
@@ -37,7 +35,7 @@ Router::receiveFlit(PortId p, Flit flit, Cycle now)
     int s = core_.slot(p, flit.vc);
     auto si = static_cast<std::size_t>(s);
     RingBuffer<Flit> &fifo = core_.fifo[si];
-    if (static_cast<int>(fifo.size()) >= bufferDepth_)
+    if (static_cast<int>(fifo.size()) >= core_.depth)
         panic("router %d port %d vc %d: buffer overflow (credit bug)",
               id_, p, flit.vc);
     if (fifo.empty()) {
@@ -59,7 +57,7 @@ Router::receiveCredit(PortId p, VcId vc, Cycle now)
 {
     RouterCore::Output &op = core_.outputs[static_cast<std::size_t>(p)];
     int &credits = op.credits[static_cast<std::size_t>(vc)];
-    if (credits >= bufferDepth_ * 4) // generous sanity bound
+    if (credits >= core_.depth * 4) // generous sanity bound
         panic("router %d port %d vc %d: credit overflow", id_, p, vc);
     ++credits;
     if (Probe *pr = probe())
@@ -314,8 +312,9 @@ Router::switchAllocatePort(PortId o, Cycle now)
         return false;
     };
 
-    // Consider one candidate slot; returns false to stop the walk
-    // once the port's grant capacity is reached.
+    // Consider one candidate slot, in rotating-priority order (the
+    // cyclic bit walk below); returns false to stop the walk once the
+    // port's grant capacity is reached.
     auto consider = [&](int s) -> bool {
         auto si = static_cast<std::size_t>(s);
         PortId in_port = s / core_.vcs;
@@ -349,38 +348,7 @@ Router::switchAllocatePort(PortId o, Cycle now)
         return granted < capacity;
     };
 
-    // Candidate visiting order: rotating priority (cyclic bit walk),
-    // or oldest waiting head first (SaPolicy::OldestFirst), which
-    // materializes the candidates in rotated order and stable-sorts
-    // them — the same sequence the legacy sort of all slots produced,
-    // since filtering a stable sort to the candidate subsequence
-    // preserves relative order.
-    if (saPolicy_ == SaPolicy::OldestFirst) {
-        scratchOrder_.clear();
-        bitops::forEachSetCyclic(req, core_.words, total, ptr,
-                                 [&](int s) {
-                                     scratchOrder_.push_back(s);
-                                     return true;
-                                 });
-        std::stable_sort(scratchOrder_.begin(), scratchOrder_.end(),
-                         [&](int a, int b) {
-                             return core_.headSince[static_cast<
-                                        std::size_t>(a)] <
-                                    core_.headSince[static_cast<
-                                        std::size_t>(b)];
-                         });
-        for (int s : scratchOrder_) {
-            if (granted >= capacity)
-                break;
-            // A tail grant earlier in the walk may have retired this
-            // slot's VC; the mask is the live candidate set.
-            if (!bitops::maskTest(req, s))
-                continue;
-            consider(s);
-        }
-    } else {
-        bitops::forEachSetCyclic(req, core_.words, total, ptr, consider);
-    }
+    bitops::forEachSetCyclic(req, core_.words, total, ptr, consider);
 
     op.rrOffset = (op.rrOffset + static_cast<unsigned>(granted)) %
                   static_cast<unsigned>(total);

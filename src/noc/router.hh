@@ -52,13 +52,12 @@ class Router
   public:
     Router(RouterId id, int num_ports, int vcs, int buffer_depth,
            const RoutingAlgorithm &routing, int escape_threshold,
-           bool intra_packet_pairing,
-           SaPolicy sa_policy = SaPolicy::RoundRobin);
+           bool intra_packet_pairing);
 
     RouterId id() const { return id_; }
     int numPorts() const { return core_.ports; }
     int vcsPerPort() const { return core_.vcs; }
-    int bufferDepth() const { return bufferDepth_; }
+    int bufferDepth() const { return core_.depth; }
 
     /** Attach the channel whose flits arrive at input port @p p. */
     void connectInput(PortId p, Channel *chan);
@@ -70,11 +69,6 @@ class Router
      */
     void connectOutput(PortId p, Channel *chan, int down_vcs,
                        int down_depth);
-
-    /** Pack per-output credit counters once all ports are wired
-     *  (RouterCore::finalizeWiring). Call exactly once, after the
-     *  last connectOutput(). */
-    void finalizeWiring() { core_.finalizeWiring(); }
 
     /** Buffer-write: a flit delivered by the input channel at @p p. */
     void receiveFlit(PortId p, Flit flit, Cycle now);
@@ -94,11 +88,20 @@ class Router
         core_.prefetchStep();
     }
 
-    /** Bytes moveCoreToArena() will carve from the hot arena. */
-    std::size_t coreArenaBytes() const { return core_.arenaBytes(); }
+    /** Bytes place() carves from the hot arena. */
+    std::size_t arenaBytes() const { return core_.arenaBytes(); }
 
-    /** Relocate the core's packed hot storage into @p arena (§6g). */
-    void moveCoreToArena(HotArena &arena) { core_.moveToArena(arena); }
+    /** Carve the core's FIFO, hot and credit storage from @p arena
+     *  (RouterCore::place, §6g). Call exactly once, after the last
+     *  connectOutput(). */
+    void place(HotArena &arena) { core_.place(arena); }
+
+    /** Start and size of each placed section, in carve order. */
+    std::array<HotSpan, 3>
+    placedSections() const
+    {
+        return core_.placedSections();
+    }
 
     /**
      * @return true if stepping this cycle can have any effect. Exactly
@@ -127,7 +130,7 @@ class Router
     int
     bufferCapacity() const
     {
-        return core_.total * bufferDepth_;
+        return core_.total * core_.depth;
     }
 
     /** Accumulated occupancy-cycles for buffer-utilization heat maps. */
@@ -152,14 +155,13 @@ class Router
      *  can classify stalls at the ejection funnel separately. */
     void markEjectionPort(PortId p) { ejectPort_ = p; }
 
-    /** Steady-state memory footprint: the SoA core, the OldestFirst
-     *  ordering scratch, and the object itself. */
+    /** Steady-state memory footprint: the SoA core and the object
+     *  itself. */
     std::uint64_t
     footprintBytes() const
     {
         return static_cast<std::uint64_t>(sizeof(*this)) +
-               core_.footprintBytes() +
-               scratchOrder_.capacity() * sizeof(int);
+               core_.footprintBytes();
     }
 
     /** @name Introspection (conservation audit, postmortem and
@@ -243,11 +245,9 @@ class Router
     int flitCount_ = 0; ///< total buffered flits across all input VCs
     RouterId id_;
     WakeHook wake_;
-    int bufferDepth_;
     const RoutingAlgorithm &routing_;
     int escapeThreshold_;
     bool intraPacketPairing_;
-    SaPolicy saPolicy_;
 
     RouterCore core_;
 
@@ -256,7 +256,6 @@ class Router
     Probe *probe_ = nullptr;
     Profiler *profiler_ = nullptr;
     PortId ejectPort_ = INVALID_PORT;
-    std::vector<int> scratchOrder_; ///< SA visiting order (OldestFirst)
 };
 
 } // namespace hnoc

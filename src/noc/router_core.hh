@@ -19,27 +19,29 @@
  * so grant sequences — and therefore simulation results — are
  * bit-identical; see DESIGN.md "SoA router core".
  *
- * Hot/cold packing (§6g): the parallel arrays and request masks are
- * not separate vectors but raw pointers into one owned, 64-byte
- * aligned buffer, each section starting on its own cache line. A
- * cycle's RC/VA/SA work therefore streams one contiguous region per
- * router instead of a dozen scattered heap blocks — the unit the
- * cache-blocked Network step order is sized around. Per-output
- * downstream credit counters are likewise packed into a second
- * aligned buffer (one 64-byte-aligned row per output port) built by
- * finalizeWiring() once all ports are connected.
+ * Hot/cold packing (§6g): the slot FIFOs, the parallel arrays with the
+ * request masks, and the per-output downstream credit counters (one
+ * 64-byte-aligned row per output port) are raw pointers into three
+ * packed sections of the network's hot arena, each array starting on
+ * its own cache line. A cycle's RC/VA/SA work therefore streams one
+ * contiguous region per router instead of a dozen scattered heap
+ * blocks — the unit the cache-blocked Network step order is sized
+ * around.
  *
- * Everything is sized exactly once (init / finalizeWiring), so the
- * steady state performs zero heap allocations (test_perf_zero_alloc,
- * which also pins the sizing formulas below).
+ * A core is sized in two steps, init() (ports, VCs, depth) and
+ * connectOutput() (downstream VC counts, heterogeneous and known only
+ * after wiring), and then placed once: place() carves and initialises
+ * every section straight from the arena. The arena is the storage's
+ * only home, so the steady state performs zero heap allocations
+ * (test_perf_zero_alloc, which also pins the sizing formulas below).
  */
 
 #ifndef HNOC_NOC_ROUTER_CORE_HH
 #define HNOC_NOC_ROUTER_CORE_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -58,7 +60,7 @@ class Channel;
 struct RouterCore
 {
     /** Output-port allocator state. Downstream-VC credit counts live
-     *  in a per-port row of the packed credit buffer (indexed by
+     *  in a per-port row of the packed credit section (indexed by
      *  downstream VC); the allocated set is a single word, bounding
      *  downstream VC counts at 64. */
     struct Output
@@ -72,7 +74,7 @@ struct RouterCore
          *  per-cycle part is implicit (ptr = (rrOffset + now) %
          *  total), so skipped idle cycles cannot desynchronise it. */
         unsigned rrOffset = 0;
-        /** Initial credit count, held until finalizeWiring(). */
+        /** Initial credit count, held until place(). */
         int initDepth = 0;
     };
 
@@ -80,9 +82,10 @@ struct RouterCore
     int vcs = 0;
     int total = 0; ///< ports * vcs input-VC slots
     int words = 0; ///< 64-bit words per slot mask
+    int depth = 0; ///< flits per input VC
 
     /** @name Per-slot parallel arrays (slot = port * vcs + vc),
-     *  pointing into the packed hot buffer (hotStore_) */
+     *  pointing into the placed hot section */
     ///@{
     std::vector<RingBuffer<Flit>> fifo; ///< fixed capacity = depth
     PortId *outPort = nullptr;
@@ -95,7 +98,7 @@ struct RouterCore
     Packet **pkt = nullptr;
     ///@}
 
-    /** @name Request bitmasks, one bit per slot (hot buffer) */
+    /** @name Request bitmasks, one bit per slot (hot section) */
     ///@{
     std::uint64_t *activeMask = nullptr; ///< slot owns a route
     std::uint64_t *rcMask = nullptr;     ///< head awaiting RC
@@ -104,9 +107,9 @@ struct RouterCore
     std::uint64_t *saReqMask = nullptr;
     ///@}
 
-    /** @name Per-input-port SA scratch (hot buffer): grants issued
+    /** @name Per-input-port SA scratch (hot section): grants issued
      *  this cycle and the output port they fed (the DSET two-reads /
-     *  same-output constraint). Living in the packed buffer keeps the
+     *  same-output constraint). Living in the packed section keeps the
      *  per-cycle reset off scattered heap lines. */
     ///@{
     int *saGrants = nullptr;
@@ -116,6 +119,8 @@ struct RouterCore
     std::vector<Channel *> inChan; ///< upstream channel per input port
     std::vector<Output> outputs;
 
+    /** Size the core for @p num_ports x @p num_vcs input VCs of
+     *  @p buffer_depth flits each; place() provides the storage. */
     void
     init(int num_ports, int num_vcs, int buffer_depth)
     {
@@ -123,93 +128,10 @@ struct RouterCore
         vcs = num_vcs;
         total = num_ports * num_vcs;
         words = bitops::maskWords(total);
-
-        // Pack every slot's FIFO ring into one contiguous per-router
-        // allocation (§6g): slot i owns fifoStore_[i*cap, (i+1)*cap).
-        // One allocation replaces `total` scattered ones, so the
-        // pipeline's buffer reads/writes stream instead of chasing
-        // heap pointers.
-        auto n = static_cast<std::size_t>(total);
-        std::size_t cap = RingBuffer<Flit>::boundCapacity(
-            static_cast<std::size_t>(buffer_depth));
-        fifoStore_.assign(n * cap, Flit{});
-        fifoBase_ = fifoStore_.data();
-        fifo.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            fifo[i].bindStorage(fifoStore_.data() + i * cap,
-                                static_cast<std::size_t>(buffer_depth));
-
-        // Lay the masks and slot arrays out in one aligned buffer:
-        // every section starts on a 64-byte boundary (units below are
-        // uint64 words; 8 words = one cache line).
-        auto w = static_cast<std::size_t>(words);
-        std::size_t u32Sect = alignLine((n + 1) / 2); // n int32 values
-        std::size_t u64Sect = alignLine(n);
-        std::size_t off = 0;
-        std::size_t offActive = off;
-        off += alignLine(w);
-        std::size_t offRc = off;
-        off += alignLine(w);
-        std::size_t offVa = off;
-        off += alignLine(w);
-        std::size_t offSa = off;
-        off += alignLine(w * static_cast<std::size_t>(ports));
-        std::size_t offHeadArrive = off;
-        off += u64Sect;
-        std::size_t offHeadSince = off;
-        off += u64Sect;
-        std::size_t offPkt = off;
-        off += u64Sect;
-        std::size_t offOutPort = off;
-        off += u32Sect;
-        std::size_t offOutVc = off;
-        off += u32Sect;
-        std::size_t offVcLo = off;
-        off += u32Sect;
-        std::size_t offVcHi = off;
-        off += u32Sect;
-        std::size_t portSect =
-            alignLine((static_cast<std::size_t>(ports) + 1) / 2);
-        std::size_t offSaGrants = off;
-        off += portSect;
-        std::size_t offSaGrantOut = off;
-        off += portSect;
-
-        hotStore_.assign(off + kLineWords, 0);
-        hotWords_ = off + kLineWords;
-        std::uint64_t *base = alignedBase();
-        activeMask = base + offActive;
-        rcMask = base + offRc;
-        vaReqMask = base + offVa;
-        saReqMask = base + offSa;
-        headArrive = base + offHeadArrive;
-        headSince = base + offHeadSince;
-        pkt = reinterpret_cast<Packet **>(base + offPkt);
-        outPort = reinterpret_cast<PortId *>(base + offOutPort);
-        outVc = reinterpret_cast<VcId *>(base + offOutVc);
-        vcLo = reinterpret_cast<VcId *>(base + offVcLo);
-        vcHi = reinterpret_cast<VcId *>(base + offVcHi);
-        saGrants = reinterpret_cast<int *>(base + offSaGrants);
-        saGrantOut = reinterpret_cast<PortId *>(base + offSaGrantOut);
-
-        for (int p = 0; p < ports; ++p) {
-            saGrants[p] = 0;
-            saGrantOut[p] = INVALID_PORT;
-        }
-
-        for (std::size_t i = 0; i < n; ++i) {
-            outPort[i] = INVALID_PORT;
-            outVc[i] = INVALID_VC;
-            vcLo[i] = 0;
-            vcHi[i] = 0;
-            headSince[i] = 0;
-            headArrive[i] = CYCLE_NEVER;
-            pkt[i] = nullptr;
-        }
-
+        depth = buffer_depth;
+        fifo.resize(static_cast<std::size_t>(total));
         inChan.assign(static_cast<std::size_t>(ports), nullptr);
         outputs.assign(static_cast<std::size_t>(ports), Output{});
-        creditStore_.clear();
     }
 
     int
@@ -241,7 +163,7 @@ struct RouterCore
 
     /** Wire output port @p p. @p down_vcs is capped at 64 by the
      *  single-word allocated/credit masks. Credit counters become
-     *  live when finalizeWiring() packs them. */
+     *  live when place() carves them. */
     void
     connectOutput(PortId p, Channel *chan, int chan_lanes, int down_vcs,
                   int down_depth)
@@ -258,154 +180,95 @@ struct RouterCore
         op.initDepth = down_depth;
     }
 
-    /**
-     * Pack per-output credit counters into one aligned buffer — one
-     * 64-byte-aligned row of roundUp(max downVcs, 16) ints per port —
-     * and point every Output::credits at its row. Call once, after
-     * the last connectOutput(); allocates the only storage that
-     * cannot be sized in init() (downstream VC counts are
-     * heterogeneous and only known after wiring).
-     */
-    void
-    finalizeWiring()
+    /** Bytes place() carves from the arena (each section rounded up to
+     *  whole cache lines). */
+    std::size_t
+    arenaBytes() const
     {
-        int maxVcs = 0;
-        for (const Output &op : outputs)
-            maxVcs = op.downVcs > maxVcs ? op.downVcs : maxVcs;
-        if (maxVcs == 0)
-            return;
-        creditRowInts_ = static_cast<std::size_t>((maxVcs + 15) / 16) * 16;
-        creditInts_ = static_cast<std::size_t>(ports) * creditRowInts_ + 16;
-        creditStore_.assign(creditInts_, 0);
-        auto addr = reinterpret_cast<std::uintptr_t>(creditStore_.data());
-        int *base = creditStore_.data() +
-                    (64 - addr % 64) % 64 / sizeof(int);
-        creditBase_ = base;
-        for (std::size_t p = 0; p < outputs.size(); ++p) {
-            Output &op = outputs[p];
-            op.credits = base + p * creditRowInts_;
-            for (int v = 0; v < op.downVcs; ++v)
-                op.credits[v] = op.initDepth;
-        }
+        return HotArena::lineBytes(fifoBytes()) + hotBytes() +
+               HotArena::lineBytes(creditBytes());
     }
 
     /**
-     * Steady-state memory footprint of the SoA arrays, from container
-     * capacities: per-slot FIFO storage, the packed hot buffer (slot
-     * arrays + request bitmasks), and the packed per-output credit
-     * buffer. Everything here is sized once in init() /
-     * finalizeWiring(), so the value is constant after wiring — the
-     * sizing contract tests pin it against the layout formulas.
+     * Carve and initialise the FIFO, hot and credit sections from
+     * @p arena, in that order: slot i's FIFO owns [i*cap, (i+1)*cap)
+     * of the first, each hot array starts a cache line of the second
+     * (masks first), and output port p's
+     * credits are row p of the third, roundUp(max downVcs, 16) ints
+     * wide. Call once, after the last connectOutput().
+     */
+    void
+    place(HotArena &arena)
+    {
+        auto n = static_cast<std::size_t>(total);
+        auto np = static_cast<std::size_t>(ports);
+        auto w = static_cast<std::size_t>(words);
+        std::size_t cap = fifoCap();
+        fifoBase_ = arena.carve<Flit>(n * cap);
+        for (std::size_t i = 0; i < n; ++i)
+            fifo[i].bindStorage(fifoBase_ + i * cap,
+                                static_cast<std::size_t>(depth));
+
+        activeMask = arena.carve<std::uint64_t>(w);
+        rcMask = arena.carve<std::uint64_t>(w);
+        vaReqMask = arena.carve<std::uint64_t>(w);
+        saReqMask = arena.carve<std::uint64_t>(w * np);
+        headArrive = arena.carve<Cycle>(n, CYCLE_NEVER);
+        headSince = arena.carve<Cycle>(n);
+        pkt = arena.carve<Packet *>(n);
+        outPort = arena.carve<PortId>(n, INVALID_PORT);
+        outVc = arena.carve<VcId>(n, INVALID_VC);
+        vcLo = arena.carve<VcId>(n);
+        vcHi = arena.carve<VcId>(n);
+        saGrants = arena.carve<int>(np);
+        saGrantOut = arena.carve<PortId>(np, INVALID_PORT);
+
+        std::size_t row = creditRowInts();
+        creditBase_ = arena.carve<int>(np * row);
+        for (std::size_t p = 0; p < np; ++p) {
+            Output &op = outputs[p];
+            op.credits = creditBase_ + p * row;
+            std::fill_n(op.credits, op.downVcs, op.initDepth);
+        }
+    }
+
+    /** Start and size of each placed section, in carve order. */
+    std::array<HotSpan, 3>
+    placedSections() const
+    {
+        return {{{fifoBase_, fifoBytes()},
+                 {activeMask, hotBytes()},
+                 {creditBase_, creditBytes()}}};
+    }
+
+    /**
+     * Steady-state memory footprint, a pure function of ports, VCs,
+     * depth and downstream VC counts: the FIFO ring headers and
+     * storage, the hot section (slot arrays + request bitmasks, each
+     * cache-line rounded), the credit rows, and the wiring vectors.
+     * The sizing contract tests pin it against these formulas.
      */
     std::uint64_t
     footprintBytes() const
     {
-        std::uint64_t b = 0;
-        b += fifo.capacity() * sizeof(RingBuffer<Flit>);
-        for (const auto &f : fifo)
-            b += static_cast<std::uint64_t>(f.capacity()) * sizeof(Flit);
-        b += hotWords_ * sizeof(std::uint64_t);
-        b += creditInts_ * sizeof(int);
-        b += inChan.capacity() * sizeof(Channel *);
-        b += outputs.capacity() * sizeof(Output);
-        return b;
+        auto n = static_cast<std::uint64_t>(total);
+        auto np = static_cast<std::uint64_t>(ports);
+        return n * sizeof(RingBuffer<Flit>) + fifoBytes() + hotBytes() +
+               creditBytes() + np * (sizeof(Channel *) + sizeof(Output));
     }
 
     /** Pull the step working set toward the cache one active-list
      *  entry ahead of the step call (§6g): the leading request-mask
-     *  lines of the packed hot buffer (the hardware prefetcher
-     *  streams the rest of the contiguous buffer), the packed credit
-     *  rows, and the FIFO directory. */
+     *  lines of the hot section (the hardware prefetcher streams the
+     *  rest of the contiguous section), the credit rows, and the FIFO
+     *  storage. */
     void
     prefetchStep() const
     {
-        if (activeMask) {
-            bitops::prefetch(activeMask);
-            bitops::prefetch(saReqMask);
-        }
-        if (creditBase_)
-            bitops::prefetch(creditBase_);
-        if (fifoBase_)
-            bitops::prefetch(fifoBase_);
-    }
-
-    /** Bytes moveToArena() will carve (each section 64-B aligned). */
-    std::size_t
-    arenaBytes() const
-    {
-        auto r64 = [](std::size_t b) { return (b + 63) / 64 * 64; };
-        return r64(fifoStore_.size() * sizeof(Flit)) +
-               r64(hotWords_ * sizeof(std::uint64_t)) +
-               r64(creditInts_ * sizeof(int));
-    }
-
-    /**
-     * Relocate the packed FIFO, hot-section, and credit storage into
-     * @p arena (§6g): contents are copied verbatim, every pointer is
-     * re-based, and the self-owned vectors are released. Call after
-     * finalizeWiring() and before the first step. Exhaustion leaves
-     * the remaining sections self-owned — placement is a performance
-     * property only, so a partial move is still correct.
-     */
-    void
-    moveToArena(HotArena &arena)
-    {
-        if (!fifoStore_.empty()) {
-            auto *nf = reinterpret_cast<Flit *>(
-                arena.alloc(fifoStore_.size() * sizeof(Flit)));
-            if (nf != nullptr) {
-                std::size_t cap = fifoStore_.size() / fifo.size();
-                for (std::size_t i = 0; i < fifo.size(); ++i)
-                    fifo[i].moveStorageTo(nf + i * cap);
-                fifoBase_ = nf;
-                fifoStore_ = std::vector<Flit>();
-            }
-        }
-        if (!hotStore_.empty()) {
-            auto *nb = reinterpret_cast<std::uint64_t *>(
-                arena.alloc(hotWords_ * sizeof(std::uint64_t)));
-            if (nb != nullptr) {
-                std::uint64_t *ob = alignedBase();
-                std::memcpy(nb, ob,
-                            (hotWords_ - kLineWords) *
-                                sizeof(std::uint64_t));
-                auto rebase = [&](auto *&p) {
-                    using P = std::remove_reference_t<decltype(p)>;
-                    p = reinterpret_cast<P>(
-                        reinterpret_cast<char *>(nb) +
-                        (reinterpret_cast<char *>(p) -
-                         reinterpret_cast<char *>(ob)));
-                };
-                rebase(activeMask);
-                rebase(rcMask);
-                rebase(vaReqMask);
-                rebase(saReqMask);
-                rebase(headArrive);
-                rebase(headSince);
-                rebase(pkt);
-                rebase(outPort);
-                rebase(outVc);
-                rebase(vcLo);
-                rebase(vcHi);
-                rebase(saGrants);
-                rebase(saGrantOut);
-                hotStore_ = std::vector<std::uint64_t>();
-            }
-        }
-        if (!creditStore_.empty() && creditBase_ != nullptr) {
-            auto *nc = reinterpret_cast<int *>(
-                arena.alloc(creditInts_ * sizeof(int)));
-            if (nc != nullptr) {
-                std::memcpy(nc, creditBase_,
-                            static_cast<std::size_t>(ports) *
-                                creditRowInts_ * sizeof(int));
-                for (std::size_t p = 0; p < outputs.size(); ++p)
-                    if (outputs[p].credits != nullptr)
-                        outputs[p].credits = nc + p * creditRowInts_;
-                creditBase_ = nc;
-                creditStore_ = std::vector<int>();
-            }
-        }
+        bitops::prefetch(activeMask);
+        bitops::prefetch(saReqMask);
+        bitops::prefetch(creditBase_);
+        bitops::prefetch(fifoBase_);
     }
 
     /** Mirror the head-of-FIFO arrival cycle after a pop. */
@@ -418,37 +281,56 @@ struct RouterCore
     }
 
   private:
-    static constexpr std::size_t kLineWords = 8; ///< u64s per cache line
-
-    /** Round a section size up to whole cache lines (in u64 units). */
-    static std::size_t
-    alignLine(std::size_t u64s)
+    /** Slots per FIFO ring (depth rounded up to a power of two). */
+    std::size_t
+    fifoCap() const
     {
-        return (u64s + kLineWords - 1) / kLineWords * kLineWords;
+        return RingBuffer<Flit>::boundCapacity(
+            static_cast<std::size_t>(depth));
     }
 
-    /** First 64-byte-aligned word inside hotStore_. */
-    std::uint64_t *
-    alignedBase()
+    std::size_t
+    fifoBytes() const
     {
-        auto addr = reinterpret_cast<std::uintptr_t>(hotStore_.data());
-        return hotStore_.data() + (64 - addr % 64) % 64 / sizeof(std::uint64_t);
+        return static_cast<std::size_t>(total) * fifoCap() * sizeof(Flit);
     }
 
-    /** Packed backing storage for all slot FIFOs (slot i at
-     *  [i*cap, (i+1)*cap)); counted in footprintBytes() through the
-     *  bound per-slot capacities. */
-    std::vector<Flit> fifoStore_;
-    /** Backing storage of the aligned hot sections (+1 line of
-     *  alignment slack). */
-    std::vector<std::uint64_t> hotStore_;
-    /** Backing storage of the packed credit rows (+64 B slack). */
-    std::vector<int> creditStore_;
-    std::size_t creditRowInts_ = 0; ///< ints per port row
-    std::size_t hotWords_ = 0;   ///< hot-buffer size (survives a move)
-    std::size_t creditInts_ = 0; ///< credit-buffer size (ditto)
-    Flit *fifoBase_ = nullptr;   ///< packed FIFO storage (prefetch)
-    int *creditBase_ = nullptr;  ///< aligned credit rows (prefetch)
+    /** The hot section: every array place() carves between the FIFOs
+     *  and the credits, each rounded up to whole cache lines. */
+    std::size_t
+    hotBytes() const
+    {
+        auto n = static_cast<std::size_t>(total);
+        auto np = static_cast<std::size_t>(ports);
+        auto w = static_cast<std::size_t>(words);
+        auto lines = HotArena::lineBytes;
+        return 3 * lines(w * sizeof(std::uint64_t)) +
+               lines(w * np * sizeof(std::uint64_t)) +
+               2 * lines(n * sizeof(Cycle)) + lines(n * sizeof(Packet *)) +
+               lines(n * sizeof(PortId)) + 3 * lines(n * sizeof(VcId)) +
+               lines(np * sizeof(int)) + lines(np * sizeof(PortId));
+    }
+
+    /** Ints per credit row: the widest downstream VC count rounded up
+     *  to whole cache lines (0 while no output is wired). */
+    std::size_t
+    creditRowInts() const
+    {
+        int maxVcs = 0;
+        for (const Output &op : outputs)
+            maxVcs = op.downVcs > maxVcs ? op.downVcs : maxVcs;
+        return static_cast<std::size_t>((maxVcs + 15) / 16) * 16;
+    }
+
+    std::size_t
+    creditBytes() const
+    {
+        return creditRowInts() * static_cast<std::size_t>(ports) *
+               sizeof(int);
+    }
+
+    Flit *fifoBase_ = nullptr;  ///< placed FIFO storage (prefetch)
+    int *creditBase_ = nullptr; ///< placed credit rows (prefetch)
 };
 
 } // namespace hnoc

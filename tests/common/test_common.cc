@@ -188,42 +188,45 @@ TEST(HeatMap, Formats)
     EXPECT_NE(s.find("4.0"), std::string::npos);
 }
 
-TEST(HotArena, HugePagesOnlyFromHalfAHugePage)
+TEST(HotArena, CarvesInitialisedLinesAndPanicsPastItsReservation)
 {
-    constexpr std::size_t kHuge = HotArena::kHugePage;
-    auto reserved = [](std::size_t bytes, std::size_t align) {
-        HotArena arena;
-        arena.reserve(bytes);
-        // The first carve is the region's base.
-        std::byte *base = arena.alloc(1, 1);
-        EXPECT_NE(base, nullptr) << bytes;
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(base) % align, 0u)
-            << bytes;
-        return arena.reservedBytes();
-    };
-    // An 8x8 network's hot state (~0.4 MB) keeps to 4 KiB pages.
-    EXPECT_EQ(reserved(1, HotArena::kPage), HotArena::kPage);
-    EXPECT_EQ(reserved(600 * 1024 + 1, HotArena::kPage),
-              151 * HotArena::kPage);
-    EXPECT_EQ(reserved(kHuge / 2 - 1, HotArena::kPage), kHuge / 2);
-    // From 1 MiB up, whole huge pages.
-    EXPECT_EQ(reserved(kHuge / 2, kHuge), kHuge);
-    EXPECT_EQ(reserved(kHuge + 1, kHuge), 2 * kHuge);
+    HotArena arena;
+    arena.reserve(200);
+    // The reservation is one page block (page_allocator.hh).
+    EXPECT_EQ(arena.reservedBytes(), detail::kPage);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(arena.base()) %
+                  detail::kPage,
+              0u);
 
-    HotArena empty;
-    empty.reserve(0);
-    EXPECT_EQ(empty.reservedBytes(), 0u);
-    EXPECT_EQ(empty.alloc(1), nullptr);
+    // Every carve starts a fresh cache line and holds copies of its
+    // initial value, whatever the block held before.
+    int *a = arena.carve<int>(3, -1);
+    auto *b = arena.carve<std::uint64_t>(2);
+    EXPECT_EQ(reinterpret_cast<const std::byte *>(a), arena.base());
+    EXPECT_EQ(reinterpret_cast<const std::byte *>(b),
+              arena.base() + HotArena::kLine);
+    EXPECT_EQ(arena.used(), HotArena::kLine + 2 * sizeof(std::uint64_t));
+    EXPECT_EQ(a[2], -1);
+    EXPECT_EQ(b[1], 0u);
 
-    // A small region is a pooled page block: the next arena of the
-    // same size, on any thread, reuses the one just released.
-    HotArena first;
-    first.reserve(77 * HotArena::kPage);
-    std::byte *base = first.alloc(1, 1);
-    first.reserve(0);
-    HotArena second;
-    second.reserve(77 * HotArena::kPage);
-    EXPECT_EQ(second.alloc(1, 1), base);
+    // Carving past the reservation is a sizing bug, not a fallback.
+    EXPECT_DEATH((void)arena.carve<char>(detail::kPage), "overruns");
+
+    // Releasing the arena pools its block: the next block of that
+    // size is the same memory, contents and all (a fresh mapping
+    // would read zero).
+    const std::byte *base = arena.base();
+    std::size_t mark =
+        reinterpret_cast<const std::byte *>(arena.carve<int>(1, 0x5eed)) -
+        base;
+    arena.reserve(0);
+    EXPECT_EQ(arena.reservedBytes(), 0u);
+    void *again = detail::takePagedBlock(detail::kPage);
+    EXPECT_EQ(again, base);
+    EXPECT_EQ(*reinterpret_cast<int *>(static_cast<std::byte *>(again) +
+                                       mark),
+              0x5eed);
+    detail::keepPagedBlock(again, detail::kPage);
 }
 
 } // namespace

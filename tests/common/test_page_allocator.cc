@@ -82,5 +82,37 @@ TEST(PageAllocator, NewBlocksArePageAligned)
 }
 #endif
 
+TEST(PageAllocator, HugePagesOnlyFromHalfAHugePage)
+{
+    using detail::kHugePage;
+    using detail::kPage;
+    auto block = [](std::size_t bytes, std::size_t align) {
+        void *p = detail::takePagedBlock(bytes);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
+            << bytes;
+        // The whole rounded block is usable.
+        std::size_t size = detail::pagedBlockBytes(bytes);
+        static_cast<unsigned char *>(p)[size - 1] = 1;
+        detail::keepPagedBlock(p, bytes);
+        return size;
+    };
+    // An 8x8 network's hot state (~0.4 MB) keeps to 4 KiB pages.
+    EXPECT_EQ(block(1, kPage), kPage);
+    EXPECT_EQ(block(600 * 1024 + 1, kPage), 151 * kPage);
+    EXPECT_EQ(block(kHugePage / 2 - 1, kPage), kHugePage / 2);
+    // From 1 MiB up, whole huge pages, 2 MiB-aligned.
+    EXPECT_EQ(block(kHugePage / 2, kHugePage), kHugePage);
+    EXPECT_EQ(block(kHugePage + 1, kHugePage), 2 * kHugePage);
+
+    // A huge block goes back to the OS, never to a free list: the
+    // allocator's containers take that path too.
+    PageAllocator<std::uint64_t> alloc;
+    std::size_t words = kHugePage / sizeof(std::uint64_t);
+    std::uint64_t *p = alloc.allocate(words);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kHugePage, 0u);
+    p[words - 1] = 7;
+    alloc.deallocate(p, words);
+}
+
 } // namespace
 } // namespace hnoc

@@ -1,7 +1,7 @@
 /**
  * @file
  * Cross-feature integration: combinations of routing modes, link-width
- * modes, SA policies and the CMP stack that no single-module test
+ * modes, table routing and the CMP stack that no single-module test
  * exercises together.
  */
 
@@ -46,12 +46,11 @@ TEST(CrossFeatures, CmpOnCentralBandNetwork)
     EXPECT_GT(sys.packetsSent(), 500u);
 }
 
-TEST(CrossFeatures, OldestFirstSaWithTableRouting)
+TEST(CrossFeatures, TableRoutingDeliversEverything)
 {
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
     cfg.routing = RoutingMode::TableXY;
     cfg.tableRoutedNodes = {0, 63};
-    cfg.saPolicy = SaPolicy::OldestFirst;
     Network net(cfg);
     std::uint64_t injected = 0;
     for (int round = 0; round < 15; ++round) {
@@ -74,7 +73,6 @@ TEST(CrossFeatures, SerializedConfigDrivesCmp)
 {
     // Full loop: build a config, serialize, reload, run a system.
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::CenterBL);
-    cfg.saPolicy = SaPolicy::OldestFirst;
     NetworkConfig loaded = configFromString(configToString(cfg));
     CmpConfig cmp;
     cmp.mcPlacement = McPlacement::Diamond;

@@ -39,7 +39,6 @@ expectConfigsEqual(const NetworkConfig &a, const NetworkConfig &b)
     EXPECT_EQ(a.tableRoutedNodes, b.tableRoutedNodes);
     EXPECT_EQ(a.escapeThreshold, b.escapeThreshold);
     EXPECT_EQ(a.intraPacketPairing, b.intraPacketPairing);
-    EXPECT_EQ(a.saPolicy, b.saPolicy);
     EXPECT_EQ(a.alwaysStep, b.alwaysStep);
     EXPECT_EQ(a.blockTiles, b.blockTiles);
     EXPECT_EQ(a.pipelineStages, b.pipelineStages);
@@ -58,7 +57,6 @@ TEST(ConfigIo, RoundTripHeterogeneous)
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
     cfg.routing = RoutingMode::TableXY;
     cfg.tableRoutedNodes = {0, 7, 56, 63};
-    cfg.saPolicy = SaPolicy::OldestFirst;
     cfg.intraPacketPairing = false;
     cfg.alwaysStep = true;
     cfg.blockTiles = 16;
@@ -194,8 +192,10 @@ TEST(ConfigIo, NegativeUnsignedFatal)
 
 TEST(ConfigIo, UnknownSaPolicyFatal)
 {
-    EXPECT_DEATH((void)configFromString("sa_policy=oldest_first\n"),
-                 "unknown sa_policy 'oldest_first'");
+    // Switch allocation has one policy (rotating priority) and no
+    // config key: any sa_policy value is an unknown key.
+    EXPECT_DEATH((void)configFromString("sa_policy=round-robin\n"),
+                 "unknown key 'sa_policy'");
 }
 
 TEST(ConfigIo, LoadedConfigSimulates)

@@ -16,9 +16,25 @@ namespace hnoc
 namespace
 {
 
+/** A standalone channel with its pipes placed in its own arena. */
+struct PlacedChannel
+{
+    HotArena arena;
+    Channel ch;
+
+    PlacedChannel(int width_bits, int lanes, int flit_delay,
+                  int credit_delay)
+        : ch(0, width_bits, lanes, flit_delay, credit_delay)
+    {
+        arena.reserve(ch.arenaBytes());
+        ch.place(arena);
+    }
+};
+
 TEST(Channel, DelayPipe)
 {
-    Channel ch(0, 192, 1, 2, 1);
+    PlacedChannel placed(192, 1, 2, 1);
+    Channel &ch = placed.ch;
     Packet pkt;
     Flit f;
     f.pkt = &pkt;
@@ -34,7 +50,8 @@ TEST(Channel, DelayPipe)
 
 TEST(Channel, CreditDelay)
 {
-    Channel ch(0, 192, 1, 2, 1);
+    PlacedChannel placed(192, 1, 2, 1);
+    Channel &ch = placed.ch;
     ch.sendCredit(2, 5);
     std::vector<VcId> credits;
     auto collect = [&](VcId vc) { credits.push_back(vc); };
@@ -45,7 +62,8 @@ TEST(Channel, CreditDelay)
 
 TEST(Channel, PairTrackingAndUtilization)
 {
-    Channel ch(0, 256, 2, 1, 1);
+    PlacedChannel placed(256, 2, 1, 1);
+    Channel &ch = placed.ch;
     Packet pkt;
     Flit f;
     f.pkt = &pkt;
@@ -60,7 +78,8 @@ TEST(Channel, PairTrackingAndUtilization)
 
 TEST(Channel, OversubscriptionPanics)
 {
-    Channel ch(0, 192, 1, 1, 1);
+    PlacedChannel placed(192, 1, 1, 1);
+    Channel &ch = placed.ch;
     Packet pkt;
     Flit f;
     f.pkt = &pkt;

@@ -1,12 +1,10 @@
 /**
  * @file
- * Watchdog and network-interface behaviour tests, plus SA-policy
- * comparisons.
+ * Watchdog and network-interface behaviour tests.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
 #include "heteronoc/layout.hh"
 #include "noc/watchdog.hh"
 
@@ -145,69 +143,6 @@ TEST(NetworkInterface, QueueDepthVisible)
     EXPECT_GT(net.totalSourceQueueDepth(), 0u);
     net.run(2000);
     EXPECT_EQ(net.totalSourceQueueDepth(), 0u);
-}
-
-TEST(SaPolicy, OldestFirstDeliversEverything)
-{
-    NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
-    cfg.saPolicy = SaPolicy::OldestFirst;
-    Network net(cfg);
-    Rng rng(77);
-    std::uint64_t injected = 0;
-    for (Cycle t = 0; t < 3000; ++t) {
-        for (NodeId n = 0; n < 64; ++n) {
-            if (rng.uniform() < 0.03) {
-                auto dst = static_cast<NodeId>(rng.below(63));
-                if (dst >= n)
-                    ++dst;
-                net.enqueuePacket(n, dst, cfg.dataPacketFlits());
-                ++injected;
-            }
-        }
-        net.step();
-    }
-    Cycle guard = 60000;
-    while (net.packetsInFlight() > 0 && guard-- > 0)
-        net.step();
-    EXPECT_EQ(net.packetsDelivered(), injected);
-}
-
-TEST(SaPolicy, OldestFirstImprovesTailAtSaturation)
-{
-    // Fairness property: under heavy load, age-based arbitration must
-    // not produce a *worse* maximum packet latency than round-robin.
-    auto max_latency = [](SaPolicy policy) {
-        struct MaxLat : NetworkClient
-        {
-            Cycle worst = 0;
-            void
-            onPacketDelivered(Network &, Packet &pkt, Cycle) override
-            {
-                worst = std::max(worst, pkt.networkLatency());
-            }
-        } client;
-        NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
-        cfg.saPolicy = policy;
-        Network net(cfg);
-        net.setClient(&client);
-        Rng rng(5);
-        for (Cycle t = 0; t < 6000; ++t) {
-            for (NodeId n = 0; n < 64; ++n) {
-                if (rng.uniform() < 0.06) {
-                    auto dst = static_cast<NodeId>(rng.below(63));
-                    if (dst >= n)
-                        ++dst;
-                    net.enqueuePacket(n, dst, cfg.dataPacketFlits());
-                }
-            }
-            net.step();
-        }
-        return client.worst;
-    };
-    Cycle rr = max_latency(SaPolicy::RoundRobin);
-    Cycle oldest = max_latency(SaPolicy::OldestFirst);
-    EXPECT_LE(oldest, rr + rr / 2) << "age-based SA should not degrade "
-                                      "worst-case latency materially";
 }
 
 } // namespace

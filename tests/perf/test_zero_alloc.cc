@@ -347,112 +347,211 @@ TEST(ZeroAlloc, WarmedCmpSystemIsAllocationFree)
 // across steady-state stepping (the memory-side twin of the
 // zero-allocation assertions above).
 
+/** Place @p core alone in @p arena, sized from its arenaBytes(). */
+void
+placeAlone(RouterCore &core, HotArena &arena)
+{
+    arena.reserve(core.arenaBytes());
+    core.place(arena);
+}
+
+bool
+lineAligned(const void *p)
+{
+    return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+}
+
 TEST(Footprint, RouterCoreScalesExactlyWithBufferDepth)
 {
     // slot FIFO storage is total-slots x depth x sizeof(Flit); every
-    // other array in the core is depth-independent.
+    // other array in the core is depth-independent. Placement carves
+    // that storage without changing the footprint.
     RouterCore shallow, deep;
     shallow.init(/*ports=*/5, /*vcs=*/3, /*depth=*/4);
     deep.init(5, 3, 8);
-    EXPECT_EQ(deep.footprintBytes() - shallow.footprintBytes(),
-              static_cast<std::uint64_t>(5 * 3) * 4 * sizeof(Flit));
+    const std::uint64_t diff =
+        static_cast<std::uint64_t>(5 * 3) * 4 * sizeof(Flit);
+    EXPECT_EQ(deep.footprintBytes() - shallow.footprintBytes(), diff);
+
+    HotArena shallowArena, deepArena;
+    placeAlone(shallow, shallowArena);
+    placeAlone(deep, deepArena);
+    EXPECT_EQ(deep.footprintBytes() - shallow.footprintBytes(), diff);
+    EXPECT_EQ(deep.fifo[14].capacity(), 8u);
+    EXPECT_EQ(deep.placedSections()[0].bytes -
+                  shallow.placedSections()[0].bytes,
+              diff);
 }
 
 TEST(Footprint, RouterCoreHotSectionsStartOnCacheLines)
 {
-    // The packed hot buffer promises every section its own 64-byte
+    // The placed hot section promises every array its own 64-byte
     // boundary, so RC/VA/SA never split a mask or slot array across
-    // the line holding a neighbouring section.
+    // the line holding a neighbouring array; all of them lie inside
+    // the section place() reports.
     RouterCore core;
     core.init(/*ports=*/5, /*vcs=*/3, /*depth=*/4);
-    auto lineAligned = [](const void *p) {
-        return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
-    };
-    EXPECT_TRUE(lineAligned(core.activeMask));
-    EXPECT_TRUE(lineAligned(core.rcMask));
-    EXPECT_TRUE(lineAligned(core.vaReqMask));
-    EXPECT_TRUE(lineAligned(core.saReqMask));
-    EXPECT_TRUE(lineAligned(core.headArrive));
-    EXPECT_TRUE(lineAligned(core.headSince));
-    EXPECT_TRUE(lineAligned(core.pkt));
-    EXPECT_TRUE(lineAligned(core.outPort));
-    EXPECT_TRUE(lineAligned(core.outVc));
-    EXPECT_TRUE(lineAligned(core.vcLo));
-    EXPECT_TRUE(lineAligned(core.vcHi));
+    HotArena arena;
+    placeAlone(core, arena);
+    const void *arrays[] = {core.activeMask, core.rcMask,
+                            core.vaReqMask,  core.saReqMask,
+                            core.headArrive, core.headSince,
+                            core.pkt,        core.outPort,
+                            core.outVc,      core.vcLo,
+                            core.vcHi,       core.saGrants,
+                            core.saGrantOut};
+    HotSpan hot = core.placedSections()[1];
+    const auto *lo = static_cast<const std::byte *>(hot.at);
+    const std::byte *prev = nullptr;
+    for (const void *p : arrays) {
+        const auto *at = static_cast<const std::byte *>(p);
+        EXPECT_TRUE(lineAligned(at));
+        EXPECT_GE(at, lo);
+        EXPECT_LT(at, lo + hot.bytes);
+        EXPECT_GT(at, prev); // carved in declaration order
+        prev = at;
+    }
+    EXPECT_EQ(core.outPort[14], INVALID_PORT);
+    EXPECT_EQ(core.headArrive[0], CYCLE_NEVER);
+    EXPECT_EQ(core.saGrantOut[4], INVALID_PORT);
 }
 
 TEST(Footprint, RouterCoreCountsPackedCreditStorage)
 {
-    // connectOutput only records wiring facts; the packed credit
-    // buffer appears at finalizeWiring(): one 64-byte-aligned row of
-    // roundUp(max downVcs, 16) ints per port, plus 64 B of alignment
-    // slack.
+    // Wiring alone sizes the credit rows: one 64-byte-aligned row of
+    // roundUp(max downVcs, 16) ints per port, with no alignment slack
+    // (the arena aligns the section). place() carves them, holding
+    // each output's initial credits, and leaves the footprint as is.
     RouterCore core;
     core.init(5, 3, 4);
     std::uint64_t unwired = core.footprintBytes();
     core.connectOutput(/*p=*/0, /*chan=*/nullptr, /*lanes=*/1,
                        /*down_vcs=*/6, /*down_depth=*/4);
     core.connectOutput(/*p=*/1, nullptr, 1, /*down_vcs=*/4, 4);
-    EXPECT_EQ(core.footprintBytes(), unwired);
-
-    core.finalizeWiring();
     std::size_t row = (6 + 15) / 16 * 16; // max downVcs rounded to 16
-    EXPECT_EQ(core.footprintBytes() - unwired,
-              (5 * row + 16) * sizeof(int));
+    EXPECT_EQ(core.footprintBytes() - unwired, 5 * row * sizeof(int));
+
+    HotArena arena;
+    placeAlone(core, arena);
+    EXPECT_EQ(core.footprintBytes() - unwired, 5 * row * sizeof(int));
     EXPECT_EQ(core.outputs[0].credits[5], 4); // initDepth landed
     EXPECT_EQ(core.outputs[1].credits[3], 4);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
-                  core.outputs[0].credits) % 64,
-              0u);
+    EXPECT_EQ(core.outputs[1].credits - core.outputs[0].credits,
+              static_cast<std::ptrdiff_t>(row));
+    EXPECT_TRUE(lineAligned(core.outputs[0].credits));
+    // The credit rows are the last carve and end the arena's use.
+    EXPECT_EQ(reinterpret_cast<const std::byte *>(core.outputs[4].credits +
+                                                  row),
+              arena.base() + arena.used());
 }
 
-TEST(Footprint, ArenaMovePreservesStateAndAlignment)
+TEST(Footprint, HotArenaHoldsEverySectionLineAlignedInVisitOrder)
 {
-    // moveToArena relocates the packed FIFO, hot-section, and credit
-    // storage into one externally owned region. The move must keep
-    // every section on its own cache line, preserve live contents
-    // (credits, buffered flits), and leave footprintBytes unchanged —
-    // placement is a performance property, never a sizing one.
-    hnoc::RouterCore core;
-    core.init(/*ports=*/5, /*vcs=*/3, /*depth=*/4);
-    core.connectOutput(/*p=*/0, nullptr, 1, /*down_vcs=*/6, /*depth=*/4);
-    core.connectOutput(/*p=*/1, nullptr, 1, /*down_vcs=*/4, /*depth=*/4);
-    core.finalizeWiring();
-    core.outputs[0].credits[2] = 7; // sentinel surviving the move
-    hnoc::Flit f;
-    f.seq = 42;
-    core.fifo[3].push_back(f);
-    std::uint64_t before = core.footprintBytes();
-    // Capture the quote before moving: arenaBytes() reports what a
-    // move *would* carve, and the packed-FIFO section transfers
-    // ownership out of the core when the move happens.
-    std::size_t quoted = core.arenaBytes();
+    // Every router's FIFO, hot and credit sections and every channel's
+    // two pipes live in the network's one arena: line-aligned, in
+    // ascending order without overlap, from the arena's base to its
+    // used() mark, in the blocked step loop's visit order (ejection
+    // channels, then per block its delivered channels and routers).
+    // 16-tile blocks give an 8x8 mesh four of them.
+    for (LayoutKind kind : {LayoutKind::Baseline, LayoutKind::DiagonalBL}) {
+        SCOPED_TRACE(layoutName(kind));
+        NetworkConfig cfg = makeLayoutConfig(kind);
+        cfg.blockTiles = 16;
+        Network net(cfg);
+        const Topology &topo = net.topology();
+        const HotArena &arena = net.hotArena();
+        std::vector<HotSpan> sections = net.hotSections();
 
-    hnoc::HotArena arena;
-    arena.reserve(quoted);
-    ASSERT_GT(arena.reservedBytes(), 0u);
-    core.moveToArena(arena);
+        std::map<std::string, MemoryAudit::Component> rows;
+        for (const auto &c : net.memoryAudit().components)
+            rows[c.name] = c;
+        ASSERT_EQ(sections.size(), 2 * rows["channels"].count +
+                                       3 * rows["routers"].count);
+        EXPECT_EQ(rows["hot_arena_pad"].bytes,
+                  arena.reservedBytes() - arena.used());
 
-    auto lineAligned = [](const void *p) {
-        return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
-    };
-    EXPECT_TRUE(lineAligned(core.activeMask));
-    EXPECT_TRUE(lineAligned(core.saReqMask));
-    EXPECT_TRUE(lineAligned(core.headArrive));
-    EXPECT_TRUE(lineAligned(core.outputs[0].credits));
-    EXPECT_EQ(core.outputs[0].credits[2], 7);
-    EXPECT_EQ(core.outputs[1].credits[3], 4); // initDepth intact
-    ASSERT_EQ(core.fifo[3].size(), 1u);
-    EXPECT_EQ(core.fifo[3].front().seq, 42);
-    EXPECT_EQ(core.footprintBytes(), before);
-    // Every section landed inside the reserved region: the bump
-    // cursor advanced (no section fell back to self-owned storage)
-    // and never past the quoted worst case (arenaBytes rounds each
-    // section up to whole lines; used() ends at the last section's
-    // exact byte count).
-    EXPECT_GT(arena.used(), 0u);
-    EXPECT_LE(arena.used(), quoted);
-    EXPECT_LE(arena.used(), arena.reservedBytes());
+        std::map<const void *, std::size_t> index;
+        const std::byte *end = arena.base();
+        for (std::size_t i = 0; i < sections.size(); ++i) {
+            const auto *at = static_cast<const std::byte *>(sections[i].at);
+            EXPECT_TRUE(lineAligned(at)) << i;
+            EXPECT_GE(at, end) << i;
+            end = at + sections[i].bytes;
+            index[at] = i;
+        }
+        EXPECT_EQ(sections.front().at, arena.base());
+        EXPECT_EQ(end, arena.base() + arena.used());
+        EXPECT_LE(arena.used(), arena.reservedBytes());
+
+        auto at = [&](const auto &component) {
+            return index.at(component.placedSections()[0].at);
+        };
+        // Ejection channels come first, in node order.
+        for (NodeId n = 0; n < topo.numNodes(); ++n) {
+            const Router &r = net.router(topo.routerOfNode(n));
+            EXPECT_EQ(at(*r.outputChannel(topo.localPortOfNode(n))),
+                      2 * static_cast<std::size_t>(n));
+        }
+        // Routers follow in id order, and each inter-router channel
+        // sits between the previous block's routers and its sink's.
+        int routers = topo.numRouters();
+        for (RouterId r = 1; r < routers; ++r)
+            EXPECT_LT(at(net.router(r - 1)), at(net.router(r)));
+        for (RouterId r = 0; r < routers; ++r) {
+            for (PortId p = 0; p < topo.numDirPorts(); ++p) {
+                RouterId sink = topo.peer(r, p).router;
+                if (sink == INVALID_ROUTER)
+                    continue;
+                std::size_t chan = at(*net.router(r).outputChannel(p));
+                RouterId first = sink / 16 * 16;
+                EXPECT_LT(chan, at(net.router(first)));
+                if (first > 0) {
+                    EXPECT_GT(chan, at(net.router(first - 1)));
+                }
+            }
+        }
+    }
+}
+
+TEST(Footprint, AutoSizedBlocksKeepTheirMeshRows)
+{
+    // Block auto-sizing divides a 768 KiB budget by the mean
+    // per-tile footprint and rounds down to whole mesh rows. The
+    // footprint formulas must leave these partitions as they were
+    // measured when the hot state was last re-laid out (per-tile
+    // quotients of 83-95 tiles stay inside the same row bucket).
+    const std::pair<int, int> expect[] = {
+        {8, 64}, {16, 80}, {32, 64}, {48, 48}};
+    for (LayoutKind kind : {LayoutKind::Baseline, LayoutKind::DiagonalBL})
+        for (auto [radix, tiles] : expect) {
+            Network net(makeLayoutConfig(kind, radix));
+            EXPECT_EQ(net.blockTiles(), tiles)
+                << layoutName(kind) << " " << radix;
+        }
+
+    // On 8x8, the routers row without the Router objects themselves
+    // (the core's FIFO, hot, credit and wiring storage) is 128 B per
+    // router below the pinned bytes of sections that each carried
+    // 64 B of alignment slack (the arena aligns them instead); the
+    // channel row keeps its pinned bytes.
+    const struct
+    {
+        LayoutKind kind;
+        std::uint64_t coreWithSlack, channels;
+    } pinned[] = {{LayoutKind::Baseline, 339968, 202752},
+                  {LayoutKind::DiagonalBL, 350208, 202752}};
+    for (const auto &pin : pinned) {
+        Network net(makeLayoutConfig(pin.kind));
+        std::map<std::string, MemoryAudit::Component> rows;
+        for (const auto &c : net.memoryAudit().components)
+            rows[c.name] = c;
+        std::uint64_t routers = rows["routers"].count;
+        EXPECT_EQ(rows["routers"].bytes - routers * sizeof(Router),
+                  pin.coreWithSlack - routers * 128)
+            << layoutName(pin.kind);
+        EXPECT_EQ(rows["channels"].bytes, pin.channels)
+            << layoutName(pin.kind);
+    }
 }
 
 TEST(Footprint, SteadyStateMemoryAuditIsConstant)
