@@ -20,6 +20,11 @@
  *                          deterministic for a fixed seed and thread
  *                          count: a stepping team adds its outboxes)
  *   tiles                  radix * radix
+ *   serial_ns_per_cycle,   on a network that stepped on a team: the
+ *   slot_imbalance         leader's serial ns per timed cycle, and
+ *                          the slowest team slot over the mean one
+ *                          (Network::teamStats; absent in
+ *                          HNOC_TELEMETRY=OFF builds)
  *   pct_*                  phase shares from a separate short PROFILED
  *                          run of an identically-loaded network (the
  *                          attribution question tolerates overhead;
@@ -108,6 +113,7 @@ scalingPoint(benchmark::State &state, const NetworkConfig &cfg,
     // Warm past the cold-start transient so the timed loop sees
     // steady-state occupancy and grown container capacities.
     driveCycles(net, gen, cfg, pkt_rate, now, 2000);
+    net.resetMeasurement(); // team accounting covers the timed loop
 
     using clock = std::chrono::steady_clock;
     auto t0 = clock::now();
@@ -137,6 +143,14 @@ scalingPoint(benchmark::State &state, const NetworkConfig &cfg,
         state.counters["ns_per_cycle_per_tile"] = benchmark::Counter(
             ns / static_cast<double>(timed_cycles) /
             static_cast<double>(nodes));
+
+    const TeamStats &team = net.teamStats();
+    if (team.cycles > 0) {
+        state.counters["serial_ns_per_cycle"] =
+            benchmark::Counter(team.serialNsPerCycle());
+        state.counters["slot_imbalance"] =
+            benchmark::Counter(team.slotImbalance());
+    }
 
     MemoryAudit audit = net.memoryAudit();
     state.counters["bytes_per_tile"] =

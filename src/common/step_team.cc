@@ -56,18 +56,38 @@ class Backoff
 
 struct StepTeam::Shared
 {
-    Shared(JobPool &p, int s, SlotFn f, void *c)
-        : pool(p), slots(s), fn(f), ctx(c),
+    Shared(JobPool &p, int s, SlotFn f, void *c, LeaderFn o, LeaderFn b)
+        : pool(p), slots(s), fn(f), opening(o), between(b), ctx(c),
           claimed(2 * static_cast<std::size_t>(s))
     {}
+
+    /** Run @p f, keeping the cycle's first exception for the
+     *  leader. */
+    template <typename F>
+    void
+    guarded(F &&f)
+    {
+        try {
+            f();
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(errorMutex);
+            if (!error)
+                error = std::current_exception();
+        }
+    }
 
     JobPool &pool;
     const int slots;
     const SlotFn fn;
+    const LeaderFn opening;
+    const LeaderFn between;
     void *const ctx;
 
     /** The open cycle, published by the leader. */
     std::atomic<std::uint32_t> cycle{0};
+    /** The last cycle whose phase 1 is open, published by the leader
+     *  after the between section. */
+    std::atomic<std::uint32_t> phase1{0};
     /** Per item (phase-major): the last cycle that claimed it. Every
      *  item is claimed once per cycle, so in cycle c an unclaimed item
      *  holds c - 1 and a claim is the CAS c - 1 -> c, which a thread
@@ -89,7 +109,7 @@ struct StepTeam::Shared
 };
 
 void
-StepTeam::work(Shared &s, std::uint32_t cycle, int home)
+StepTeam::work(Shared &s, std::uint32_t cycle, int home, bool leader)
 {
     bool counted = false;
     auto run = [&](int phase, int slot) {
@@ -102,21 +122,24 @@ StepTeam::work(Shared &s, std::uint32_t cycle, int home)
             s.workers.fetch_add(1, std::memory_order_relaxed);
             counted = true;
         }
-        try {
-            s.fn(s.ctx, phase, slot);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(s.errorMutex);
-            if (!s.error)
-                s.error = std::current_exception();
-        }
+        s.guarded([&] { s.fn(s.ctx, phase, slot); });
         s.done[phase].fetch_add(1, std::memory_order_release);
     };
     for (int phase = 0; phase < 2; ++phase) {
-        if (phase == 1) {
-            // The barrier: phase 1 starts once every phase-0 item has
-            // finished (or this thread's cycle is over).
+        if (phase == 1 && leader) {
+            // The barrier: once every phase-0 item has finished, the
+            // leader runs the between section, then opens phase 1.
             Backoff backoff;
-            while (s.done[0].load(std::memory_order_acquire) < s.slots) {
+            while (s.done[0].load(std::memory_order_acquire) < s.slots)
+                backoff.poll();
+            if (s.between)
+                s.guarded([&] { s.between(s.ctx); });
+            s.phase1.store(cycle, std::memory_order_release);
+        } else if (phase == 1) {
+            // A helper waits for phase 1 to open (or for this
+            // thread's cycle to be over).
+            Backoff backoff;
+            while (s.phase1.load(std::memory_order_acquire) != cycle) {
                 if (s.cycle.load(std::memory_order_relaxed) != cycle)
                     return;
                 backoff.poll();
@@ -181,12 +204,14 @@ StepTeam::helperLoop(Shared &s)
             backoff = Backoff();
         }
         seen = s.cycle.load(std::memory_order_acquire);
-        work(s, seen, home);
+        work(s, seen, home, false);
     }
 }
 
-StepTeam::StepTeam(JobPool &pool, int threads, SlotFn fn, void *ctx)
-    : shared_(std::make_shared<Shared>(pool, threads, fn, ctx)),
+StepTeam::StepTeam(JobPool &pool, int threads, SlotFn fn, void *ctx,
+                   LeaderFn opening, LeaderFn between)
+    : shared_(std::make_shared<Shared>(pool, threads, fn, ctx, opening,
+                                       between)),
       pool_(pool), threads_(threads)
 {}
 
@@ -229,7 +254,9 @@ StepTeam::runCycle()
     if (s.parked.load() > 0)
         pool_.unparkAll();
 
-    work(s, cycle_, 0);
+    if (s.opening)
+        s.guarded([&] { s.opening(s.ctx); });
+    work(s, cycle_, 0, true);
     Backoff backoff;
     while (s.done[1].load(std::memory_order_acquire) < s.slots)
         backoff.poll();

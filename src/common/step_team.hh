@@ -4,8 +4,11 @@
  * calling thread (the leader) and idle workers borrowed from a JobPool.
  *
  * A cycle is two phases over a fixed set of slots; an item is one
- * (phase, slot) pair, claimed by exactly one thread. A phase-1 item
- * starts only once every phase-0 item has finished (the barrier).
+ * (phase, slot) pair, claimed by exactly one thread. The leader runs
+ * two optional sections of its own: the opening, as phase 0 opens
+ * (the helpers meanwhile take phase-0 items), and the between
+ * section, once every phase-0 item has finished. A phase-1 item
+ * starts only after the between section (the barrier).
  * Each thread has a home slot (the leader slot 0, each helper a free
  * seat) and claims it first, then any item still unclaimed, so a
  * slot's state stays in one core's cache from cycle to cycle while an
@@ -51,14 +54,18 @@ class StepTeam
     /** One item: slot @p slot of phase @p phase (0 or 1), on any team
      *  thread. */
     using SlotFn = void (*)(void *ctx, int phase, int slot);
+    /** A section the leader runs alone. */
+    using LeaderFn = void (*)(void *ctx);
 
     /**
      * A team of up to @p threads threads (leader included) stepping
      * one slot per thread, @p threads per phase, through
-     * @p fn(@p ctx, ...). Starts no thread: helpers are recruited by
-     * runCycle().
+     * @p fn(@p ctx, ...), with the leader sections @p opening(@p ctx)
+     * and @p between(@p ctx) where not null. Starts no thread:
+     * helpers are recruited by runCycle().
      */
-    StepTeam(JobPool &pool, int threads, SlotFn fn, void *ctx);
+    StepTeam(JobPool &pool, int threads, SlotFn fn, void *ctx,
+             LeaderFn opening = nullptr, LeaderFn between = nullptr);
 
     /** Tells the helpers to leave; does not wait for them. */
     ~StepTeam();
@@ -67,9 +74,11 @@ class StepTeam
     StepTeam &operator=(const StepTeam &) = delete;
 
     /**
-     * Run one cycle — every slot of phase 0, then every slot of phase
-     * 1 — on the leader and the helpers at hand, and return true once
-     * all items have finished. An exception thrown by an item is
+     * Run one cycle — the opening on the calling thread alongside
+     * phase 0, every slot of phase 0, the between section on the
+     * calling thread, then every slot of phase 1 — on the leader and
+     * the helpers at hand, and return true once all items have
+     * finished. An exception thrown by an item or a section is
      * rethrown here. @return false, having run nothing, when no helper
      * is at hand.
      */
@@ -85,8 +94,10 @@ class StepTeam
     struct Shared;
 
     /** Claim and run items of cycle @p cycle until none is left,
-     *  slot @p home first in each phase. */
-    static void work(Shared &s, std::uint32_t cycle, int home);
+     *  slot @p home first in each phase; the leader (home 0) also runs
+     *  the between section and opens phase 1. */
+    static void work(Shared &s, std::uint32_t cycle, int home,
+                     bool leader);
     /** A lent worker's loop: run cycles until the team closes or the
      *  pool wants the worker back. */
     static void helperLoop(Shared &s);

@@ -28,12 +28,14 @@
  * canonical ascending id order (§6g) and cost O(active). A list is
  * woken only by the thread that scans it: when a network steps on a
  * team (§6h), a send whose list another thread scans wakes the
- * sender's outbox, an ActiveList used through drainPending() alone,
- * and the leader hands those ids on between cycles. All storage
- * is reserved once, at construction (an outbox's when its team
- * forms), so the steady state allocates nothing. WakeHooks hold raw pointers into the Network's per-block
- * std::vector<ActiveList>s, which therefore must never reallocate
- * once the hooks are set.
+ * sender's outbox, an ActiveList that is never scanned; as the next
+ * cycle opens, each scanning thread reads every other outbox
+ * (forEachPending()) and wakes its own lists, and each sender then
+ * empties its own (drainPending()). All storage is reserved once, at
+ * construction (an outbox's when its team forms), so the steady state
+ * allocates nothing. WakeHooks hold raw pointers into the Network's
+ * per-block std::vector<ActiveList>s, which therefore must never
+ * reallocate once the hooks are set.
  */
 
 #ifndef HNOC_NOC_ACTIVE_SET_HH
@@ -140,6 +142,17 @@ class ActiveList
             fn(id);
         }
         pending_.clear();
+    }
+
+    /** Hand every id woken since the last drain to @p fn, in wake
+     *  order, and keep it: an outbox that other threads read before
+     *  its owner drains it. */
+    template <typename Fn>
+    void
+    forEachPending(Fn &&fn) const
+    {
+        for (std::uint32_t id : pending_)
+            fn(id);
     }
 
     /** Current member count (entries that have gone idle included

@@ -25,6 +25,25 @@ namespace
  *  cache with packets, scratch, and the next block's prefetches. */
 constexpr std::uint64_t kBlockL2Bytes = 768 * 1024;
 
+/** Team cycles before the first cut of the slots by measured cost:
+ *  long enough for a network started empty to fill. */
+constexpr std::uint64_t kFirstCutCycles = 256;
+/** Each later cut comes this many times as many team cycles in, from
+ *  the costs measured since the one before, so cuts stay rare and a
+ *  slot's blocks stay in one core's cache between them. */
+constexpr std::uint64_t kCutSpacing = 4;
+
+using Clock = std::chrono::steady_clock;
+
+/** Nanoseconds from @p from to @p to. */
+std::uint64_t
+nsBetween(Clock::time_point from, Clock::time_point to)
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+            .count());
+}
+
 } // namespace
 
 Network::Network(const NetworkConfig &config)
@@ -238,10 +257,10 @@ Network::setupBlocks()
     std::vector<std::size_t> credit_count(nb, 0);
     std::vector<std::size_t> router_count(nb, 0);
     std::vector<std::size_t> ni_count(nb, 0);
-    std::size_t eject_count = 0;
+    std::vector<std::size_t> eject_count(nb, 0);
     for (const ChannelEnds &e : ends_) {
         if (!e.sinkIsRouter) {
-            ++eject_count;
+            ++eject_count[static_cast<std::size_t>(blockOf(e.driverRouter))];
             continue;
         }
         ++flit_count[static_cast<std::size_t>(blockOf(e.sinkRouter))];
@@ -254,12 +273,13 @@ Network::setupBlocks()
         ++ni_count[static_cast<std::size_t>(
             blockOf(topo_->routerOfNode(n)))];
 
-    ejectEnds_.reserve(ends_.size(), eject_count);
+    blockEjectEnds_.resize(nb);
     blockFlitEnds_.resize(nb);
     blockCreditEnds_.resize(nb);
     blockRouters_.resize(nb);
     blockNis_.resize(nb);
     for (std::size_t b = 0; b < nb; ++b) {
+        blockEjectEnds_[b].reserve(ends_.size(), eject_count[b]);
         blockFlitEnds_[b].reserve(ends_.size(), flit_count[b]);
         blockCreditEnds_[b].reserve(ends_.size(), credit_count[b]);
         blockRouters_[b].reserve(routers_.size(), router_count[b]);
@@ -271,17 +291,22 @@ template <typename ChanFn, typename RouterFn>
 void
 Network::forEachInVisitOrder(ChanFn &&on_chan, RouterFn &&on_router) const
 {
-    // The blocked step loop's order (§6g): terminal ejection channels
-    // first (the global eject pass), then for each block its delivered
-    // channels followed by its routers.
-    for (const ChannelEnds &e : ends_)
-        if (!e.sinkIsRouter)
-            on_chan(*e.chan);
+    // The blocked step loop's order as a team slot walks it (§6g,
+    // §6h): for each block its terminal ejection channels (its eject
+    // pass), its delivered channels, then its routers.
+    std::vector<std::vector<Channel *>> groups(
+        2 * static_cast<std::size_t>(numBlocks_));
+    for (const ChannelEnds &e : ends_) {
+        int b = blockOf(e.sinkIsRouter ? e.sinkRouter : e.driverRouter);
+        groups[2 * static_cast<std::size_t>(b) + e.sinkIsRouter].push_back(
+            e.chan);
+    }
     auto n_routers = static_cast<RouterId>(routers_.size());
     for (int b = 0; b < numBlocks_; ++b) {
-        for (const ChannelEnds &e : ends_)
-            if (e.sinkIsRouter && blockOf(e.sinkRouter) == b)
-                on_chan(*e.chan);
+        for (std::size_t g = 2 * static_cast<std::size_t>(b);
+             g < 2 * static_cast<std::size_t>(b) + 2; ++g)
+            for (Channel *c : groups[g])
+                on_chan(*c);
         auto lo = static_cast<RouterId>(b) *
                   static_cast<RouterId>(blockTiles_);
         RouterId hi = std::min(
@@ -521,25 +546,31 @@ Network::memoryAudit() const
               freeList_.capacity() * sizeof(Packet *),
           packetArena_.size());
 
-    std::uint64_t lists = ejectEnds_.footprintBytes();
+    std::uint64_t lists = 0;
     for (const ActiveList *vec :
-         {blockFlitEnds_.data(), blockCreditEnds_.data(),
-          blockRouters_.data(), blockNis_.data()})
+         {blockEjectEnds_.data(), blockFlitEnds_.data(),
+          blockCreditEnds_.data(), blockRouters_.data(), blockNis_.data()})
         for (std::size_t i = 0; i < static_cast<std::size_t>(numBlocks_);
              ++i)
             lists += vec[i].footprintBytes() + sizeof(ActiveList);
     a.add("active_set", ends_.capacity() * sizeof(ChannelEnds) + lists,
           ends_.size() + routers_.size() + nis_.size());
 
-    // The stepping team's outboxes exist only once a team has formed,
-    // which depends on HNOC_THREADS and the host's cores (§6h), so
-    // this row, unlike the others, is not fixed by the seed alone.
+    // The stepping team's state (outboxes, per-block eject queues and
+    // costs, per-slot times) exists only once a team has formed, which
+    // depends on HNOC_THREADS and the host's cores (§6h), so this row,
+    // unlike the others, is not fixed by the seed alone.
     if (team_) {
-        std::uint64_t outbox = 0;
+        std::uint64_t team = 0;
         for (const auto *outboxes : {&slotFlitOutbox_, &slotCreditOutbox_})
             for (const ActiveList &l : *outboxes)
-                outbox += l.footprintBytes() + sizeof(ActiveList);
-        a.add("step_team_outboxes", outbox, slotFlitOutbox_.size());
+                team += l.footprintBytes() + sizeof(ActiveList);
+        for (const TeamBlock &b : teamBlocks_)
+            team += sizeof(TeamBlock) + b.ejected.packets.capacity() *
+                                            sizeof(b.ejected.packets[0]);
+        team += slotNs_.size() * sizeof(TeamSlotNs) +
+                (slotBlocks_.size() + cutScratch_.size()) * sizeof(int);
+        a.add("step_team", team, slotFlitOutbox_.size());
     }
 
     if (hotArena_.reservedBytes() > 0)
@@ -736,20 +767,24 @@ Network::deliverFlitsOf(ChannelEnds &e, Cycle now)
         if (Probe *pr = probe())
             pr->flitEject(now, f,
                           config_.intraPacketPairing && e.chan->lanes() > 1);
-        Packet *done = ni.receiveFlit(f, now);
-        if (done) {
-            ++packetsDelivered_;
-            --livePackets_;
-            lastDelivery_ = now;
-            if (Probe *pr = probe())
-                pr->eject(now, *done);
-            if (client_)
-                client_->onPacketDelivered(*this, *done, now);
-            if (Probe *pr = probe())
-                pr->retire(*done);
-            freePacket(done);
-        }
+        if (Packet *done = ni.receiveFlit(f, now))
+            deliverPacket(*done, now);
     });
+}
+
+void
+Network::deliverPacket(Packet &pkt, Cycle now)
+{
+    ++packetsDelivered_;
+    --livePackets_;
+    lastDelivery_ = now;
+    if (Probe *pr = probe())
+        pr->eject(now, pkt);
+    if (client_)
+        client_->onPacketDelivered(*this, pkt, now);
+    if (Probe *pr = probe())
+        pr->retire(pkt);
+    freePacket(&pkt);
 }
 
 void
@@ -764,6 +799,37 @@ Network::deliverCreditsOf(ChannelEnds &e, Cycle now)
         NetworkInterface &ni = *nis_[static_cast<std::size_t>(e.driverNode)];
         e.chan->deliverCreditsTo(now, [&](VcId vc) { ni.receiveCredit(vc); });
     }
+}
+
+void
+Network::ejectBlock(std::size_t b, Cycle now, Ejected *defer)
+{
+    // Per end: flit consumption (callbacks now or deferred), then the
+    // credit return to the driver router's ejection port.
+    const bool look_ahead = numBlocks_ > 1;
+    blockEjectEnds_[b].forEachActive(
+        [&](std::uint32_t i) { return !ends_[i].chan->idle(); },
+        [&](std::uint32_t i) {
+            ChannelEnds &e = ends_[i];
+            if (defer) {
+                NetworkInterface &ni =
+                    *nis_[static_cast<std::size_t>(e.sinkNode)];
+                e.chan->deliverFlitsTo(now, [&](const Flit &f) {
+                    ++defer->flits;
+                    if (Packet *done = ni.receiveFlit(f, now))
+                        defer->packets.emplace_back(done, defer->flits);
+                });
+            } else {
+                deliverFlitsOf(e, now);
+            }
+            deliverCreditsOf(e, now);
+        },
+        [&](std::uint32_t i) {
+            if (look_ahead) {
+                ends_[i].chan->prefetchFlits();
+                ends_[i].chan->prefetchCredits();
+            }
+        });
 }
 
 void
@@ -811,6 +877,25 @@ void
 Network::step()
 {
     Cycle now = cycle_;
+
+    // A big network may run the cycle on its team (§6h): the client's
+    // preCycle on this thread while the team ejects and delivers, the
+    // delivery callbacks on this thread, then every block's steps.
+    if (teamEligible_) {
+        // Team accounting (report-only) times the leader from here.
+        Clock::time_point start;
+        if (kTelemetryEnabled)
+            start = Clock::now();
+        if (stepOnTeam()) {
+            finishTeamCycle(start);
+            ++cycle_;
+            return;
+        }
+        // A team's cross-slot wakes wait in its outboxes until the
+        // next cycle; a serial one hands them all on first.
+        if (team_)
+            mergeWakeOutboxes();
+    }
 
     if (client_)
         client_->preCycle(*this, now);
@@ -870,56 +955,37 @@ Network::step()
         // Each list scan asks the component's own predicate before the
         // visit and drops entries with no work (active_set.hh).
         //
-        // Eject pass first: terminal (NI-sink) ends in canonical node
-        // order — flit consumption, delivery callbacks, and the
-        // credit return to the driver router's ejection port (a
-        // commutative counter increment that precedes every router
-        // step).
-        if (ejectEnds_.size() > 0) {
+        // Eject passes first, block by block, which is canonical node
+        // order: flit consumption, delivery callbacks, and the credit
+        // return to the driver router's ejection port (a commutative
+        // counter increment that precedes every router step).
+        const auto nb = static_cast<std::size_t>(numBlocks_);
+        {
             ProfScope s(prof, ProfPhase::NiEject);
-            const bool look_ahead = numBlocks_ > 1;
-            ejectEnds_.forEachActive(
-                [&](std::uint32_t i) { return !ends_[i].chan->idle(); },
-                [&](std::uint32_t i) { deliverEnd(ends_[i]); },
-                [&](std::uint32_t i) {
-                    if (look_ahead) {
-                        ends_[i].chan->prefetchFlits();
-                        ends_[i].chan->prefetchCredits();
-                    }
-                });
+            for (std::size_t b = 0; b < nb; ++b)
+                if (blockEjectEnds_[b].size() > 0)
+                    ejectBlock(b, now, nullptr);
         }
         // Then per block: deliver the block's inbound flits and
         // outbound-channel credits, step its routers, inject from its
         // NIs — touching each block's packed hot state once per cycle
-        // while it is cache-resident. A big network may instead run
-        // all deliveries, then all steps, on its team (§6h).
-        if (!(teamEligible_ && stepOnTeam())) {
-            for (std::size_t b = 0, nb = static_cast<std::size_t>(numBlocks_);
-                 b < nb; ++b) {
-                if (blockFlitEnds_[b].size() == 0 &&
-                    blockCreditEnds_[b].size() == 0 &&
-                    blockRouters_[b].size() == 0 &&
-                    blockNis_[b].size() == 0)
-                    continue;
-                std::chrono::steady_clock::time_point t0;
-                if (prof)
-                    t0 = std::chrono::steady_clock::now();
-                {
-                    ProfScope s(prof, ProfPhase::ChannelDelivery);
-                    deliverBlock(b, now);
-                }
-                stepBlock(b, now, prof);
-                if (prof)
-                    prof->addBlock(
-                        b, static_cast<std::uint64_t>(
-                               std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count()));
+        // while it is cache-resident.
+        for (std::size_t b = 0; b < nb; ++b) {
+            if (blockFlitEnds_[b].size() == 0 &&
+                blockCreditEnds_[b].size() == 0 &&
+                blockRouters_[b].size() == 0 && blockNis_[b].size() == 0)
+                continue;
+            Clock::time_point t0;
+            if (prof)
+                t0 = Clock::now();
+            {
+                ProfScope s(prof, ProfPhase::ChannelDelivery);
+                deliverBlock(b, now);
             }
+            stepBlock(b, now, prof);
+            if (prof)
+                prof->addBlock(b, nsBetween(t0, Clock::now()));
         }
-        if (team_)
-            mergeWakeOutboxes();
     }
 
     if (Probe *pr = probe()) {
@@ -959,7 +1025,15 @@ Network::stepOnTeam()
         if (!team_)
             return false;
     }
-    return &team_->pool() == pool && team_->runCycle();
+    if (&team_->pool() != pool)
+        return false;
+    if (kTelemetryEnabled)
+        teamMarks_[0] = Clock::now();
+    if (!team_->runCycle())
+        return false;
+    if (kTelemetryEnabled)
+        teamMarks_[3] = Clock::now();
+    return true;
 }
 
 void
@@ -976,56 +1050,135 @@ Network::formTeam(JobPool &pool)
         return;
     }
 
-    // One slot per team thread: a contiguous, static block partition.
+    // One slot per team thread: contiguous block ranges, even by count
+    // until the first cut by cost.
     auto ns = static_cast<std::size_t>(threads);
     slotBlocks_.resize(ns + 1);
-    std::vector<int> block_slot(static_cast<std::size_t>(numBlocks_));
+    cutScratch_.resize(ns + 1);
     for (int s = 0; s <= threads; ++s)
         slotBlocks_[static_cast<std::size_t>(s)] = numBlocks_ * s / threads;
-    for (int s = 0; s < threads; ++s)
-        for (int b = slotBlocks_[static_cast<std::size_t>(s)];
-             b < slotBlocks_[static_cast<std::size_t>(s) + 1]; ++b)
-            block_slot[static_cast<std::size_t>(b)] = s;
-    auto slot_of = [&](RouterId r) {
-        return static_cast<std::size_t>(
-            block_slot[static_cast<std::size_t>(blockOf(r))]);
-    };
+    nextCut_ = kFirstCutCycles;
 
-    // A send in the step phase (router steps, NI injection) may wake
-    // a list that another slot scans, or the leader's eject list;
-    // those wakes go to the sending slot's outbox. A router-driven
-    // end's flits are sent by its driver, its credits by its sink; an
-    // NI-driven end lives inside one block, and an ejection end's
-    // credits are sent by the leader's eject pass.
+    // Every cut moves slot boundaries along block boundaries, so a
+    // cross-slot end is always a cross-block one: outboxes sized for
+    // those never reallocate, whatever the cut.
+    std::size_t cross = 0;
+    for (const ChannelEnds &e : ends_)
+        cross += e.driverIsRouter && e.sinkIsRouter &&
+                 blockOf(e.driverRouter) != blockOf(e.sinkRouter);
     slotFlitOutbox_.resize(ns);
     slotCreditOutbox_.resize(ns);
-    std::vector<std::size_t> flit_count(ns, 0);
-    std::vector<std::size_t> credit_count(ns, 0);
+    for (std::size_t s = 0; s < ns; ++s) {
+        slotFlitOutbox_[s].reserve(ends_.size(), cross);
+        slotCreditOutbox_[s].reserve(ends_.size(), cross);
+    }
+    routeTeamWakes();
+
+    // A block's eject pass completes at most one packet per lane of
+    // each of its ejection channels per cycle.
+    teamBlocks_.resize(static_cast<std::size_t>(numBlocks_));
+    std::vector<std::size_t> lanes(teamBlocks_.size(), 0);
+    for (const ChannelEnds &e : ends_)
+        if (!e.sinkIsRouter)
+            lanes[static_cast<std::size_t>(blockOf(e.driverRouter))] +=
+                static_cast<std::size_t>(e.chan->lanes());
+    for (std::size_t b = 0; b < teamBlocks_.size(); ++b)
+        teamBlocks_[b].ejected.packets.reserve(lanes[b]);
+    slotNs_.resize(ns);
+    teamStats_.slots = threads;
+    team_ = std::make_unique<StepTeam>(pool, threads, &Network::teamSlot,
+                                       this, &Network::teamOpening,
+                                       &Network::deliverEjected);
+}
+
+void
+Network::routeTeamWakes()
+{
+    // A send in the step phase (router steps, NI injection) may wake
+    // a list that another slot scans; those wakes go to the sending
+    // slot's outbox. A router-driven end's flits are sent by its
+    // driver, its credits by its sink; an NI-driven end lives inside
+    // one block, and so does an ejection end, whose flits its driver
+    // router sends and whose credits its NI returns.
+    // (A re-cut routes them again, so this allocates nothing.)
+    auto slot_of = [&](RouterId r) {
+        return static_cast<std::size_t>(
+            std::upper_bound(slotBlocks_.begin(), slotBlocks_.end(),
+                             blockOf(r)) -
+            slotBlocks_.begin() - 1);
+    };
     for (std::size_t i = 0; i < ends_.size(); ++i) {
         const ChannelEnds &e = ends_[i];
         ActiveList *flits = &flitListOf(e);
         ActiveList *credits = &creditListOf(e);
-        if (e.driverIsRouter) {
+        if (e.driverIsRouter && e.sinkIsRouter) {
             std::size_t driver = slot_of(e.driverRouter);
-            std::size_t sink =
-                e.sinkIsRouter ? slot_of(e.sinkRouter) : ns; // eject list
+            std::size_t sink = slot_of(e.sinkRouter);
             if (sink != driver) {
                 flits = &slotFlitOutbox_[driver];
-                ++flit_count[driver];
-            }
-            if (sink != driver && sink < ns) {
                 credits = &slotCreditOutbox_[sink];
-                ++credit_count[sink];
             }
         }
         e.chan->setWakeHooks(flits, credits, static_cast<std::uint32_t>(i));
     }
-    for (std::size_t s = 0; s < ns; ++s) {
-        slotFlitOutbox_[s].reserve(ends_.size(), flit_count[s]);
-        slotCreditOutbox_[s].reserve(ends_.size(), credit_count[s]);
+}
+
+void
+Network::cutSlotsByCost()
+{
+    // The smallest bound on a slot's cost that contiguous ranges can
+    // meet (binary search over a greedy fill), then the cut that
+    // meets it with every slot non-empty. Contiguous ranges keep a
+    // slot's blocks neighbours in the arena and on one core. The
+    // leader's slot also carries the leader's opening section.
+    const auto nb = static_cast<std::size_t>(numBlocks_);
+    const std::size_t ns = slotBlocks_.size() - 1;
+    auto cost = [&](std::size_t b) { return teamBlocks_[b].costNs; };
+    std::uint64_t lo = openingCostNs_ + cost(0);
+    std::uint64_t hi = openingCostNs_;
+    for (std::size_t b = 0; b < nb; ++b) {
+        lo = std::max(lo, cost(b));
+        hi += cost(b);
     }
-    team_ = std::make_unique<StepTeam>(pool, threads, &Network::teamSlot,
-                                       this);
+    auto fits = [&](std::uint64_t bound) {
+        std::size_t slots = 1;
+        std::uint64_t sum = openingCostNs_;
+        for (std::size_t b = 0; b < nb; ++b) {
+            if (sum + cost(b) > bound) {
+                ++slots;
+                sum = 0;
+            }
+            sum += cost(b);
+        }
+        return slots <= ns;
+    };
+    while (lo < hi) {
+        std::uint64_t mid = lo + (hi - lo) / 2;
+        if (fits(mid))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    // Fill each slot up to the bound, but leave a block for each
+    // slot after it.
+    std::size_t b = 0;
+    for (std::size_t s = 0; s < ns; ++s) {
+        cutScratch_[s] = static_cast<int>(b);
+        std::uint64_t sum = (s == 0 ? openingCostNs_ : 0) + cost(b++);
+        while (b < nb && nb - b > ns - 1 - s &&
+               (s + 1 == ns || sum + cost(b) <= lo))
+            sum += cost(b++);
+    }
+    cutScratch_[ns] = numBlocks_;
+
+    for (TeamBlock &tb : teamBlocks_)
+        tb.costNs = 0;
+    openingCostNs_ = 0;
+    if (cutScratch_ != slotBlocks_) {
+        mergeWakeOutboxes();
+        slotBlocks_.swap(cutScratch_);
+        routeTeamWakes();
+    }
 }
 
 void
@@ -1033,11 +1186,118 @@ Network::teamSlot(void *net, int phase, int slot)
 {
     auto &n = *static_cast<Network *>(net);
     auto s = static_cast<std::size_t>(slot);
+    const Cycle now = n.cycle_;
+    const Clock::time_point start = Clock::now();
+    if (phase == 0) {
+        n.collectWakes(s);
+    } else {
+        // Every slot has read this slot's outboxes in phase 0.
+        n.slotFlitOutbox_[s].drainPending([](std::uint32_t) {});
+        n.slotCreditOutbox_[s].drainPending([](std::uint32_t) {});
+    }
+    // Each block's time feeds the next cut by cost.
+    Clock::time_point t = Clock::now();
     for (int b = n.slotBlocks_[s]; b < n.slotBlocks_[s + 1]; ++b) {
-        if (phase == 0)
-            n.deliverBlock(static_cast<std::size_t>(b), n.cycle_);
-        else
-            n.stepBlock(static_cast<std::size_t>(b), n.cycle_, nullptr);
+        auto bb = static_cast<std::size_t>(b);
+        TeamBlock &tb = n.teamBlocks_[bb];
+        if (phase == 0) {
+            n.ejectBlock(bb, now, &tb.ejected);
+            n.deliverBlock(bb, now);
+        } else {
+            n.stepBlock(bb, now, nullptr);
+        }
+        Clock::time_point t1 = Clock::now();
+        tb.costNs += nsBetween(t, t1);
+        t = t1;
+    }
+    if (kTelemetryEnabled)
+        n.slotNs_[s].ns[phase] = nsBetween(start, t);
+}
+
+void
+Network::teamOpening(void *net)
+{
+    auto &n = *static_cast<Network *>(net);
+    n.openingNs_ = 0;
+    if (!n.client_)
+        return;
+    const Clock::time_point start = Clock::now();
+    n.client_->preCycle(n, n.cycle_);
+    n.openingNs_ = nsBetween(start, Clock::now());
+    n.openingCostNs_ += n.openingNs_;
+}
+
+void
+Network::deliverEjected(void *net)
+{
+    auto &n = *static_cast<Network *>(net);
+    if (kTelemetryEnabled)
+        n.teamMarks_[1] = Clock::now();
+    // Block order is node order, and each block queued its packets in
+    // node order: the serial loop's callback order, and its counter
+    // values at each callback.
+    for (TeamBlock &tb : n.teamBlocks_) {
+        Ejected &out = tb.ejected;
+        std::uint64_t base = n.flitsDelivered_;
+        for (auto [pkt, flits] : out.packets) {
+            n.flitsDelivered_ = base + flits;
+            n.deliverPacket(*pkt, n.cycle_);
+        }
+        n.flitsDelivered_ = base + out.flits;
+        out.packets.clear();
+        out.flits = 0;
+    }
+    if (kTelemetryEnabled)
+        n.teamMarks_[2] = Clock::now();
+}
+
+void
+Network::finishTeamCycle(Clock::time_point start)
+{
+    if (++teamCycles_ == nextCut_) {
+        cutSlotsByCost();
+        nextCut_ *= kCutSpacing;
+    }
+    if (!kTelemetryEnabled)
+        return;
+    // The leader's opening runs in phase 0 and delays its home slot.
+    slotNs_[0].ns[0] += openingNs_;
+    const auto *m = teamMarks_;
+    teamStats_.serialNs += nsBetween(start, m[0]) + nsBetween(m[1], m[2]) +
+                           nsBetween(m[3], Clock::now());
+    ++teamStats_.cycles;
+    for (int phase = 0; phase < 2; ++phase) {
+        std::uint64_t slowest = 0;
+        for (const TeamSlotNs &slot : slotNs_) {
+            slowest = std::max(slowest, slot.ns[phase]);
+            teamStats_.slotNs[phase] += slot.ns[phase];
+        }
+        teamStats_.slowestSlotNs[phase] += slowest;
+    }
+}
+
+void
+Network::collectWakes(std::size_t slot)
+{
+    // Every cross-slot end is router-driven with a router sink: its
+    // flits wake the sink's block, its credits the driver's.
+    const int lo = slotBlocks_[slot];
+    const int hi = slotBlocks_[slot + 1];
+    auto mine = [&](RouterId r) {
+        int b = blockOf(r);
+        return b >= lo && b < hi;
+    };
+    for (std::size_t s = 0; s < slotFlitOutbox_.size(); ++s) {
+        if (s == slot)
+            continue;
+        slotFlitOutbox_[s].forEachPending([&](std::uint32_t i) {
+            if (mine(ends_[i].sinkRouter))
+                flitListOf(ends_[i]).wake(i);
+        });
+        slotCreditOutbox_[s].forEachPending([&](std::uint32_t i) {
+            if (mine(ends_[i].driverRouter))
+                creditListOf(ends_[i]).wake(i);
+        });
     }
 }
 
@@ -1055,7 +1315,10 @@ Network::mergeWakeOutboxes()
 Cycle
 Network::minTransferCycles(NodeId src, NodeId dst, int num_flits) const
 {
-    auto path = routing_->path(src, dst);
+    // Delivery callbacks call this per packet: walk the route into
+    // storage this thread keeps, not a fresh vector.
+    thread_local std::vector<RouterId> path;
+    routing_->fillPath(src, dst, path);
     auto hops = static_cast<Cycle>(path.size());
     Cycle head = static_cast<Cycle>(config_.linkLatency) +
                  hops * static_cast<Cycle>(config_.pipelineStages +
@@ -1112,6 +1375,8 @@ Network::resetMeasurement()
     }
     for (auto &c : channels_)
         c->resetStats();
+    teamStats_ = TeamStats{};
+    teamStats_.slots = static_cast<int>(slotNs_.size());
 }
 
 std::vector<double>

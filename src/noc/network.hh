@@ -8,7 +8,10 @@
 #ifndef HNOC_NOC_NETWORK_HH
 #define HNOC_NOC_NETWORK_HH
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/hot_arena.hh"
@@ -32,13 +35,59 @@ class JobPool;
 class Network;
 class StepTeam;
 
+/**
+ * Where the cycles a stepping team ran went (DESIGN.md §6h):
+ * report-only, zero on a network that never formed a team, and
+ * compiled out (left zero) under -DHNOC_TELEMETRY=OFF.
+ */
+struct TeamStats
+{
+    std::uint64_t cycles = 0;   ///< cycles stepped on the team
+    int slots = 0;              ///< slots per phase (team threads)
+    /** Leader-only time of those cycles: step() outside the two
+     *  phases, mostly the delivery callbacks between them. (The
+     *  client's preCycle runs in phase 0, alongside the helpers.) */
+    std::uint64_t serialNs = 0;
+    /** Per phase, the slowest slot's time, summed over the cycles;
+     *  the leader's slot counts the preCycle it waited for. */
+    std::uint64_t slowestSlotNs[2] = {0, 0};
+    /** Per phase, every slot's time, summed over the cycles. */
+    std::uint64_t slotNs[2] = {0, 0};
+
+    double
+    serialNsPerCycle() const
+    {
+        return cycles ? static_cast<double>(serialNs) /
+                            static_cast<double>(cycles)
+                      : 0.0;
+    }
+
+    /** Slowest slot over mean slot, both phases together: 1 when the
+     *  slots take equally long, 0 with no team cycle. */
+    double
+    slotImbalance() const
+    {
+        double mean = static_cast<double>(slotNs[0] + slotNs[1]) /
+                      std::max(slots, 1);
+        return mean > 0.0 ? static_cast<double>(slowestSlotNs[0] +
+                                                slowestSlotNs[1]) /
+                                mean
+                          : 0.0;
+    }
+};
+
 /** Callback interface for packet producers/consumers. */
 class NetworkClient
 {
   public:
     virtual ~NetworkClient() = default;
 
-    /** Called at the start of every cycle; inject via enqueuePacket. */
+    /**
+     * Called at the start of every cycle; inject via enqueuePacket.
+     * On a cycle stepped by a team (DESIGN.md §6h) it runs while the
+     * team delivers that cycle's flits, so read no router or channel
+     * state here.
+     */
     virtual void
     preCycle(Network &net, Cycle now)
     {
@@ -49,6 +98,12 @@ class NetworkClient
     /**
      * Called when a packet's tail reaches its destination NI. The
      * packet is recycled after this returns; copy what you need.
+     * A cycle's deliveries come in canonical node order, on the
+     * thread that calls step(), before any router step or NI
+     * injection of that cycle, with the delivery counters as they
+     * stand after that packet. On a cycle stepped by a team (DESIGN.md
+     * §6h) every block's channel deliveries of the cycle have already
+     * run, so read no router or channel state here.
      */
     virtual void
     onPacketDelivered(Network &net, Packet &pkt, Cycle now)
@@ -97,6 +152,10 @@ class Network
      * §6h). Results are bit-identical for every count.
      */
     int stepThreads() const;
+
+    /** Team accounting since the last resetMeasurement() (report-only,
+     *  DESIGN.md §6h). */
+    const TeamStats &teamStats() const { return teamStats_; }
 
     /** Advance one clock cycle. */
     void step();
@@ -332,25 +391,27 @@ class Network
 
     /** @name The list each channel-end role wakes (§6a) */
     ///@{
-    /** Flit role: the sink router's block, or the eject list. */
+    /** Flit role: the sink router's block, or for an ejection end
+     *  its driver router's block's eject list. */
     ActiveList &
     flitListOf(const ChannelEnds &e)
     {
         return e.sinkIsRouter
                    ? blockFlitEnds_[static_cast<std::size_t>(
                          blockOf(e.sinkRouter))]
-                   : ejectEnds_;
+                   : blockEjectEnds_[static_cast<std::size_t>(
+                         blockOf(e.driverRouter))];
     }
 
     /** Credit role: the block of the router that receives the
      *  credits — the driver router, or for NI-driven injection
-     *  channels the sink router, whose block steps the NI — or the
-     *  eject list. */
+     *  channels the sink router, whose block steps the NI — or for an
+     *  ejection end its block's eject list. */
     ActiveList &
     creditListOf(const ChannelEnds &e)
     {
         if (!e.sinkIsRouter)
-            return ejectEnds_;
+            return flitListOf(e);
         RouterId r = e.driverIsRouter ? e.driverRouter : e.sinkRouter;
         return blockCreditEnds_[static_cast<std::size_t>(blockOf(r))];
     }
@@ -358,10 +419,27 @@ class Network
 
     /** @name Per-cycle passes (§6g) */
     ///@{
-    /** Deliver the flits of @p e due at @p now to its sink. */
+    /** Deliver the flits of @p e due at @p now to its sink, with
+     *  immediate delivery callbacks. */
     void deliverFlitsOf(ChannelEnds &e, Cycle now);
+    /** A packet whose tail was ejected at @p now: the delivery
+     *  counters, the client's callback, then recycling. */
+    void deliverPacket(Packet &pkt, Cycle now);
     /** Deliver the credits of @p e due at @p now to its driver. */
     void deliverCreditsOf(ChannelEnds &e, Cycle now);
+    /** Packets a block's in-team eject pass completed this cycle,
+     *  each with the block's ejection flits up to its tail. */
+    struct Ejected
+    {
+        std::vector<std::pair<Packet *, std::uint64_t>> packets;
+        std::uint64_t flits = 0;
+    };
+
+    /** Block @p b's eject pass: its NIs consume their ejection flits
+     *  and return the credits, in node order. Completed packets are
+     *  delivered at once, or with @p defer queued there for
+     *  deliverEjected(). */
+    void ejectBlock(std::size_t b, Cycle now, Ejected *defer);
     /** Block @p b's deliveries: its inbound flits, then the credits
      *  its routers and NIs receive. */
     void deliverBlock(std::size_t b, Cycle now);
@@ -379,11 +457,29 @@ class Network
      *  outboxes and create team_ on @p pool, or rule the team out for
      *  good. */
     void formTeam(JobPool &pool);
-    /** StepTeam item: phase 0 delivers, phase 1 steps, the blocks of
-     *  slot @p slot. */
+    /** Point every channel's wake hooks at its lists, or at the
+     *  sending slot's outbox when another slot scans the list. */
+    void routeTeamWakes();
+    /** Re-cut the slots into contiguous block ranges of even measured
+     *  cost, and re-route the wakes if the cut moved. */
+    void cutSlotsByCost();
+    /** StepTeam item: phase 0 ejects and delivers, phase 1 steps, the
+     *  blocks of slot @p slot. */
     static void teamSlot(void *net, int phase, int slot);
-    /** Hand the cycle's outboxed wakes to their lists, in slot
-     *  order. */
+    /** StepTeam opening: the client's preCycle, on the leader while
+     *  the helpers eject and deliver. */
+    static void teamOpening(void *net);
+    /** StepTeam between section: the callbacks of every block's
+     *  ejected packets, in block (= node) order. */
+    static void deliverEjected(void *net);
+    /** After a team cycle: its accounting and the cut schedule.
+     *  @p start is when step() began. */
+    void finishTeamCycle(std::chrono::steady_clock::time_point start);
+    /** Phase 0 of slot @p slot: hand on the wakes the other slots'
+     *  outboxes hold for its lists. */
+    void collectWakes(std::size_t slot);
+    /** Hand every outboxed wake to its list, in slot order, and empty
+     *  the outboxes (before a serial cycle or a re-cut). */
     void mergeWakeOutboxes();
     ///@}
 
@@ -433,12 +529,14 @@ class Network
      *    pipe is empty;
      *  - blockRouters_: woken by receiveFlit, dropped by !busy();
      *  - blockNis_: NIs of its routers, woken by enqueue, dropped by
-     *    !busy().
-     * Terminal ejection ends (NI sink) live in one global list woken
-     * by both sends, scanned first each cycle in canonical order and
-     * dropped once both pipes are empty. Components hold raw pointers
-     * into these vectors, so setupBlocks() sizes them once and they
-     * never reallocate.
+     *    !busy();
+     *  - blockEjectEnds_: terminal ejection ends (NI sink) of its
+     *    routers, woken by both sends, dropped once both pipes are
+     *    empty. Every block's eject list is scanned before any
+     *    router step of the cycle.
+     * Nodes number their routers in order, so block order is node
+     * order. Components hold raw pointers into these vectors, so
+     * setupBlocks() sizes them once and they never reallocate.
      */
     int blockTiles_ = 0;
     int numBlocks_ = 1;
@@ -446,7 +544,7 @@ class Network
     /** Block-ordered, huge-page-backed storage for router cores and
      *  channel pipes (§6g); sized and carved once by placeHotState(). */
     HotArena hotArena_;
-    ActiveList ejectEnds_;
+    std::vector<ActiveList> blockEjectEnds_;
     std::vector<ActiveList> blockFlitEnds_;
     std::vector<ActiveList> blockCreditEnds_;
     std::vector<ActiveList> blockRouters_;
@@ -474,14 +572,41 @@ class Network
      * Stepping team (§6h). Only an active-set network with at least
      * two blocks per team thread is eligible; the team forms at the
      * first step with nothing attached. Slot s steps the blocks
-     * [slotBlocks_[s], slotBlocks_[s + 1]). A send whose wake belongs
-     * to a list another slot scans (or to the eject list) wakes the
-     * sending slot's outbox instead, merged after the cycle.
+     * [slotBlocks_[s], slotBlocks_[s + 1]), re-cut by measured cost
+     * after teamCycles_ reaches nextCut_. A send whose wake belongs to
+     * a list another slot scans wakes the sending slot's outbox
+     * instead; the scanning slot collects it as the next cycle opens.
      */
     bool teamEligible_ = false;
     std::vector<int> slotBlocks_;
+    std::vector<int> cutScratch_;
     std::vector<ActiveList> slotFlitOutbox_;
     std::vector<ActiveList> slotCreditOutbox_;
+    std::uint64_t teamCycles_ = 0;
+    std::uint64_t nextCut_ = 0;
+
+    /** A block's team-only state, written by the thread running its
+     *  slot; a cache line apart from its neighbours'. */
+    struct alignas(64) TeamBlock
+    {
+        Ejected ejected;
+        std::uint64_t costNs = 0; ///< both phases, since the last cut
+    };
+    std::vector<TeamBlock> teamBlocks_;
+    /** This cycle's time of each slot's two items (team accounting). */
+    struct alignas(64) TeamSlotNs
+    {
+        std::uint64_t ns[2] = {0, 0};
+    };
+    std::vector<TeamSlotNs> slotNs_;
+    std::uint64_t openingNs_ = 0;     ///< this cycle's leader opening
+    std::uint64_t openingCostNs_ = 0; ///< the openings since the last cut
+    /** The leader's marks of this cycle's team phases: runCycle()'s
+     *  start, the between section's start and end, runCycle()'s
+     *  return. */
+    std::chrono::steady_clock::time_point teamMarks_[4];
+    TeamStats teamStats_;
+
     /** Declared last, so it is destroyed first: its helpers are told
      *  to leave before the state they stepped goes away. */
     std::unique_ptr<StepTeam> team_;

@@ -33,11 +33,12 @@ RoutingAlgorithm::create(const NetworkConfig &config, const Topology &topo)
     panic("RoutingAlgorithm::create: unknown topology");
 }
 
-std::vector<RouterId>
-RoutingAlgorithm::path(NodeId src, NodeId dst) const
+void
+RoutingAlgorithm::fillPath(NodeId src, NodeId dst,
+                           std::vector<RouterId> &routers) const
 {
     // Generic walk: repeatedly apply outputPort until the local port.
-    std::vector<RouterId> routers;
+    routers.clear();
     Packet probe;
     probe.src = src;
     probe.dst = dst;
@@ -47,7 +48,7 @@ RoutingAlgorithm::path(NodeId src, NodeId dst) const
     while (--guard > 0) {
         PortId p = outputPort(r, probe);
         if (p >= topo_.numDirPorts())
-            return routers; // reached the destination's local port
+            return; // reached the destination's local port
         const PortPeer &peer = topo_.peer(r, p);
         if (peer.router == INVALID_ROUTER)
             panic("routing walked off the topology at router %d", r);
@@ -194,12 +195,6 @@ TorusXYRouting::vcBounds(RouterId r, PortId out, const Packet &pkt,
     }
 }
 
-std::vector<RouterId>
-TorusXYRouting::path(NodeId src, NodeId dst) const
-{
-    return RoutingAlgorithm::path(src, dst);
-}
-
 // ----------------------------------------------------------- FlatFly --
 
 PortId
@@ -214,12 +209,6 @@ FlatFlyRouting::outputPort(RouterId r, const Packet &pkt) const
     if (cur.x != dst.x)
         return dst.x < cur.x ? dst.x : dst.x - 1; // row port
     return (cols - 1) + (dst.y < cur.y ? dst.y : dst.y - 1); // col port
-}
-
-std::vector<RouterId>
-FlatFlyRouting::path(NodeId src, NodeId dst) const
-{
-    return RoutingAlgorithm::path(src, dst);
 }
 
 // ----------------------------------------------------------- TableXY --
@@ -334,10 +323,11 @@ TableXYRouting::vcBounds(RouterId r, PortId out, const Packet &pkt,
     }
 }
 
-std::vector<RouterId>
-TableXYRouting::path(NodeId src, NodeId dst) const
+void
+TableXYRouting::fillPath(NodeId src, NodeId dst,
+                         std::vector<RouterId> &routers) const
 {
-    std::vector<RouterId> routers;
+    routers.clear();
     bool table = isTableNode(src) || isTableNode(dst);
     Packet probe;
     probe.src = src;
@@ -349,7 +339,7 @@ TableXYRouting::path(NodeId src, NodeId dst) const
     while (--guard > 0) {
         PortId p = outputPort(r, probe);
         if (p >= topo_.numDirPorts())
-            return routers;
+            return;
         r = topo_.peer(r, p).router;
         routers.push_back(r);
     }

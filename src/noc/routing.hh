@@ -66,7 +66,17 @@ class RoutingAlgorithm
     }
 
     /** @return the router sequence @p src's packets traverse to @p dst. */
-    virtual std::vector<RouterId> path(NodeId src, NodeId dst) const;
+    std::vector<RouterId>
+    path(NodeId src, NodeId dst) const
+    {
+        std::vector<RouterId> routers;
+        fillPath(src, dst, routers);
+        return routers;
+    }
+
+    /** path() into @p routers, reusing its storage. */
+    virtual void fillPath(NodeId src, NodeId dst,
+                          std::vector<RouterId> &routers) const;
 
   protected:
     RoutingAlgorithm(const NetworkConfig &config, const Topology &topo)
@@ -131,8 +141,6 @@ class TorusXYRouting : public RoutingAlgorithm
     void vcBounds(RouterId r, PortId out, const Packet &pkt, int down_vcs,
                   VcId &lo, VcId &hi) const override;
 
-    std::vector<RouterId> path(NodeId src, NodeId dst) const override;
-
   private:
     /** Shortest direction (+1/-1, wrap aware) from @p from to @p to. */
     static int shortestDir(int from, int to, int k);
@@ -147,8 +155,6 @@ class FlatFlyRouting : public RoutingAlgorithm
     {}
 
     PortId outputPort(RouterId r, const Packet &pkt) const override;
-
-    std::vector<RouterId> path(NodeId src, NodeId dst) const override;
 };
 
 /**
@@ -177,7 +183,8 @@ class TableXYRouting : public RoutingAlgorithm
     /** X-Y port used by the escape layer. */
     PortId escapePort(RouterId r, const Packet &pkt) const;
 
-    std::vector<RouterId> path(NodeId src, NodeId dst) const override;
+    void fillPath(NodeId src, NodeId dst,
+                  std::vector<RouterId> &routers) const override;
 
     /** @return true when node @p n is table-routed (a large core). */
     bool isTableNode(NodeId n) const;

@@ -3,7 +3,8 @@
  * JobPool unit tests: sizing, FIFO dispatch, ordered result
  * collection, exception propagation through futures, saturation
  * with far more jobs than workers, and lending idle workers to a
- * StepTeam (whose parked helpers must never hold up a shutdown).
+ * StepTeam (whose parked helpers must never hold up a shutdown, and
+ * whose leader sections keep their place in every cycle).
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -212,6 +214,128 @@ TEST(JobPool, DestroyingPoolWithParkedTeamDoesNotHang)
     } // ~JobPool: the parked helpers must leave, or this joins forever
     team.reset();
     EXPECT_EQ(items.load() % 6, 0); // whole cycles only
+}
+
+/** What a StepTeam cycle must look like from inside: the leader's
+ *  sections on the leader, once each per cycle, the between section
+ *  after every phase-0 item and before any phase-1 item. */
+struct SectionOrder
+{
+    static constexpr int kSlots = 3;
+    std::thread::id leader;
+    std::atomic<int> cycles{0}; ///< completed, counted by the leader
+    std::atomic<int> phase0{0};
+    std::atomic<int> phase1{0};
+    std::atomic<int> openings{0};
+    std::atomic<int> betweens{0};
+    std::atomic<int> violations{0};
+    std::atomic<int> helperItems[2] = {0, 0};
+    int seen[2] = {0, 0}; ///< helperItems as the leader last saw them
+
+    void
+    check(bool ok)
+    {
+        if (!ok)
+            violations.fetch_add(1);
+    }
+
+    static void
+    item(void *ctx, int phase, int)
+    {
+        auto &o = *static_cast<SectionOrder *>(ctx);
+        int c = o.cycles.load();
+        using Clock = std::chrono::steady_clock;
+        // A helper's item runs long; the leader's waits (a bounded
+        // while) for one to start in its phase. So whenever a helper
+        // is at hand, a between section that did not wait for the
+        // phase-0 items would overlap one.
+        if (std::this_thread::get_id() != o.leader) {
+            o.helperItems[phase].fetch_add(1);
+            auto until = Clock::now() + std::chrono::microseconds(50);
+            while (Clock::now() < until) {
+            }
+        } else {
+            auto until = Clock::now() + std::chrono::milliseconds(1);
+            while (o.helperItems[phase].load() == o.seen[phase] &&
+                   Clock::now() < until) {
+            }
+            o.seen[phase] = o.helperItems[phase].load();
+        }
+        if (phase == 0) {
+            o.check(o.betweens.load() == c);
+            o.phase0.fetch_add(1);
+        } else {
+            o.check(o.betweens.load() == c + 1);
+            o.phase1.fetch_add(1);
+        }
+    }
+
+    static void
+    opening(void *ctx)
+    {
+        auto &o = *static_cast<SectionOrder *>(ctx);
+        int c = o.cycles.load();
+        o.check(std::this_thread::get_id() == o.leader);
+        o.check(o.openings.load() == c && o.betweens.load() == c);
+        o.check(o.phase1.load() == kSlots * c);
+        o.openings.fetch_add(1);
+    }
+
+    static void
+    between(void *ctx)
+    {
+        auto &o = *static_cast<SectionOrder *>(ctx);
+        int c = o.cycles.load();
+        o.check(std::this_thread::get_id() == o.leader);
+        o.check(o.openings.load() == c + 1 && o.betweens.load() == c);
+        o.check(o.phase0.load() == kSlots * (c + 1));
+        o.check(o.phase1.load() == kSlots * c);
+        o.betweens.fetch_add(1);
+    }
+};
+
+TEST(StepTeam, LeaderSectionsRunOncePerCycleBetweenThePhases)
+{
+    // Three pool workers step the team from a fourth, as a sim point
+    // does; jobs queued every few hundred cycles take the helpers
+    // back mid-run, and the team recruits them again after.
+    JobPool pool(4);
+    SectionOrder order;
+    StepTeam team(pool, SectionOrder::kSlots, &SectionOrder::item, &order,
+                  &SectionOrder::opening, &SectionOrder::between);
+    std::vector<std::future<void>> busy;
+    pool.submit([&] {
+            order.leader = std::this_thread::get_id();
+            auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            int churned = 0;
+            while (order.cycles.load() < 2000 &&
+                   std::chrono::steady_clock::now() < deadline) {
+                if (order.cycles.load() >= 250 + 500 * churned) {
+                    ++churned;
+                    for (int j = 0; j < 3; ++j)
+                        busy.push_back(pool.submit([] {
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(2));
+                        }));
+                }
+                if (team.runCycle())
+                    order.cycles.fetch_add(1);
+            }
+        })
+        .get();
+    for (auto &f : busy)
+        f.get();
+
+    int cycles = order.cycles.load();
+    EXPECT_EQ(cycles, 2000);
+    EXPECT_EQ(order.openings.load(), cycles);
+    EXPECT_EQ(order.betweens.load(), cycles);
+    EXPECT_EQ(order.phase0.load(), SectionOrder::kSlots * cycles);
+    EXPECT_EQ(order.phase1.load(), SectionOrder::kSlots * cycles);
+    EXPECT_EQ(order.violations.load(), 0);
+    EXPECT_GE(team.peakThreads(), 2) << "no helper ever joined";
+    EXPECT_GT(order.helperItems[0].load(), 0);
 }
 
 TEST(JobPool, DestroyingNetworkWithParkedTeamDoesNotHang)

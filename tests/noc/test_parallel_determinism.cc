@@ -19,6 +19,7 @@
 #include "common/job_pool.hh"
 #include "heteronoc/layout.hh"
 #include "noc/sim_harness.hh"
+#include "noc/traffic.hh"
 #include "sys/cmp_system.hh"
 #include "sys/workloads.hh"
 #include "telemetry/run_report.hh"
@@ -443,6 +444,110 @@ TEST(ParallelDeterminism, TeamChurnMatchesSerial)
 
     EXPECT_GE(team_threads, 2) << "the team never formed";
     expectBitIdentical(churned, serial);
+}
+
+/**
+ * Uniform random requests from preCycle, each answered from the
+ * delivery callback by a one-flit reply; logs (cycle, node, packet id)
+ * of every delivery and checks that each callback runs on the thread
+ * stepping the network.
+ */
+class RecordingClient : public NetworkClient
+{
+  public:
+    struct Delivery
+    {
+        Cycle cycle;
+        NodeId node;
+        PacketId id;
+        bool operator==(const Delivery &) const = default;
+    };
+
+    RecordingClient(int nodes, double rate)
+        : gen_(TrafficPattern::UniformRandom, nodes, 8, 23), rate_(rate)
+    {}
+
+    void
+    preCycle(Network &net, Cycle now) override
+    {
+        stepper_ = std::this_thread::get_id();
+        for (NodeId n = 0; n < net.topology().numNodes(); ++n) {
+            if (!gen_.shouldInject(n, rate_, now))
+                continue;
+            NodeId dst = gen_.pickDest(n);
+            if (dst != INVALID_NODE)
+                net.enqueuePacket(n, dst, net.dataPacketFlits());
+        }
+    }
+
+    void
+    onPacketDelivered(Network &net, Packet &pkt, Cycle now) override
+    {
+        foreignThread_ |= std::this_thread::get_id() != stepper_;
+        log.push_back({now, pkt.dst, pkt.id});
+        if (pkt.tag == 0)
+            net.enqueuePacket(pkt.dst, pkt.src, 1, 1);
+    }
+
+    std::vector<Delivery> log;
+    bool foreignThread_ = false;
+
+  private:
+    TrafficGenerator gen_;
+    double rate_;
+    std::thread::id stepper_;
+};
+
+TEST(ParallelDeterminism, DeliveryOrderMatchesAcrossTeamSizes)
+{
+    // Per-block eject lists and the leader's callbacks between the
+    // team's phases must deliver in the serial loop's order: canonical
+    // node order within a cycle, every node's router in its block.
+    NetworkConfig mesh = makeLayoutConfig(LayoutKind::DiagonalBL, 16);
+    mesh.blockTiles = 16; // 16 blocks
+    NetworkConfig cmesh;
+    cmesh.name = "cmesh_4x4_c4";
+    cmesh.topology = TopologyType::ConcentratedMesh;
+    cmesh.radixX = 4;
+    cmesh.radixY = 4;
+    cmesh.concentration = 4;
+    cmesh.blockTiles = 2; // 8 blocks of 8 nodes
+    const std::pair<NetworkConfig, double> cases[] = {{mesh, 0.012},
+                                                      {cmesh, 0.01}};
+
+    JobPool pool1(1);
+    JobPool pool3(3);
+    JobPool pool4(4);
+    for (const auto &[cfg, rate] : cases) {
+        SCOPED_TRACE(cfg.name);
+        auto run = [&, rate = rate](JobPool &pool, const NetworkConfig &c,
+                                    int *threads) {
+            return onPool(pool, [&] {
+                Network net(c);
+                RecordingClient client(net.topology().numNodes(), rate);
+                net.setClient(&client);
+                net.run(1500);
+                EXPECT_FALSE(client.foreignThread_);
+                *threads = net.stepThreads();
+                return client.log;
+            });
+        };
+        NetworkConfig always = cfg;
+        always.alwaysStep = true;
+        int t1 = 0, t3 = 0, t4 = 0, ta = 0;
+        auto serial = run(pool1, cfg, &t1);
+        auto team3 = run(pool3, cfg, &t3);
+        auto team4 = run(pool4, cfg, &t4);
+        auto reference = run(pool4, always, &ta);
+
+        EXPECT_EQ(t1, 1);
+        EXPECT_GE(t3, 2) << "the 3-thread team never formed";
+        EXPECT_GE(t4, 2) << "the 4-thread team never formed";
+        EXPECT_GT(serial.size(), 500u);
+        EXPECT_TRUE(team3 == serial);
+        EXPECT_TRUE(team4 == serial);
+        EXPECT_TRUE(reference == serial);
+    }
 }
 
 TEST(ParallelDeterminism, SeedDerivationIsStableAndDecorrelated)

@@ -2,7 +2,8 @@
  * @file
  * perf-smoke CTest target: one short load sweep through the parallel
  * experiment engine, checked bit-identical against the serial path,
- * then one multi-block point stepped on a team of pool workers.
+ * then one multi-block point and one multi-block closed-loop CMP point
+ * stepped on a team of pool workers.
  * Small enough to run under ThreadSanitizer (-DHNOC_TSAN=ON), where it
  * exercises the JobPool queue, the future hand-off, the shared-state
  * audit of the sim harness and the stepping team under real
@@ -17,6 +18,8 @@
 #include "common/job_pool.hh"
 #include "heteronoc/layout.hh"
 #include "noc/sim_harness.hh"
+#include "sys/cmp_system.hh"
+#include "sys/workloads.hh"
 
 using namespace hnoc;
 
@@ -85,8 +88,43 @@ main()
         return 1;
     }
 
+    // One closed-loop CMP point on a team, run the way
+    // ParallelDeterminism.MultiBlockCmpTeamMatchesSerialAndAlwaysStep
+    // runs it: its delivery callbacks run on the leader between the
+    // team's phases and inject the protocol's replies.
+    auto cmp_point = [](const NetworkConfig &net_cfg, int *step_threads) {
+        CmpConfig cmp;
+        cmp.seed = 11;
+        CmpSystem sys(net_cfg, cmp);
+        sys.assignWorkloadAll(workloadByName("TPC-C"));
+        sys.warmCaches(2000);
+        sys.run(500);
+        sys.resetStats();
+        sys.run(1600);
+        *step_threads = sys.network().stepThreads();
+        return std::make_pair(sys.avgIpc(), sys.netLatency().totalNs.mean());
+    };
+    int cmp_threads = 0;
+    int ref_threads = 0;
+    auto cmp_team = pool.submit([&] {
+        return cmp_point(blocked, &cmp_threads);
+    }).get();
+    auto cmp_ref = cmp_point(always, &ref_threads);
+    if (cmp_threads < 2) {
+        std::fprintf(stderr, "perf_smoke: the CMP point's team never "
+                             "formed\n");
+        return 1;
+    }
+    if (cmp_team != cmp_ref || cmp_team.first <= 0.0) {
+        std::fprintf(stderr, "perf_smoke: CMP team/always-step "
+                             "mismatch\n");
+        return 1;
+    }
+
     std::printf("perf_smoke: %zu points, %d threads, parallel == "
-                "serial; one point on a %d-thread team == always-step\n",
-                par.size(), pool.threadCount(), team.stepThreads);
+                "serial; one point on a %d-thread team and one CMP point "
+                "on a %d-thread team == always-step\n",
+                par.size(), pool.threadCount(), team.stepThreads,
+                cmp_threads);
     return 0;
 }

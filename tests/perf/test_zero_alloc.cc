@@ -450,8 +450,8 @@ TEST(Footprint, HotArenaHoldsEverySectionLineAlignedInVisitOrder)
     // Every router's FIFO, hot and credit sections and every channel's
     // two pipes live in the network's one arena: line-aligned, in
     // ascending order without overlap, from the arena's base to its
-    // used() mark, in the blocked step loop's visit order (ejection
-    // channels, then per block its delivered channels and routers).
+    // used() mark, in a team slot's visit order (per block its
+    // ejection channels, its delivered channels, then its routers).
     // 16-tile blocks give an 8x8 mesh four of them.
     for (LayoutKind kind : {LayoutKind::Baseline, LayoutKind::DiagonalBL}) {
         SCOPED_TRACE(layoutName(kind));
@@ -486,14 +486,22 @@ TEST(Footprint, HotArenaHoldsEverySectionLineAlignedInVisitOrder)
         auto at = [&](const auto &component) {
             return index.at(component.placedSections()[0].at);
         };
-        // Ejection channels come first, in node order.
-        for (NodeId n = 0; n < topo.numNodes(); ++n) {
+        auto eject = [&](NodeId n) {
             const Router &r = net.router(topo.routerOfNode(n));
-            EXPECT_EQ(at(*r.outputChannel(topo.localPortOfNode(n))),
-                      2 * static_cast<std::size_t>(n));
+            return at(*r.outputChannel(topo.localPortOfNode(n)));
+        };
+        // Each block opens with its ejection channels, in node order,
+        // right after the previous block's routers.
+        for (NodeId n = 0; n < topo.numNodes(); ++n) {
+            RouterId first = topo.routerOfNode(n) / 16 * 16;
+            std::size_t expect =
+                first == 0 ? 0 : at(net.router(first - 1)) + 3;
+            EXPECT_EQ(eject(n),
+                      expect + 2 * static_cast<std::size_t>(n - first));
         }
         // Routers follow in id order, and each inter-router channel
-        // sits between the previous block's routers and its sink's.
+        // sits between its sink block's ejection channels and its
+        // routers.
         int routers = topo.numRouters();
         for (RouterId r = 1; r < routers; ++r)
             EXPECT_LT(at(net.router(r - 1)), at(net.router(r)));
@@ -505,9 +513,7 @@ TEST(Footprint, HotArenaHoldsEverySectionLineAlignedInVisitOrder)
                 std::size_t chan = at(*net.router(r).outputChannel(p));
                 RouterId first = sink / 16 * 16;
                 EXPECT_LT(chan, at(net.router(first)));
-                if (first > 0) {
-                    EXPECT_GT(chan, at(net.router(first - 1)));
-                }
+                EXPECT_GT(chan, eject(first + 15));
             }
         }
     }
