@@ -1,16 +1,18 @@
 /**
  * @file
- * One contiguous backing region for per-cycle hot state (§6g).
+ * One contiguous region for all of a network's state (§6g).
  *
  * The blocked step loop streams every component's hot state once per
  * cycle. When that state lives in thousands of small heap allocations
  * it is scattered across the address space: the stream costs one DTLB
  * entry per 4 KiB page it crosses, and big meshes (a 32x32 network's
  * hot state spans several megabytes) thrash the TLB long before they
- * exhaust cache bandwidth. The arena fixes both halves: every router
- * and channel carves its hot storage from one region, in block visit
- * order, and the region is one page block (page_allocator.hh), which
- * from 1 MiB up is 2 MiB-aligned and advised huge-page backing.
+ * exhaust cache bandwidth. Heap allocations also stay behind in the
+ * malloc arena of the thread that made them once the network is gone
+ * (§6i). The arena fixes all of it: every component object and every
+ * array it owns is carved from one region, in block visit order, and
+ * the region is one page block (page_allocator.hh), which from 1 MiB
+ * up is 2 MiB-aligned and advised huge-page backing.
  *
  * Carving is monotonic and permanent — there is no free(); the arena
  * is sized once from the components' declared needs and released as a
@@ -25,6 +27,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <new>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/page_allocator.hh"
@@ -71,10 +75,11 @@ class HotArena
         size_ = size;
     }
 
-    /** Carve @p n copies of @p init on a fresh cache line. */
+    /** Room for @p n T on a fresh cache line, uninitialised: the
+     *  caller constructs them. */
     template <typename T>
     T *
-    carve(std::size_t n, const T &init = T{})
+    take(std::size_t n)
     {
         static_assert(alignof(T) <= kLine);
         std::size_t off = lineBytes(used_);
@@ -82,9 +87,47 @@ class HotArena
             panic("hot arena: a %zu-byte carve at offset %zu overruns "
                   "the %zu-byte reservation", n * sizeof(T), off, size_);
         used_ = off + n * sizeof(T);
-        T *p = reinterpret_cast<T *>(base_ + off);
+        return reinterpret_cast<T *>(base_ + off);
+    }
+
+    /** Carve @p n copies of @p init on a fresh cache line. */
+    template <typename T>
+    T *
+    carve(std::size_t n, const T &init = T{})
+    {
+        T *p = take<T>(n);
         std::uninitialized_fill_n(p, n, init);
         return p;
+    }
+
+    /** Carve @p n value-initialised T on a fresh cache line (for
+     *  types that cannot be copied from an initial value). */
+    template <typename T>
+    T *
+    carveArray(std::size_t n)
+    {
+        T *p = take<T>(n);
+        std::uninitialized_value_construct_n(p, n);
+        return p;
+    }
+
+    /** Construct one T from @p args on a fresh cache line. The arena
+     *  never runs destructors: an owner whose objects hold resources
+     *  outside the arena destroys them before the arena goes. */
+    template <typename T, typename... Args>
+    T *
+    make(Args &&...args)
+    {
+        return ::new (static_cast<void *>(take<T>(1)))
+            T(std::forward<Args>(args)...);
+    }
+
+    /** Bytes a carve of @p n T takes from the arena at most. */
+    template <typename T>
+    static constexpr std::size_t
+    bytesFor(std::size_t n)
+    {
+        return lineBytes(n * sizeof(T));
     }
 
     const std::byte *base() const { return base_; }

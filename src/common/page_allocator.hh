@@ -16,7 +16,10 @@
  * instead, one list per block size, shared by every thread. A freed
  * block waits there for the next request of its size, so the process
  * holds the high-water mark of the blocks alive at once, whichever
- * threads they lived on, and a reused block is already resident. New
+ * threads they lived on, and a reused block is already resident. Past
+ * 64 KiB, block sizes come in four steps per doubling, so requests of
+ * nearby sizes (the arenas of networks that differ only in their VC
+ * counts) share one list instead of each pooling blocks of its own. New
  * blocks are mapped straight from the OS (page-aligned, populated in
  * the same call, since the containers fill every slot at once). Pooled
  * blocks are never returned to the OS. Smaller blocks use
@@ -35,6 +38,7 @@
 #ifndef HNOC_COMMON_PAGE_ALLOCATOR_HH
 #define HNOC_COMMON_PAGE_ALLOCATOR_HH
 
+#include <bit>
 #include <cstddef>
 #include <memory>
 
@@ -48,11 +52,17 @@ constexpr std::size_t kPage = 4096;
 constexpr std::size_t kHugePage = 2u * 1024 * 1024;
 
 /** Size of the block takePagedBlock(@p bytes) returns: whole huge
- *  pages from half a huge page up, whole 4 KiB pages below. */
+ *  pages from half a huge page up; below, whole 4 KiB pages up to
+ *  64 KiB, and past that a multiple of a quarter of the power of two
+ *  below (four sizes per doubling: 80, 96, 112, 128 KiB, 160 KiB...). */
 constexpr std::size_t
 pagedBlockBytes(std::size_t bytes)
 {
-    std::size_t unit = bytes >= kHugePage / 2 ? kHugePage : kPage;
+    std::size_t unit = kPage;
+    if (bytes >= kHugePage / 2)
+        unit = kHugePage;
+    else if (bytes > 16 * kPage)
+        unit = std::bit_floor(bytes - 1) / 4;
     return (bytes + unit - 1) / unit * unit;
 }
 

@@ -31,11 +31,10 @@
  * sender's outbox, an ActiveList that is never scanned; as the next
  * cycle opens, each scanning thread reads every other outbox
  * (forEachPending()) and wakes its own lists, and each sender then
- * empties its own (drainPending()). All storage is reserved once, at
- * construction (an outbox's when its team forms), so the steady state
- * allocates nothing. WakeHooks hold raw pointers into the Network's
- * per-block std::vector<ActiveList>s, which therefore must never
- * reallocate once the hooks are set.
+ * empties its own (drainPending()). All storage is carved once from
+ * the network's arena (an outbox's from the team's when its team
+ * forms), so the steady state allocates nothing. WakeHooks hold raw
+ * pointers to the lists, which never move once the hooks are set.
  */
 
 #ifndef HNOC_NOC_ACTIVE_SET_HH
@@ -44,7 +43,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+
+#include "common/hot_arena.hh"
 
 namespace hnoc
 {
@@ -53,7 +54,7 @@ namespace hnoc
  * Sorted dense list of component ids that may have work.
  *
  * wake(i) is O(1) and idempotent (an in-list byte suppresses duplicate
- * appends); woken ids collect unsorted in a pending vector until the
+ * appends); woken ids collect unsorted in a pending array until the
  * next scan merges them. A dropped id clears its in-list byte, so a
  * later wake re-appends it. An id woken during a scan after its
  * position was passed is visited at the next scan, not this one.
@@ -67,21 +68,42 @@ class ActiveList
     };
 
   public:
+    /** Bytes place(@p id_space, @p max_members) carves. */
+    static constexpr std::size_t
+    arenaBytes(std::size_t id_space, std::size_t max_members)
+    {
+        return 3 * HotArena::bytesFor<std::uint32_t>(max_members) +
+               HotArena::bytesFor<std::uint8_t>(id_space);
+    }
+
     /**
-     * Size all storage once, at network construction: membership
-     * bytes cover ids [0, id_space), and the member vectors hold up
-     * to @p max_members entries (the ids that can ever wake this
-     * list). Nothing below ever reallocates afterwards.
+     * Carve all storage once from @p arena: membership bytes cover ids
+     * [0, id_space), and the member arrays hold up to @p max_members
+     * entries (the ids that can ever wake this list). Nothing below
+     * ever allocates afterwards.
      */
+    void
+    place(HotArena &arena, std::size_t id_space, std::size_t max_members)
+    {
+        items_ = arena.carve<std::uint32_t>(max_members);
+        storage_ = items_;
+        pending_ = arena.carve<std::uint32_t>(max_members);
+        scratch_ = arena.carve<std::uint32_t>(max_members);
+        inList_ = arena.carve<std::uint8_t>(id_space);
+        numItems_ = 0;
+        numPending_ = 0;
+        idSpace_ = id_space;
+        maxMembers_ = max_members;
+    }
+
+    /** place() into an arena of the list's own (a list that lives
+     *  outside a network). */
     void
     reserve(std::size_t id_space, std::size_t max_members)
     {
-        items_.clear();
-        items_.reserve(max_members);
-        pending_.clear();
-        pending_.reserve(max_members);
-        scratch_.reserve(max_members);
-        inList_.assign(id_space, 0);
+        own_ = std::make_unique<HotArena>();
+        own_->reserve(arenaBytes(id_space, max_members));
+        place(*own_, id_space, max_members);
     }
 
     /** Enlist id @p i (idempotent). */
@@ -90,7 +112,7 @@ class ActiveList
     {
         if (inList_[i] == 0) {
             inList_[i] = 1;
-            pending_.push_back(i);
+            pending_[numPending_++] = i;
         }
     }
 
@@ -111,7 +133,7 @@ class ActiveList
     {
         mergePending();
         std::size_t keep = 0;
-        std::size_t n = items_.size();
+        std::size_t n = numItems_;
         if (n > 0)
             pre(items_[0]);
         for (std::size_t i = 0; i < n; ++i) {
@@ -125,7 +147,7 @@ class ActiveList
                 inList_[id] = 0;
             }
         }
-        items_.resize(keep);
+        numItems_ = keep;
     }
 
     /**
@@ -137,11 +159,11 @@ class ActiveList
     void
     drainPending(Fn &&fn)
     {
-        for (std::uint32_t id : pending_) {
-            inList_[id] = 0;
-            fn(id);
+        for (std::size_t i = 0; i < numPending_; ++i) {
+            inList_[pending_[i]] = 0;
+            fn(pending_[i]);
         }
-        pending_.clear();
+        numPending_ = 0;
     }
 
     /** Hand every id woken since the last drain to @p fn, in wake
@@ -151,22 +173,26 @@ class ActiveList
     void
     forEachPending(Fn &&fn) const
     {
-        for (std::uint32_t id : pending_)
-            fn(id);
+        for (std::size_t i = 0; i < numPending_; ++i)
+            fn(pending_[i]);
     }
 
     /** Current member count (entries that have gone idle included
      *  until the next scan drops them). */
-    std::size_t size() const { return items_.size() + pending_.size(); }
+    std::size_t size() const { return numItems_ + numPending_; }
 
-    /** Steady-state storage (reserved once; memory-audit row). */
+    /** Start and size of the storage place() carved. */
+    HotSpan
+    placedSpan() const
+    {
+        return {storage_, arenaBytes(idSpace_, maxMembers_)};
+    }
+
+    /** Storage carved once by place() (memory-audit row). */
     std::uint64_t
     footprintBytes() const
     {
-        return (items_.capacity() + pending_.capacity() +
-                scratch_.capacity()) *
-                   sizeof(std::uint32_t) +
-               inList_.capacity();
+        return arenaBytes(idSpace_, maxMembers_);
     }
 
   private:
@@ -175,27 +201,34 @@ class ActiveList
     void
     mergePending()
     {
-        if (pending_.empty())
+        if (numPending_ == 0)
             return;
-        std::sort(pending_.begin(), pending_.end());
-        scratch_.clear();
+        std::sort(pending_, pending_ + numPending_);
         std::size_t a = 0;
         std::size_t b = 0;
-        while (a < items_.size() && b < pending_.size())
-            scratch_.push_back(items_[a] < pending_[b] ? items_[a++]
-                                                       : pending_[b++]);
-        while (a < items_.size())
-            scratch_.push_back(items_[a++]);
-        while (b < pending_.size())
-            scratch_.push_back(pending_[b++]);
-        items_.swap(scratch_);
-        pending_.clear();
+        std::size_t out = 0;
+        while (a < numItems_ && b < numPending_)
+            scratch_[out++] =
+                items_[a] < pending_[b] ? items_[a++] : pending_[b++];
+        while (a < numItems_)
+            scratch_[out++] = items_[a++];
+        while (b < numPending_)
+            scratch_[out++] = pending_[b++];
+        std::swap(items_, scratch_);
+        numItems_ = out;
+        numPending_ = 0;
     }
 
-    std::vector<std::uint32_t> items_;   ///< sorted current members
-    std::vector<std::uint32_t> pending_; ///< woken since last merge
-    std::vector<std::uint32_t> scratch_; ///< merge target (swapped)
-    std::vector<std::uint8_t> inList_;   ///< membership byte per index
+    std::uint32_t *items_ = nullptr;   ///< sorted current members
+    std::uint32_t *pending_ = nullptr; ///< woken since last merge
+    std::uint32_t *scratch_ = nullptr; ///< merge target (swapped)
+    std::uint8_t *inList_ = nullptr;   ///< membership byte per index
+    const void *storage_ = nullptr;    ///< first carve (placedSpan)
+    std::size_t numItems_ = 0;
+    std::size_t numPending_ = 0;
+    std::size_t idSpace_ = 0;
+    std::size_t maxMembers_ = 0;
+    std::unique_ptr<HotArena> own_; ///< reserve()'s arena (else null)
 };
 
 /** A component's link into the ActiveList that schedules it: the list

@@ -13,7 +13,8 @@
  * Network scans every non-idle channel every cycle), so
  * max(lanes, 2) * (delay + 2) slots can never overflow. A channel is
  * constructed with sizes only; place() carves both pipes from the
- * network's hot arena (§6g), so the steady state allocates nothing.
+ * network's arena (§6g), right after the network carved the channel
+ * object itself, so the steady state allocates nothing.
  */
 
 #ifndef HNOC_NOC_CHANNEL_HH
@@ -125,13 +126,21 @@ class alignas(64) Channel
     bool idle() const { return !hasFlits() && !hasCredits(); }
     ///@}
 
-    /** Bytes place() carves from the arena (each pipe rounded up to
-     *  whole cache lines). */
+    /** Bytes place() carves from the arena for a channel of @p lanes
+     *  lanes and these delays (each pipe rounded up to whole cache
+     *  lines). */
+    static std::size_t
+    arenaBytes(int lanes, int flit_delay, int credit_delay)
+    {
+        return HotArena::bytesFor<TimedFlit>(pipeSlots(lanes, flit_delay)) +
+               HotArena::bytesFor<TimedCredit>(
+                   pipeSlots(lanes, credit_delay));
+    }
+
     std::size_t
     arenaBytes() const
     {
-        return HotArena::lineBytes(flitPipeBytes()) +
-               HotArena::lineBytes(creditPipeBytes());
+        return arenaBytes(lanes_, flitDelay_, creditDelay_);
     }
 
     /** Carve both pipes from @p arena (§6g). Call once, before the
@@ -139,17 +148,20 @@ class alignas(64) Channel
     void
     place(HotArena &arena)
     {
-        std::size_t f = pipeSlots(flitDelay_);
+        std::size_t f = pipeSlots(lanes_, flitDelay_);
         flitPipe_.bindStorage(arena.carve<TimedFlit>(f), f);
-        std::size_t c = pipeSlots(creditDelay_);
+        std::size_t c = pipeSlots(lanes_, creditDelay_);
         creditPipe_.bindStorage(arena.carve<TimedCredit>(c), c);
     }
 
-    /** Start and size of each placed pipe, in carve order. */
-    std::array<HotSpan, 2>
+    /** Start and size of the channel object and of each placed pipe,
+     *  in carve order (the network carves the object, then place() the
+     *  pipes). */
+    std::array<HotSpan, 3>
     placedSections() const
     {
-        return {{{flitPipe_.data(), flitPipeBytes()},
+        return {{{this, sizeof(*this)},
+                 {flitPipe_.data(), flitPipeBytes()},
                  {creditPipe_.data(), creditPipeBytes()}}};
     }
 
@@ -231,14 +243,19 @@ class alignas(64) Channel
     }
     ///@}
 
-    /** Steady-state memory footprint: both pipes plus the object.
-     *  Pipe capacities follow from the constructor's sizes, so this is
-     *  constant over a channel's lifetime. */
+    /** Memory footprint: both pipes as carved plus the object, a
+     *  pure function of the constructor's sizes. */
+    static std::uint64_t
+    footprintBytes(int lanes, int flit_delay, int credit_delay)
+    {
+        return HotArena::bytesFor<Channel>(1) +
+               arenaBytes(lanes, flit_delay, credit_delay);
+    }
+
     std::uint64_t
     footprintBytes() const
     {
-        return static_cast<std::uint64_t>(sizeof(*this)) +
-               flitPipeBytes() + creditPipeBytes();
+        return footprintBytes(lanes_, flitDelay_, creditDelay_);
     }
 
   private:
@@ -254,14 +271,14 @@ class alignas(64) Channel
         VcId vc = 0;
     };
 
-    /** Ring slots of a pipe with @p delay: the occupancy bound of
-     *  <= max(lanes, 2) sends per cycle, each drained within delay + 1
-     *  cycles (+1 slack for the same-cycle window), rounded up to the
-     *  ring's power of two. */
-    std::size_t
-    pipeSlots(int delay) const
+    /** Ring slots of a pipe with @p delay on @p lanes lanes: the
+     *  occupancy bound of <= max(lanes, 2) sends per cycle, each
+     *  drained within delay + 1 cycles (+1 slack for the same-cycle
+     *  window), rounded up to the ring's power of two. */
+    static std::size_t
+    pipeSlots(int lanes, int delay)
     {
-        int rate = lanes_ > 2 ? lanes_ : 2;
+        int rate = lanes > 2 ? lanes : 2;
         return RingBuffer<TimedFlit>::boundCapacity(
             static_cast<std::size_t>(rate) *
             static_cast<std::size_t>(delay + 2));
@@ -270,13 +287,13 @@ class alignas(64) Channel
     std::size_t
     flitPipeBytes() const
     {
-        return pipeSlots(flitDelay_) * sizeof(TimedFlit);
+        return pipeSlots(lanes_, flitDelay_) * sizeof(TimedFlit);
     }
 
     std::size_t
     creditPipeBytes() const
     {
-        return pipeSlots(creditDelay_) * sizeof(TimedCredit);
+        return pipeSlots(lanes_, creditDelay_) * sizeof(TimedCredit);
     }
 
     // Line-per-role member order (§6g): on a line-aligned object each
@@ -285,7 +302,7 @@ class alignas(64) Channel
     // only and a credit-list scan line 1 only.
     RingBuffer<TimedFlit> flitPipe_;
     WakeHook flitWake_;
-    RingBuffer<TimedCredit> creditPipe_;
+    alignas(64) RingBuffer<TimedCredit> creditPipe_;
     WakeHook creditWake_;
 
     int id_;

@@ -4,7 +4,9 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <thread>
+#include <type_traits>
 
 #include "common/job_pool.hh"
 #include "common/logging.hh"
@@ -32,6 +34,15 @@ constexpr std::uint64_t kFirstCutCycles = 256;
  *  the costs measured since the one before, so cuts stay rare and a
  *  slot's blocks stay in one core's cache between them. */
 constexpr std::uint64_t kCutSpacing = 4;
+
+/** One packet slab: a page block (about 200 packets), which any
+ *  thread's network reuses once it is released (§6i). Small enough that
+ *  an 8x8 CMP system, with a few hundred packets live, holds no more
+ *  than it used to on the heap. */
+constexpr std::size_t kPacketSlabBytes = 16 * 1024;
+/** Packets per slab, after its header line. */
+constexpr std::size_t kSlabPackets =
+    (kPacketSlabBytes - HotArena::kLine) / sizeof(Packet);
 
 using Clock = std::chrono::steady_clock;
 
@@ -85,17 +96,11 @@ Network::Network(const NetworkConfig &config)
               config_.blockTiles);
 
     build();
-    setupBlocks();
-    placeHotState();
 
-    // Point every component's wake hooks at the active lists that
-    // schedule it. The hooks keep raw pointers into the per-block list
-    // vectors, which setupBlocks() sized for good. Every component is
-    // still idle here, so no list needs seeding.
-    for (std::size_t i = 0; i < ends_.size(); ++i)
-        ends_[i].chan->setWakeHooks(&flitListOf(ends_[i]),
-                                    &creditListOf(ends_[i]),
-                                    static_cast<std::uint32_t>(i));
+    // Point every router's and NI's wake hook at the active list that
+    // schedules it (build() hooked the channels). The lists are carved
+    // for good. Every component is still idle here, so no list needs
+    // seeding.
     for (std::size_t i = 0; i < routers_.size(); ++i)
         routers_[i].setWakeHook(
             &blockRouters_[static_cast<std::size_t>(
@@ -112,113 +117,261 @@ Network::Network(const NetworkConfig &config)
     teamEligible_ = !alwaysStep_ && numBlocks_ >= 4;
 }
 
-Network::~Network() = default;
-
-Channel *
-Network::makeChannel(int width_bits, int flit_delay, int credit_delay)
+Network::~Network()
 {
-    int lanes = std::max(1, width_bits / config_.flitWidthBits);
-    channels_.push_back(std::make_unique<Channel>(
-        static_cast<int>(channels_.size()), width_bits, lanes, flit_delay,
-        credit_delay));
-    Channel *c = channels_.back().get();
-    if (lanes > 1)
-        wideChannels_.push_back(c);
-    return c;
+    // The team's helpers leave before the state they stepped goes.
+    team_.reset();
+    // The arena runs no destructors. A grown source queue holds storage
+    // of its own; every other arena object's destructor (the lists',
+    // the channels') releases nothing, but runs all the same.
+    for (NetworkInterface *ni : nis_)
+        if (ni != nullptr)
+            std::destroy_at(ni);
+    for (const ChannelEnds &e : ends_)
+        if (e.chan != nullptr)
+            std::destroy_at(e.chan);
+    for (auto lists : {blockEjectEnds_, blockFlitEnds_, blockCreditEnds_,
+                       blockRouters_, blockNis_, slotFlitOutbox_,
+                       slotCreditOutbox_})
+        std::destroy(lists.begin(), lists.end());
+    static_assert(std::is_trivially_destructible_v<Router>);
+    static_assert(std::is_trivially_destructible_v<TeamBlock>);
+    while (packetSlabs_ != nullptr) {
+        PacketSlab *next = packetSlabs_->next;
+        detail::keepPagedBlock(packetSlabs_, kPacketSlabBytes);
+        packetSlabs_ = next;
+    }
 }
 
+template <typename Fn>
 void
-Network::build()
+Network::forEachEnd(Fn &&fn) const
 {
-    int n_routers = topo_->numRouters();
-    int ports = topo_->portsPerRouter();
-    int inter_delay = (config_.pipelineStages - 1) + config_.linkLatency;
-
-    // Routers live by value in one contiguous vector: the per-cycle
-    // step pass walks them in index (= block) order, so the object
-    // headers stream linearly instead of chasing per-router heap
-    // pointers. reserve() pins the addresses before wiring takes
-    // them.
-    routers_.reserve(static_cast<std::size_t>(n_routers));
-    for (RouterId r = 0; r < n_routers; ++r) {
-        routers_.emplace_back(
-            r, ports, config_.vcsOf(r), config_.bufferDepth, *routing_,
-            config_.escapeThreshold, config_.intraPacketPairing);
-    }
-
     // Inter-router channels: one per directed (router, dir-port) pair.
-    for (RouterId r = 0; r < n_routers; ++r) {
+    for (RouterId r = 0; r < topo_->numRouters(); ++r) {
         for (PortId p = 0; p < topo_->numDirPorts(); ++p) {
             const PortPeer &peer = topo_->peer(r, p);
             if (peer.router == INVALID_ROUTER)
                 continue;
-            Channel *ch =
-                makeChannel(config_.channelBits(r, peer.router),
-                            inter_delay, config_.linkLatency);
-            routers_[static_cast<std::size_t>(r)].connectOutput(
-                p, ch, config_.vcsOf(peer.router), config_.bufferDepth);
-            routers_[static_cast<std::size_t>(peer.router)].connectInput(
-                peer.port, ch);
-
             ChannelEnds e;
-            e.chan = ch;
             e.sinkIsRouter = true;
             e.sinkRouter = peer.router;
             e.sinkPort = peer.port;
             e.driverIsRouter = true;
             e.driverRouter = r;
             e.driverPort = p;
-            ends_.push_back(e);
+            fn(e);
         }
     }
-
-    // Local channels: injection (NI -> router) and ejection.
-    int n_nodes = topo_->numNodes();
-    nis_.reserve(static_cast<std::size_t>(n_nodes));
-    for (NodeId n = 0; n < n_nodes; ++n) {
+    // Local channels: each node's injection (NI -> router), then its
+    // ejection.
+    for (NodeId n = 0; n < topo_->numNodes(); ++n) {
         RouterId r = topo_->routerOfNode(n);
         PortId lp = topo_->localPortOfNode(n);
-        Router &router = routers_[static_cast<std::size_t>(r)];
-        nis_.push_back(std::make_unique<NetworkInterface>(n, this));
-        NetworkInterface &ni = *nis_.back();
-
-        int local_bits = config_.localChannelBits(r);
-
-        Channel *inj =
-            makeChannel(local_bits, config_.linkLatency,
-                        config_.linkLatency);
-        router.connectInput(lp, inj);
-        ni.connectInjection(inj, config_.vcsOf(r), config_.bufferDepth,
-                            &router.activity(),
-                            config_.intraPacketPairing);
         ChannelEnds ei;
-        ei.chan = inj;
         ei.sinkIsRouter = true;
         ei.sinkRouter = r;
         ei.sinkPort = lp;
         ei.driverIsRouter = false;
         ei.driverNode = n;
-        ends_.push_back(ei);
-
-        Channel *ej = makeChannel(local_bits, inter_delay,
-                                  config_.linkLatency);
-        router.connectOutput(lp, ej, config_.vcsOf(r),
-                             config_.bufferDepth);
-        router.markEjectionPort(lp);
-        ni.connectEjection(ej);
+        fn(ei);
         ChannelEnds ee;
-        ee.chan = ej;
         ee.sinkIsRouter = false;
         ee.sinkNode = n;
         ee.driverIsRouter = true;
         ee.driverRouter = r;
         ee.driverPort = lp;
-        ends_.push_back(ee);
+        fn(ee);
+    }
+}
+
+Network::ChannelShape
+Network::shapeOf(const ChannelEnds &e) const
+{
+    // A router-driven channel's flits also cross the sender's switch
+    // traversal stage; an NI injects straight onto the link.
+    int inter_delay = (config_.pipelineStages - 1) + config_.linkLatency;
+    ChannelShape c;
+    if (e.driverIsRouter && e.sinkIsRouter)
+        c.widthBits = config_.channelBits(e.driverRouter, e.sinkRouter);
+    else
+        c.widthBits = config_.localChannelBits(
+            e.sinkIsRouter ? e.sinkRouter : e.driverRouter);
+    c.lanes = std::max(1, c.widthBits / config_.flitWidthBits);
+    c.flitDelay = e.driverIsRouter ? inter_delay : config_.linkLatency;
+    c.creditDelay = config_.linkLatency;
+    return c;
+}
+
+int
+Network::maxDownVcs(RouterId r) const
+{
+    // Local ports feed the NI sink, which takes the router's own VCs.
+    int down = config_.vcsOf(r);
+    for (PortId p = 0; p < topo_->numDirPorts(); ++p)
+        if (RouterId peer = topo_->peer(r, p).router; peer != INVALID_ROUTER)
+            down = std::max(down, config_.vcsOf(peer));
+    return down;
+}
+
+void
+Network::build()
+{
+    const auto nr = static_cast<std::size_t>(topo_->numRouters());
+    const auto nn = static_cast<std::size_t>(topo_->numNodes());
+    const int ports = topo_->portsPerRouter();
+    const int depth = config_.bufferDepth;
+
+    // Every component's footprint, from the formulas alone: the block
+    // partition and the arena's size both follow from them.
+    std::size_t n_ends = 0;
+    std::size_t n_wide = 0;
+    std::uint64_t tile_bytes = 0;
+    forEachEnd([&](const ChannelEnds &e) {
+        ChannelShape c = shapeOf(e);
+        ++n_ends;
+        n_wide += c.lanes > 1;
+        tile_bytes +=
+            Channel::footprintBytes(c.lanes, c.flitDelay, c.creditDelay);
+    });
+    for (RouterId r = 0; r < static_cast<RouterId>(nr); ++r)
+        tile_bytes += Router::footprintBytes(ports, config_.vcsOf(r), depth,
+                                             maxDownVcs(r));
+    for (NodeId n = 0; n < static_cast<NodeId>(nn); ++n)
+        tile_bytes += NetworkInterface::footprintBytes(
+            config_.vcsOf(topo_->routerOfNode(n)));
+    setupBlocks(tile_bytes);
+
+    // Each block's active lists hold exactly their possible members,
+    // so the steady state never outgrows them.
+    const auto nb = static_cast<std::size_t>(numBlocks_);
+    enum Role : std::size_t
+    {
+        kEject,
+        kFlits,
+        kCredits,
+        kRouters,
+        kNis,
+        kRoles
+    };
+    std::vector<std::size_t> members(kRoles * nb, 0);
+    auto count = [&](Role role, RouterId r) {
+        ++members[kRoles * static_cast<std::size_t>(blockOf(r)) + role];
+    };
+    forEachEnd([&](const ChannelEnds &e) {
+        if (!e.sinkIsRouter) {
+            count(kEject, e.driverRouter);
+            return;
+        }
+        count(kFlits, e.sinkRouter);
+        count(kCredits, e.driverIsRouter ? e.driverRouter : e.sinkRouter);
+    });
+    for (RouterId r = 0; r < static_cast<RouterId>(nr); ++r)
+        count(kRouters, r);
+    for (NodeId n = 0; n < static_cast<NodeId>(nn); ++n)
+        count(kNis, topo_->routerOfNode(n));
+    auto list_space = [&](std::size_t role) {
+        return role == kRouters ? nr : role == kNis ? nn : n_ends;
+    };
+    std::size_t list_bytes = 0;
+    for (std::size_t i = 0; i < members.size(); ++i)
+        list_bytes +=
+            ActiveList::arenaBytes(list_space(i % kRoles), members[i]);
+
+    // The router objects are one array; every other component object
+    // is a carve of its own (its footprint formula counts both).
+    arena_.reserve(HotArena::bytesFor<Router>(nr) +
+                   HotArena::bytesFor<NetworkInterface *>(nn) +
+                   HotArena::bytesFor<ChannelEnds>(n_ends) +
+                   HotArena::bytesFor<Channel *>(n_wide) +
+                   HotArena::bytesFor<std::uint8_t>(
+                       nr * static_cast<std::size_t>(ports)) +
+                   kRoles * HotArena::bytesFor<ActiveList>(nb) + list_bytes +
+                   tile_bytes - nr * sizeof(Router));
+
+    // The network's tables lead the arena.
+    routers_ = {arena_.take<Router>(nr), nr};
+    for (RouterId r = 0; r < static_cast<RouterId>(nr); ++r)
+        ::new (static_cast<void *>(&routers_[static_cast<std::size_t>(r)]))
+            Router(r, ports, config_.vcsOf(r), depth, maxDownVcs(r),
+                   *routing_, config_.escapeThreshold,
+                   config_.intraPacketPairing);
+    nis_ = {arena_.carve<NetworkInterface *>(nn, nullptr), nn};
+    ends_ = {arena_.carve<ChannelEnds>(n_ends), n_ends};
+    std::size_t i = 0;
+    forEachEnd([&](const ChannelEnds &e) { ends_[i++] = e; });
+    wideChannels_ = {arena_.carve<Channel *>(n_wide, nullptr), n_wide};
+    hopLanes_ =
+        arena_.carve<std::uint8_t>(nr * static_cast<std::size_t>(ports));
+    for (std::span<ActiveList> *lists :
+         {&blockEjectEnds_, &blockFlitEnds_, &blockCreditEnds_,
+          &blockRouters_, &blockNis_})
+        *lists = {arena_.carveArray<ActiveList>(nb), nb};
+
+    // Then each block in visit order, so the per-cycle stream walks the
+    // arena front to back: its lists' storage, its ejection channels
+    // each followed by its NI, its delivered channels, its routers.
+    forEachInVisitOrder(
+        [&](std::size_t b) {
+            const std::size_t *m = &members[kRoles * b];
+            blockEjectEnds_[b].place(arena_, n_ends, m[kEject]);
+            blockFlitEnds_[b].place(arena_, n_ends, m[kFlits]);
+            blockCreditEnds_[b].place(arena_, n_ends, m[kCredits]);
+            blockRouters_[b].place(arena_, nr, m[kRouters]);
+            blockNis_[b].place(arena_, nn, m[kNis]);
+        },
+        [&](std::uint32_t id) {
+            ChannelEnds &e = ends_[id];
+            ChannelShape c = shapeOf(e);
+            e.chan = arena_.make<Channel>(static_cast<int>(id), c.widthBits,
+                                          c.lanes, c.flitDelay,
+                                          c.creditDelay);
+            e.chan->place(arena_);
+            if (e.sinkIsRouter)
+                return;
+            auto n = static_cast<std::size_t>(e.sinkNode);
+            nis_[n] = arena_.make<NetworkInterface>(
+                e.sinkNode, this, config_.vcsOf(e.driverRouter));
+            nis_[n]->place(arena_);
+        },
+        [&](std::size_t r) { routers_[r].place(arena_); });
+
+    // Wire every end, in channel-id order.
+    std::size_t wide = 0;
+    for (std::size_t id = 0; id < n_ends; ++id) {
+        ChannelEnds &e = ends_[id];
+        Channel *ch = e.chan;
+        if (ch->lanes() > 1)
+            wideChannels_[wide++] = ch;
+        if (e.sinkIsRouter)
+            routers_[static_cast<std::size_t>(e.sinkRouter)].connectInput(
+                e.sinkPort, ch);
+        if (e.driverIsRouter) {
+            Router &driver = routers_[static_cast<std::size_t>(e.driverRouter)];
+            RouterId down = e.sinkIsRouter ? e.sinkRouter : e.driverRouter;
+            driver.connectOutput(e.driverPort, ch, config_.vcsOf(down),
+                                 depth);
+            hopLanes_[static_cast<std::size_t>(e.driverRouter * ports +
+                                               e.driverPort)] =
+                static_cast<std::uint8_t>(ch->lanes());
+        } else {
+            nis_[static_cast<std::size_t>(e.driverNode)]->connectInjection(
+                ch, depth,
+                &routers_[static_cast<std::size_t>(e.sinkRouter)].activity(),
+                config_.intraPacketPairing);
+        }
+        if (!e.sinkIsRouter) {
+            routers_[static_cast<std::size_t>(e.driverRouter)]
+                .markEjectionPort(e.driverPort);
+            nis_[static_cast<std::size_t>(e.sinkNode)]->connectEjection(ch);
+        }
+        ch->setWakeHooks(&flitListOf(e), &creditListOf(e),
+                         static_cast<std::uint32_t>(id));
     }
 }
 
 void
-Network::setupBlocks()
+Network::setupBlocks(std::uint64_t tile_bytes)
 {
     int n_routers = topo_->numRouters();
 
@@ -228,15 +381,8 @@ Network::setupBlocks()
         // channels + NIs, from their footprint formulas) in the
         // L2 budget, rounded down to whole mesh rows so blocks stay
         // spatially contiguous.
-        std::uint64_t bytes = 0;
-        for (const auto &r : routers_)
-            bytes += r.footprintBytes();
-        for (const auto &c : channels_)
-            bytes += c->footprintBytes();
-        for (const auto &ni : nis_)
-            bytes += ni->footprintBytes();
         std::uint64_t per_router =
-            std::max<std::uint64_t>(1, bytes /
+            std::max<std::uint64_t>(1, tile_bytes /
                 static_cast<std::uint64_t>(n_routers));
         tiles = static_cast<int>(
             std::min<std::uint64_t>(static_cast<std::uint64_t>(n_routers),
@@ -249,64 +395,40 @@ Network::setupBlocks()
     }
     blockTiles_ = std::min(tiles, n_routers);
     numBlocks_ = (n_routers + blockTiles_ - 1) / blockTiles_;
-
-    // Size each block's active lists to its exact membership so the
-    // steady state never reallocates.
-    auto nb = static_cast<std::size_t>(numBlocks_);
-    std::vector<std::size_t> flit_count(nb, 0);
-    std::vector<std::size_t> credit_count(nb, 0);
-    std::vector<std::size_t> router_count(nb, 0);
-    std::vector<std::size_t> ni_count(nb, 0);
-    std::vector<std::size_t> eject_count(nb, 0);
-    for (const ChannelEnds &e : ends_) {
-        if (!e.sinkIsRouter) {
-            ++eject_count[static_cast<std::size_t>(blockOf(e.driverRouter))];
-            continue;
-        }
-        ++flit_count[static_cast<std::size_t>(blockOf(e.sinkRouter))];
-        RouterId cr = e.driverIsRouter ? e.driverRouter : e.sinkRouter;
-        ++credit_count[static_cast<std::size_t>(blockOf(cr))];
-    }
-    for (RouterId r = 0; r < n_routers; ++r)
-        ++router_count[static_cast<std::size_t>(blockOf(r))];
-    for (NodeId n = 0; n < topo_->numNodes(); ++n)
-        ++ni_count[static_cast<std::size_t>(
-            blockOf(topo_->routerOfNode(n)))];
-
-    blockEjectEnds_.resize(nb);
-    blockFlitEnds_.resize(nb);
-    blockCreditEnds_.resize(nb);
-    blockRouters_.resize(nb);
-    blockNis_.resize(nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-        blockEjectEnds_[b].reserve(ends_.size(), eject_count[b]);
-        blockFlitEnds_[b].reserve(ends_.size(), flit_count[b]);
-        blockCreditEnds_[b].reserve(ends_.size(), credit_count[b]);
-        blockRouters_[b].reserve(routers_.size(), router_count[b]);
-        blockNis_[b].reserve(nis_.size(), ni_count[b]);
-    }
 }
 
-template <typename ChanFn, typename RouterFn>
+template <typename BlockFn, typename EndFn, typename RouterFn>
 void
-Network::forEachInVisitOrder(ChanFn &&on_chan, RouterFn &&on_router) const
+Network::forEachInVisitOrder(BlockFn &&on_block, EndFn &&on_end,
+                             RouterFn &&on_router) const
 {
     // The blocked step loop's order as a team slot walks it (§6g,
-    // §6h): for each block its terminal ejection channels (its eject
-    // pass), its delivered channels, then its routers.
-    std::vector<std::vector<Channel *>> groups(
-        2 * static_cast<std::size_t>(numBlocks_));
-    for (const ChannelEnds &e : ends_) {
-        int b = blockOf(e.sinkIsRouter ? e.sinkRouter : e.driverRouter);
-        groups[2 * static_cast<std::size_t>(b) + e.sinkIsRouter].push_back(
-            e.chan);
+    // §6h): for each block its terminal ejection ends (its eject
+    // pass), its delivered ends, then its routers. Ends group by
+    // (block, role) with a counting sort, in id order within a group.
+    const auto groups = 2 * static_cast<std::size_t>(numBlocks_);
+    auto group = [&](const ChannelEnds &e) {
+        return 2 * static_cast<std::size_t>(blockOf(
+                       e.sinkIsRouter ? e.sinkRouter : e.driverRouter)) +
+               e.sinkIsRouter;
+    };
+    std::vector<std::uint32_t> start(groups + 1, 0);
+    for (const ChannelEnds &e : ends_)
+        ++start[group(e) + 1];
+    for (std::size_t g = 0; g < groups; ++g)
+        start[g + 1] += start[g];
+    std::vector<std::uint32_t> order(ends_.size());
+    {
+        std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+        for (std::size_t i = 0; i < ends_.size(); ++i)
+            order[next[group(ends_[i])]++] = static_cast<std::uint32_t>(i);
     }
     auto n_routers = static_cast<RouterId>(routers_.size());
     for (int b = 0; b < numBlocks_; ++b) {
-        for (std::size_t g = 2 * static_cast<std::size_t>(b);
-             g < 2 * static_cast<std::size_t>(b) + 2; ++g)
-            for (Channel *c : groups[g])
-                on_chan(*c);
+        auto bb = static_cast<std::size_t>(b);
+        on_block(bb);
+        for (std::uint32_t k = start[2 * bb]; k < start[2 * bb + 2]; ++k)
+            on_end(order[k]);
         auto lo = static_cast<RouterId>(b) *
                   static_cast<RouterId>(blockTiles_);
         RouterId hi = std::min(
@@ -316,50 +438,65 @@ Network::forEachInVisitOrder(ChanFn &&on_chan, RouterFn &&on_router) const
     }
 }
 
-void
-Network::placeHotState()
-{
-    std::size_t bytes = 0;
-    for (const auto &r : routers_)
-        bytes += r.arenaBytes();
-    for (const auto &c : channels_)
-        bytes += c->arenaBytes();
-    hotArena_.reserve(bytes);
-    // Carving in visit order lets the per-cycle stream walk the arena
-    // front to back.
-    forEachInVisitOrder([&](Channel &c) { c.place(hotArena_); },
-                        [&](std::size_t r) { routers_[r].place(hotArena_); });
-}
-
 std::vector<HotSpan>
-Network::hotSections() const
+Network::arenaSections() const
 {
     std::vector<HotSpan> out;
     auto add = [&](const auto &sections) {
         out.insert(out.end(), sections.begin(), sections.end());
     };
+    auto table = [&](const auto &span) {
+        out.push_back({span.data(), span.size_bytes()});
+    };
+    table(routers_);
+    table(nis_);
+    table(ends_);
+    table(wideChannels_);
+    out.push_back({hopLanes_, routers_.size() * static_cast<std::size_t>(
+                                  topo_->portsPerRouter())});
+    for (auto lists : {blockEjectEnds_, blockFlitEnds_, blockCreditEnds_,
+                       blockRouters_, blockNis_})
+        table(lists);
     forEachInVisitOrder(
-        [&](const Channel &c) { add(c.placedSections()); },
+        [&](std::size_t b) {
+            for (auto lists : {blockEjectEnds_, blockFlitEnds_,
+                               blockCreditEnds_, blockRouters_, blockNis_})
+                out.push_back(lists[b].placedSpan());
+        },
+        [&](std::uint32_t id) {
+            const ChannelEnds &e = ends_[id];
+            add(e.chan->placedSections());
+            if (!e.sinkIsRouter)
+                add(nis_[static_cast<std::size_t>(e.sinkNode)]
+                        ->placedSections());
+        },
         [&](std::size_t r) { add(routers_[r].placedSections()); });
     return out;
 }
 
+
 Packet *
 Network::allocPacket()
 {
-    if (!freeList_.empty()) {
-        Packet *p = freeList_.back();
-        freeList_.pop_back();
-        return p;
+    if (freePackets_ == nullptr) {
+        // A new slab: its header on the first line, then packets, the
+        // lowest address first out.
+        auto *slab = static_cast<std::byte *>(
+            detail::takePagedBlock(kPacketSlabBytes));
+        packetSlabs_ = ::new (slab) PacketSlab{packetSlabs_};
+        ++numPacketSlabs_;
+        for (std::size_t i = kSlabPackets; i-- > 0;)
+            freePacket(slab + HotArena::kLine + i * sizeof(Packet));
     }
-    packetArena_.push_back(std::make_unique<Packet>());
-    return packetArena_.back().get();
+    FreePacket *slot = freePackets_;
+    freePackets_ = slot->next;
+    return ::new (static_cast<void *>(slot)) Packet{};
 }
 
 void
-Network::freePacket(Packet *pkt)
+Network::freePacket(void *slot)
 {
-    freeList_.push_back(pkt);
+    freePackets_ = ::new (slot) FreePacket{freePackets_};
 }
 
 Packet *
@@ -372,7 +509,6 @@ Network::enqueuePacket(NodeId src, NodeId dst, int num_flits,
     if (src == dst)
         panic("enqueuePacket: src == dst (%d)", src);
     Packet *pkt = allocPacket();
-    *pkt = Packet{};
     pkt->id = nextPacketId_++;
     pkt->src = src;
     pkt->dst = dst;
@@ -391,8 +527,8 @@ Network::enqueuePacket(NodeId src, NodeId dst, int num_flits,
     nis_[static_cast<std::size_t>(src)]->enqueue(pkt);
     ++packetsInjected_;
     ++livePackets_;
-    // The Inject event arms the blame ledger: `*pkt = Packet{}` above
-    // resets the pointer on arena recycle, so detached runs carry none.
+    // The Inject event arms the blame ledger: allocPacket() hands out a
+    // fresh Packet, so detached runs carry none.
     if (Probe *pr = probe())
         pr->inject(cycle_, *pkt, livePackets_, config_.linkLatency);
     return pkt;
@@ -524,58 +660,68 @@ Network::memoryAudit() const
 {
     MemoryAudit a;
     a.tiles = topo_->numNodes();
+    const std::size_t nr = routers_.size();
+    const std::size_t nn = nis_.size();
+    const std::size_t ne = ends_.size();
 
+    // The arena's rows: each component's carved storage, the objects,
+    // the channel-end tables, the active lists and the unused tail.
     std::uint64_t b = 0;
-    for (const auto &r : routers_)
-        b += r.footprintBytes();
-    a.add("routers", b, routers_.size());
+    for (const Router &r : routers_)
+        b += r.arenaBytes();
+    a.add("routers", b, nr);
 
     b = 0;
-    for (const auto &c : channels_)
-        b += c->footprintBytes();
-    a.add("channels", b, channels_.size());
+    for (const ChannelEnds &e : ends_)
+        b += e.chan->arenaBytes();
+    a.add("channels", b, ne);
 
+    // A source queue grown past its first ring holds storage outside
+    // the arena: its high-water mark.
     b = 0;
-    for (const auto &ni : nis_)
-        b += ni->footprintBytes();
-    a.add("network_interfaces", b, nis_.size());
+    for (const NetworkInterface *ni : nis_)
+        b += ni->arenaBytes() + ni->queueGrownBytes();
+    a.add("network_interfaces", b, nn);
 
-    a.add("packet_arena",
-          packetArena_.capacity() * sizeof(std::unique_ptr<Packet>) +
-              packetArena_.size() * sizeof(Packet) +
-              freeList_.capacity() * sizeof(Packet *),
-          packetArena_.size());
+    a.add("component_objects",
+          HotArena::bytesFor<Router>(nr) +
+              HotArena::bytesFor<NetworkInterface *>(nn) +
+              ne * HotArena::bytesFor<Channel>(1) +
+              nn * HotArena::bytesFor<NetworkInterface>(1),
+          nr + ne + nn);
+
+    a.add("channel_ends",
+          HotArena::bytesFor<ChannelEnds>(ne) +
+              HotArena::bytesFor<Channel *>(wideChannels_.size()) +
+              HotArena::bytesFor<std::uint8_t>(
+                  nr * static_cast<std::size_t>(topo_->portsPerRouter())),
+          ne);
 
     std::uint64_t lists = 0;
-    for (const ActiveList *vec :
-         {blockEjectEnds_.data(), blockFlitEnds_.data(),
-          blockCreditEnds_.data(), blockRouters_.data(), blockNis_.data()})
-        for (std::size_t i = 0; i < static_cast<std::size_t>(numBlocks_);
-             ++i)
-            lists += vec[i].footprintBytes() + sizeof(ActiveList);
-    a.add("active_set", ends_.capacity() * sizeof(ChannelEnds) + lists,
-          ends_.size() + routers_.size() + nis_.size());
+    for (auto role : {blockEjectEnds_, blockFlitEnds_, blockCreditEnds_,
+                      blockRouters_, blockNis_}) {
+        lists += HotArena::bytesFor<ActiveList>(role.size());
+        for (const ActiveList &l : role)
+            lists += l.footprintBytes();
+    }
+    a.add("active_set", lists, ne + nr + nn);
 
-    // The stepping team's state (outboxes, per-block eject queues and
+    if (arena_.reservedBytes() > 0)
+        a.add("arena_pad",
+              arena_.reservedBytes() - HotArena::lineBytes(arena_.used()),
+              1);
+
+    if (numPacketSlabs_ > 0)
+        a.add("packet_slabs", numPacketSlabs_ * kPacketSlabBytes,
+              numPacketSlabs_);
+
+    // The stepping team's block (outboxes, per-block eject queues and
     // costs, per-slot times) exists only once a team has formed, which
     // depends on HNOC_THREADS and the host's cores (§6h), so this row,
     // unlike the others, is not fixed by the seed alone.
-    if (team_) {
-        std::uint64_t team = 0;
-        for (const auto *outboxes : {&slotFlitOutbox_, &slotCreditOutbox_})
-            for (const ActiveList &l : *outboxes)
-                team += l.footprintBytes() + sizeof(ActiveList);
-        for (const TeamBlock &b : teamBlocks_)
-            team += sizeof(TeamBlock) + b.ejected.packets.capacity() *
-                                            sizeof(b.ejected.packets[0]);
-        team += slotNs_.size() * sizeof(TeamSlotNs) +
-                (slotBlocks_.size() + cutScratch_.size()) * sizeof(int);
-        a.add("step_team", team, slotFlitOutbox_.size());
-    }
-
-    if (hotArena_.reservedBytes() > 0)
-        a.add("hot_arena_pad",
-              hotArena_.reservedBytes() - hotArena_.used(), 1);
+    if (team_)
+        a.add("step_team", teamArena_.reservedBytes(),
+              slotFlitOutbox_.size());
 
     if (attached_.registry)
         a.add("metric_registry", attached_.registry->footprintBytes(), 1);
@@ -817,7 +963,8 @@ Network::ejectBlock(std::size_t b, Cycle now, Ejected *defer)
                 e.chan->deliverFlitsTo(now, [&](const Flit &f) {
                     ++defer->flits;
                     if (Packet *done = ni.receiveFlit(f, now))
-                        defer->packets.emplace_back(done, defer->flits);
+                        defer->packets[defer->count++] = {done,
+                                                          defer->flits};
                 });
             } else {
                 deliverFlitsOf(e, now);
@@ -1050,41 +1197,53 @@ Network::formTeam(JobPool &pool)
         return;
     }
 
+    // Every cut moves slot boundaries along block boundaries, so a
+    // cross-slot end is always a cross-block one: outboxes sized for
+    // those never overflow, whatever the cut. A block's eject pass
+    // completes at most one packet per lane of each of its ejection
+    // channels per cycle.
+    auto ns = static_cast<std::size_t>(threads);
+    const auto nb = static_cast<std::size_t>(numBlocks_);
+    std::size_t cross = 0;
+    std::vector<std::size_t> lanes(nb, 0);
+    for (const ChannelEnds &e : ends_) {
+        cross += e.driverIsRouter && e.sinkIsRouter &&
+                 blockOf(e.driverRouter) != blockOf(e.sinkRouter);
+        if (!e.sinkIsRouter)
+            lanes[static_cast<std::size_t>(blockOf(e.driverRouter))] +=
+                static_cast<std::size_t>(e.chan->lanes());
+    }
+    using EjectedPacket = std::pair<Packet *, std::uint64_t>;
+    std::size_t bytes = 2 * HotArena::bytesFor<int>(ns + 1) +
+                        2 * HotArena::bytesFor<ActiveList>(ns) +
+                        2 * ns * ActiveList::arenaBytes(ends_.size(), cross) +
+                        HotArena::bytesFor<TeamBlock>(nb) +
+                        HotArena::bytesFor<TeamSlotNs>(ns);
+    for (std::size_t b = 0; b < nb; ++b)
+        bytes += HotArena::bytesFor<EjectedPacket>(lanes[b]);
+    teamArena_.reserve(bytes);
+
     // One slot per team thread: contiguous block ranges, even by count
     // until the first cut by cost.
-    auto ns = static_cast<std::size_t>(threads);
-    slotBlocks_.resize(ns + 1);
-    cutScratch_.resize(ns + 1);
+    slotBlocks_ = {teamArena_.carve<int>(ns + 1), ns + 1};
+    cutScratch_ = {teamArena_.carve<int>(ns + 1), ns + 1};
     for (int s = 0; s <= threads; ++s)
         slotBlocks_[static_cast<std::size_t>(s)] = numBlocks_ * s / threads;
     nextCut_ = kFirstCutCycles;
 
-    // Every cut moves slot boundaries along block boundaries, so a
-    // cross-slot end is always a cross-block one: outboxes sized for
-    // those never reallocate, whatever the cut.
-    std::size_t cross = 0;
-    for (const ChannelEnds &e : ends_)
-        cross += e.driverIsRouter && e.sinkIsRouter &&
-                 blockOf(e.driverRouter) != blockOf(e.sinkRouter);
-    slotFlitOutbox_.resize(ns);
-    slotCreditOutbox_.resize(ns);
+    slotFlitOutbox_ = {teamArena_.carveArray<ActiveList>(ns), ns};
+    slotCreditOutbox_ = {teamArena_.carveArray<ActiveList>(ns), ns};
     for (std::size_t s = 0; s < ns; ++s) {
-        slotFlitOutbox_[s].reserve(ends_.size(), cross);
-        slotCreditOutbox_[s].reserve(ends_.size(), cross);
+        slotFlitOutbox_[s].place(teamArena_, ends_.size(), cross);
+        slotCreditOutbox_[s].place(teamArena_, ends_.size(), cross);
     }
     routeTeamWakes();
 
-    // A block's eject pass completes at most one packet per lane of
-    // each of its ejection channels per cycle.
-    teamBlocks_.resize(static_cast<std::size_t>(numBlocks_));
-    std::vector<std::size_t> lanes(teamBlocks_.size(), 0);
-    for (const ChannelEnds &e : ends_)
-        if (!e.sinkIsRouter)
-            lanes[static_cast<std::size_t>(blockOf(e.driverRouter))] +=
-                static_cast<std::size_t>(e.chan->lanes());
-    for (std::size_t b = 0; b < teamBlocks_.size(); ++b)
-        teamBlocks_[b].ejected.packets.reserve(lanes[b]);
-    slotNs_.resize(ns);
+    teamBlocks_ = {teamArena_.carveArray<TeamBlock>(nb), nb};
+    for (std::size_t b = 0; b < nb; ++b)
+        teamBlocks_[b].ejected.packets =
+            teamArena_.carve<EjectedPacket>(lanes[b]);
+    slotNs_ = {teamArena_.carveArray<TeamSlotNs>(ns), ns};
     teamStats_.slots = threads;
     team_ = std::make_unique<StepTeam>(pool, threads, &Network::teamSlot,
                                        this, &Network::teamOpening,
@@ -1174,9 +1333,10 @@ Network::cutSlotsByCost()
     for (TeamBlock &tb : teamBlocks_)
         tb.costNs = 0;
     openingCostNs_ = 0;
-    if (cutScratch_ != slotBlocks_) {
+    if (!std::equal(cutScratch_.begin(), cutScratch_.end(),
+                    slotBlocks_.begin())) {
         mergeWakeOutboxes();
-        slotBlocks_.swap(cutScratch_);
+        std::swap(slotBlocks_, cutScratch_);
         routeTeamWakes();
     }
 }
@@ -1239,12 +1399,13 @@ Network::deliverEjected(void *net)
     for (TeamBlock &tb : n.teamBlocks_) {
         Ejected &out = tb.ejected;
         std::uint64_t base = n.flitsDelivered_;
-        for (auto [pkt, flits] : out.packets) {
+        for (std::size_t i = 0; i < out.count; ++i) {
+            auto [pkt, flits] = out.packets[i];
             n.flitsDelivered_ = base + flits;
             n.deliverPacket(*pkt, n.cycle_);
         }
         n.flitsDelivered_ = base + out.flits;
-        out.packets.clear();
+        out.count = 0;
         out.flits = 0;
     }
     if (kTelemetryEnabled)
@@ -1317,30 +1478,32 @@ Network::minTransferCycles(NodeId src, NodeId dst, int num_flits) const
 {
     // Delivery callbacks call this per packet: walk the route into
     // storage this thread keeps, not a fresh vector.
-    thread_local std::vector<RouterId> path;
-    routing_->fillPath(src, dst, path);
-    auto hops = static_cast<Cycle>(path.size());
+    thread_local std::vector<RouteHop> hops;
+    routing_->fillPath(src, dst, hops);
+    auto n_hops = static_cast<Cycle>(hops.size());
     Cycle head = static_cast<Cycle>(config_.linkLatency) +
-                 hops * static_cast<Cycle>(config_.pipelineStages +
-                                           config_.linkLatency);
+                 n_hops * static_cast<Cycle>(config_.pipelineStages +
+                                             config_.linkLatency);
 
     // Serialization lower bound: the narrowest channel on the path
     // limits how fast the tail can follow the head. With intra-packet
     // pairing, wide (multi-lane) channels move two flits per cycle.
-    int min_lanes =
-        std::max(1, config_.localChannelBits(path.front()) /
-                        config_.flitWidthBits);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        int lanes = std::max(
-            1, config_.channelBits(path[i], path[i + 1]) /
-                   config_.flitWidthBits);
-        min_lanes = std::min(min_lanes, lanes);
+    // The injection channel is as wide as the source router's ejection
+    // channel; every hop's lanes come from the channel it leaves by.
+    int min_lanes = 1;
+    if (config_.intraPacketPairing) {
+        const auto ports =
+            static_cast<std::size_t>(topo_->portsPerRouter());
+        auto lanes = [&](RouterId r, PortId p) {
+            return static_cast<int>(
+                hopLanes_[static_cast<std::size_t>(r) * ports +
+                          static_cast<std::size_t>(p)]);
+        };
+        min_lanes =
+            lanes(topo_->routerOfNode(src), topo_->localPortOfNode(src));
+        for (const RouteHop &h : hops)
+            min_lanes = std::min(min_lanes, lanes(h.router, h.port));
     }
-    min_lanes = std::min(
-        min_lanes, std::max(1, config_.localChannelBits(path.back()) /
-                                   config_.flitWidthBits));
-    if (!config_.intraPacketPairing)
-        min_lanes = 1;
 
     auto serialization = static_cast<Cycle>(
         (num_flits - 1 + min_lanes - 1) / min_lanes);
@@ -1373,8 +1536,8 @@ Network::resetMeasurement()
         r.activity() = RouterActivity{};
         r.resetOccupancy();
     }
-    for (auto &c : channels_)
-        c->resetStats();
+    for (ChannelEnds &e : ends_)
+        e.chan->resetStats();
     teamStats_ = TeamStats{};
     teamStats_.slots = static_cast<int>(slotNs_.size());
 }

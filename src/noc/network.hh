@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -315,22 +316,25 @@ class Network
     BlameCollector *blame() const { return attached_.blame; }
 
     /**
-     * Per-component steady-state memory breakdown: routers (SoA core),
-     * channels (pipes), NIs, the packet arena, the active lists, the
-     * hot arena's unused tail, and any attached registry/recorder.
-     * Byte counts come from container capacities, so the audit
-     * reflects grown high-water marks, not just construction-time
-     * sizes.
+     * Memory breakdown of everything the network owns: the arena's
+     * rows — router cores, channel pipes, NI arrays (plus any source
+     * queue grown past the arena), the component objects, the channel
+     * ends and the active lists, and the arena's unused tail — then
+     * the packet slabs, the stepping team's block once a team has
+     * formed, and any attached registry/recorder/collector. With no
+     * source queue grown and no team, the total is the arena's
+     * reserved bytes plus the packet slabs.
      */
     MemoryAudit memoryAudit() const;
 
-    /** The arena every router's and channel's hot storage lives in. */
-    const HotArena &hotArena() const { return hotArena_; }
+    /** The arena every component object and its storage live in. */
+    const HotArena &arena() const { return arena_; }
 
-    /** Every section placed in the hot arena, in placement (= block
-     *  visit) order: two pipes per channel, FIFO/hot/credit sections
-     *  per router. */
-    std::vector<HotSpan> hotSections() const;
+    /** Every section carved from the arena, in carve order: the
+     *  network's tables, then per block (= visit order) its active
+     *  lists' storage, its ejection channels each followed by its NI,
+     *  its delivered channels and its routers' sections. */
+    std::vector<HotSpan> arenaSections() const;
     ///@}
 
     /** @name Diagnostics */
@@ -373,7 +377,38 @@ class Network
         NodeId driverNode = INVALID_NODE;
     };
 
+    /** Width, lanes and delays of the channel of an end (§6g). */
+    struct ChannelShape
+    {
+        int widthBits = 0;
+        int lanes = 1;
+        int flitDelay = 0;
+        int creditDelay = 0;
+    };
+
+    /** A fixed slab of packets in one page block; slabs link through
+     *  this header, on the slab's first cache line. */
+    struct PacketSlab
+    {
+        PacketSlab *next;
+    };
+
+    /** A free packet's storage, linked into the free list. */
+    struct FreePacket
+    {
+        FreePacket *next;
+    };
+
+    /** Size the arena from every component's footprint formula, carve
+     *  and construct every component in visit order, then wire them. */
     void build();
+    /** Call @p fn(const ChannelEnds &) for every channel end the
+     *  topology calls for, in channel-id order (chan left null). */
+    template <typename Fn>
+    void forEachEnd(Fn &&fn) const;
+    ChannelShape shapeOf(const ChannelEnds &e) const;
+    /** The widest VC count router @p r's outputs feed. */
+    int maxDownVcs(RouterId r) const;
     /** Point probe_, every router and every NI at attached_ or
      *  nullptr. */
     void rewireProbe();
@@ -386,8 +421,9 @@ class Network
      *  registry's epoch rows difference. */
     MetricRegistry::EpochRow activityTotals() const;
 
-    Channel *makeChannel(int width_bits, int flit_delay, int credit_delay);
-    void setupBlocks();
+    /** Resolve blockTiles_ and numBlocks_, auto-sizing from
+     *  @p tile_bytes, the footprint of every router, channel and NI. */
+    void setupBlocks(std::uint64_t tile_bytes);
 
     /** @name The list each channel-end role wakes (§6a) */
     ///@{
@@ -431,7 +467,10 @@ class Network
      *  each with the block's ejection flits up to its tail. */
     struct Ejected
     {
-        std::vector<std::pair<Packet *, std::uint64_t>> packets;
+        /** Room for one packet per lane of the block's ejection
+         *  channels, carved when the team forms. */
+        std::pair<Packet *, std::uint64_t> *packets = nullptr;
+        std::size_t count = 0;
         std::uint64_t flits = 0;
     };
 
@@ -453,9 +492,9 @@ class Network
     /** Run this cycle's block passes on the team. @return false, with
      *  nothing run, when the cycle must step serially. */
     bool stepOnTeam();
-    /** Partition the blocks into slots, route cross-slot wakes to
-     *  outboxes and create team_ on @p pool, or rule the team out for
-     *  good. */
+    /** Partition the blocks into slots, carve the team's state from
+     *  its own page block, route cross-slot wakes to outboxes and
+     *  create team_ on @p pool, or rule the team out for good. */
     void formTeam(JobPool &pool);
     /** Point every channel's wake hooks at its lists, or at the
      *  sending slot's outbox when another slot scans the list. */
@@ -483,16 +522,19 @@ class Network
     void mergeWakeOutboxes();
     ///@}
 
-    /** Size the hot arena from every component's arenaBytes() and
-     *  place each component in it, in visit order (§6g). */
-    void placeHotState();
-
-    /** Call @p on_chan(Channel &) and @p on_router(router index) in
-     *  the blocked step loop's visit order. */
-    template <typename ChanFn, typename RouterFn>
-    void forEachInVisitOrder(ChanFn &&on_chan, RouterFn &&on_router) const;
+    /** Call @p on_block(block), then @p on_end(end index) for each of
+     *  its ends and @p on_router(router index) for each of its routers,
+     *  block by block in the blocked step loop's visit order: its
+     *  terminal ejection ends, its delivered ends, then its routers. */
+    template <typename BlockFn, typename EndFn, typename RouterFn>
+    void forEachInVisitOrder(BlockFn &&on_block, EndFn &&on_end,
+                             RouterFn &&on_router) const;
+    /** A fresh packet from the free list, which takes a new slab when
+     *  it runs dry. */
     Packet *allocPacket();
-    void freePacket(Packet *pkt);
+    /** Link the storage at @p slot (a retired packet's, or a new
+     *  slab's) into the free list. */
+    void freePacket(void *slot);
 
     /** Spatial block of router @p r (contiguous id ranges). */
     int
@@ -506,14 +548,24 @@ class Network
     std::unique_ptr<RoutingAlgorithm> routing_;
     double clockGHz_ = 2.2;
 
-    /** Contiguous, by value, in step (= block) order — the per-cycle
-     *  pass streams the object headers linearly (§6g). Addresses are
-     *  pinned by the build-time reserve(). */
-    std::vector<Router> routers_;
-    std::vector<std::unique_ptr<NetworkInterface>> nis_;
-    std::vector<std::unique_ptr<Channel>> channels_;
-    std::vector<ChannelEnds> ends_;
-    std::vector<Channel *> wideChannels_;
+    /**
+     * The one home of the network's state (§6g): every span below,
+     * every component object and every array a component owns is
+     * carved from it, sized once by build(). It is one page block
+     * (page_allocator.hh), so a destroyed network's memory goes back
+     * to one process-wide pool, or to the OS, whichever thread built
+     * it. Routers live by value, in step (= block) order, so the
+     * per-cycle pass streams the object headers linearly; channels and
+     * NIs sit in visit order next to their pipes and arrays.
+     */
+    HotArena arena_;
+    std::span<Router> routers_;
+    std::span<NetworkInterface *> nis_; ///< by node
+    std::span<ChannelEnds> ends_;       ///< by channel id
+    std::span<Channel *> wideChannels_;
+    /** Lanes of the channel leaving router r's port p, at
+     *  [r * ports + p] (minTransferCycles). */
+    std::uint8_t *hopLanes_ = nullptr;
 
     bool alwaysStep_ = false;
 
@@ -535,20 +587,17 @@ class Network
      *    empty. Every block's eject list is scanned before any
      *    router step of the cycle.
      * Nodes number their routers in order, so block order is node
-     * order. Components hold raw pointers into these vectors, so
-     * setupBlocks() sizes them once and they never reallocate.
+     * order. Components hold raw pointers to these lists, which are
+     * carved once and never move.
      */
     int blockTiles_ = 0;
     int numBlocks_ = 1;
 
-    /** Block-ordered, huge-page-backed storage for router cores and
-     *  channel pipes (§6g); sized and carved once by placeHotState(). */
-    HotArena hotArena_;
-    std::vector<ActiveList> blockEjectEnds_;
-    std::vector<ActiveList> blockFlitEnds_;
-    std::vector<ActiveList> blockCreditEnds_;
-    std::vector<ActiveList> blockRouters_;
-    std::vector<ActiveList> blockNis_;
+    std::span<ActiveList> blockEjectEnds_;
+    std::span<ActiveList> blockFlitEnds_;
+    std::span<ActiveList> blockCreditEnds_;
+    std::span<ActiveList> blockRouters_;
+    std::span<ActiveList> blockNis_;
 
     NetworkClient *client_ = nullptr;
     Probe attached_;          ///< event consumers, as attached
@@ -565,8 +614,11 @@ class Network
     std::size_t livePackets_ = 0;
     PacketId nextPacketId_ = 1;
 
-    std::vector<std::unique_ptr<Packet>> packetArena_;
-    std::vector<Packet *> freeList_;
+    /** Packet storage: fixed slabs of page blocks, shared by every
+     *  thread once released, with an intrusive free list. */
+    PacketSlab *packetSlabs_ = nullptr;
+    std::size_t numPacketSlabs_ = 0;
+    FreePacket *freePackets_ = nullptr;
 
     /**
      * Stepping team (§6h). Only an active-set network with at least
@@ -576,12 +628,15 @@ class Network
      * after teamCycles_ reaches nextCut_. A send whose wake belongs to
      * a list another slot scans wakes the sending slot's outbox
      * instead; the scanning slot collects it as the next cycle opens.
+     * All of the team's state is carved from teamArena_, one page
+     * block sized when the team forms.
      */
     bool teamEligible_ = false;
-    std::vector<int> slotBlocks_;
-    std::vector<int> cutScratch_;
-    std::vector<ActiveList> slotFlitOutbox_;
-    std::vector<ActiveList> slotCreditOutbox_;
+    HotArena teamArena_;
+    std::span<int> slotBlocks_;
+    std::span<int> cutScratch_;
+    std::span<ActiveList> slotFlitOutbox_;
+    std::span<ActiveList> slotCreditOutbox_;
     std::uint64_t teamCycles_ = 0;
     std::uint64_t nextCut_ = 0;
 
@@ -592,13 +647,13 @@ class Network
         Ejected ejected;
         std::uint64_t costNs = 0; ///< both phases, since the last cut
     };
-    std::vector<TeamBlock> teamBlocks_;
+    std::span<TeamBlock> teamBlocks_;
     /** This cycle's time of each slot's two items (team accounting). */
     struct alignas(64) TeamSlotNs
     {
         std::uint64_t ns[2] = {0, 0};
     };
-    std::vector<TeamSlotNs> slotNs_;
+    std::span<TeamSlotNs> slotNs_;
     std::uint64_t openingNs_ = 0;     ///< this cycle's leader opening
     std::uint64_t openingCostNs_ = 0; ///< the openings since the last cut
     /** The leader's marks of this cycle's team phases: runCycle()'s

@@ -13,7 +13,7 @@ NetworkInterface::stepInject(Cycle now)
         return;
     int lanes = inj_->lanes();
     int sent = 0;
-    int vcs = static_cast<int>(streams_.size());
+    int vcs = vcs_;
 
     // The VC round-robin pointer used to advance by one every stepped
     // cycle from zero, i.e. it always equalled now % vcs; deriving it

@@ -8,9 +8,11 @@
  * in order on one VC). Ejection side: an always-consuming sink that
  * immediately returns credits (the "consumption assumption").
  *
- * The source queue is a growable ring buffer whose backing store is
- * retained across drain/refill cycles, so the steady state enqueues
- * and dequeues without touching the heap.
+ * The NI object, its per-VC credit and stream arrays and the source
+ * queue's first ring are carved from the network's arena (place()).
+ * The source queue is a growable ring buffer: past its first ring it
+ * moves to PageAllocator storage, retained across drain/refill cycles,
+ * so the steady state enqueues and dequeues without touching the heap.
  *
  * Active-set scheduling: the NI is busy while the source queue holds a
  * packet or any per-VC stream is mid-packet. stepInject on an NI
@@ -22,8 +24,9 @@
 #ifndef HNOC_NOC_NETWORK_INTERFACE_HH
 #define HNOC_NOC_NETWORK_INTERFACE_HH
 
-#include <vector>
+#include <array>
 
+#include "common/hot_arena.hh"
 #include "common/ring_buffer.hh"
 #include "common/types.hh"
 #include "noc/active_set.hh"
@@ -41,21 +44,56 @@ class Network;
 class NetworkInterface
 {
   public:
-    NetworkInterface(NodeId node, Network *net)
-        : node_(node), net_(net),
-          sourceQueue_(kInitialQueueCapacity, /*growable=*/true)
+    /** An NI toward a router with @p router_vcs local input VCs. */
+    NetworkInterface(NodeId node, Network *net, int router_vcs)
+        : node_(node), net_(net), vcs_(router_vcs)
     {}
+
+    /** Bytes place() carves for an NI toward @p router_vcs VCs. */
+    static constexpr std::size_t
+    arenaBytes(int router_vcs)
+    {
+        auto v = static_cast<std::size_t>(router_vcs);
+        return HotArena::bytesFor<int>(v) + HotArena::bytesFor<Stream>(v) +
+               HotArena::bytesFor<Packet *>(kInitialQueueCapacity);
+    }
+
+    /** Carve the credit and stream arrays and the source queue's first
+     *  ring from @p arena. Call once, before wiring. */
+    void
+    place(HotArena &arena)
+    {
+        auto v = static_cast<std::size_t>(vcs_);
+        credits_ = arena.carve<int>(v);
+        streams_ = arena.carve<Stream>(v);
+        sourceQueue_.bindStorage(
+            arena.carve<Packet *>(kInitialQueueCapacity),
+            kInitialQueueCapacity, /*growable=*/true);
+    }
+
+    /** Start and size of the NI object and of each array place()
+     *  carved, in carve order. */
+    std::array<HotSpan, 4>
+    placedSections() const
+    {
+        auto v = static_cast<std::size_t>(vcs_);
+        const auto *ring = reinterpret_cast<const std::byte *>(streams_) +
+                           HotArena::bytesFor<Stream>(v);
+        return {{{this, sizeof(*this)},
+                 {credits_, v * sizeof(int)},
+                 {streams_, v * sizeof(Stream)},
+                 {ring, kInitialQueueCapacity * sizeof(Packet *)}}};
+    }
 
     /** Wire the injection channel toward the router's local port.
      *  @param intra_pairing allow two same-packet flits per cycle on
      *  wide local channels (mirrors the in-network §3.2 pairing). */
     void
-    connectInjection(Channel *chan, int router_vcs, int buffer_depth,
+    connectInjection(Channel *chan, int buffer_depth,
                      RouterActivity *link_activity, bool intra_pairing)
     {
         inj_ = chan;
-        credits_.assign(static_cast<std::size_t>(router_vcs), buffer_depth);
-        streams_.assign(static_cast<std::size_t>(router_vcs), Stream{});
+        std::fill_n(credits_, vcs_, buffer_depth);
         linkActivity_ = link_activity;
         intraPairing_ = intra_pairing;
     }
@@ -115,18 +153,26 @@ class NetworkInterface
 
     NodeId node() const { return node_; }
 
-    /** Steady-state memory footprint: credit/stream arrays plus the
-     *  source-queue ring's grown high-water capacity. */
+    /** Bytes of the storage the source queue grew into (0 while it
+     *  holds its first ring): the high-water mark past the arena. */
+    std::uint64_t queueGrownBytes() const { return sourceQueue_.ownedBytes(); }
+
+    std::size_t arenaBytes() const { return arenaBytes(vcs_); }
+
+    /** Memory footprint of an NI toward @p router_vcs VCs, before any
+     *  source-queue growth: the object and its carved arrays. */
+    static std::uint64_t
+    footprintBytes(int router_vcs)
+    {
+        return HotArena::bytesFor<NetworkInterface>(1) +
+               arenaBytes(router_vcs);
+    }
+
+    /** The same, plus the storage a grown source queue holds. */
     std::uint64_t
     footprintBytes() const
     {
-        return static_cast<std::uint64_t>(sizeof(*this)) +
-               static_cast<std::uint64_t>(credits_.capacity()) *
-                   sizeof(int) +
-               static_cast<std::uint64_t>(streams_.capacity()) *
-                   sizeof(Stream) +
-               static_cast<std::uint64_t>(sourceQueue_.capacity()) *
-                   sizeof(Packet *);
+        return footprintBytes(vcs_) + queueGrownBytes();
     }
 
   private:
@@ -147,10 +193,11 @@ class NetworkInterface
     // the stats attachment trails as the cold tail.
     NodeId node_;
     Network *net_;
+    int vcs_; ///< per-VC streams and credits
     Channel *inj_ = nullptr;
     Channel *ej_ = nullptr;
-    std::vector<int> credits_;
-    std::vector<Stream> streams_;
+    int *credits_ = nullptr;
+    Stream *streams_ = nullptr;
     RingBuffer<Packet *> sourceQueue_;
     int activeStreams_ = 0; ///< streams with a packet in flight
     bool intraPairing_ = true;

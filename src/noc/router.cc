@@ -6,13 +6,13 @@ namespace hnoc
 {
 
 Router::Router(RouterId id, int num_ports, int vcs, int buffer_depth,
-               const RoutingAlgorithm &routing, int escape_threshold,
-               bool intra_packet_pairing)
+               int max_down_vcs, const RoutingAlgorithm &routing,
+               int escape_threshold, bool intra_packet_pairing)
     : id_(id), routing_(routing),
       escapeThreshold_(escape_threshold),
       intraPacketPairing_(intra_packet_pairing)
 {
-    core_.init(num_ports, vcs, buffer_depth);
+    core_.init(num_ports, vcs, buffer_depth, max_down_vcs);
 }
 
 void

@@ -30,8 +30,6 @@
 #ifndef HNOC_NOC_ROUTER_HH
 #define HNOC_NOC_ROUTER_HH
 
-#include <vector>
-
 #include "common/types.hh"
 #include "noc/active_set.hh"
 #include "noc/channel.hh"
@@ -50,20 +48,23 @@ namespace hnoc
 class Router
 {
   public:
+    /** @param max_down_vcs the widest VC count any output port feeds
+     *  (sizes the credit rows, RouterCore::init). */
     Router(RouterId id, int num_ports, int vcs, int buffer_depth,
-           const RoutingAlgorithm &routing, int escape_threshold,
-           bool intra_packet_pairing);
+           int max_down_vcs, const RoutingAlgorithm &routing,
+           int escape_threshold, bool intra_packet_pairing);
 
     RouterId id() const { return id_; }
     int numPorts() const { return core_.ports; }
     int vcsPerPort() const { return core_.vcs; }
     int bufferDepth() const { return core_.depth; }
 
-    /** Attach the channel whose flits arrive at input port @p p. */
+    /** Attach the channel whose flits arrive at input port @p p
+     *  (after place()). */
     void connectInput(PortId p, Channel *chan);
 
     /**
-     * Attach the channel driven by output port @p p.
+     * Attach the channel driven by output port @p p (after place()).
      * @param down_vcs VC count at the downstream input port
      * @param down_depth buffer depth per downstream VC (credits)
      */
@@ -88,16 +89,16 @@ class Router
         core_.prefetchStep();
     }
 
-    /** Bytes place() carves from the hot arena. */
+    /** Bytes place() carves from the arena. */
     std::size_t arenaBytes() const { return core_.arenaBytes(); }
 
-    /** Carve the core's FIFO, hot and credit storage from @p arena
-     *  (RouterCore::place, §6g). Call exactly once, after the last
-     *  connectOutput(). */
+    /** Carve the core's wiring, FIFO, hot and credit storage from
+     *  @p arena (RouterCore::place, §6g). Call exactly once, before
+     *  wiring. */
     void place(HotArena &arena) { core_.place(arena); }
 
     /** Start and size of each placed section, in carve order. */
-    std::array<HotSpan, 3>
+    std::array<HotSpan, 4>
     placedSections() const
     {
         return core_.placedSections();
@@ -155,13 +156,21 @@ class Router
      *  can classify stalls at the ejection funnel separately. */
     void markEjectionPort(PortId p) { ejectPort_ = p; }
 
-    /** Steady-state memory footprint: the SoA core and the object
-     *  itself. */
+    /** Memory footprint of a router of these sizes: the SoA core as
+     *  carved plus the object itself. */
+    static std::uint64_t
+    footprintBytes(int num_ports, int vcs, int buffer_depth,
+                   int max_down_vcs)
+    {
+        return sizeof(Router) + RouterCore::arenaBytes(num_ports, vcs,
+                                                       buffer_depth,
+                                                       max_down_vcs);
+    }
+
     std::uint64_t
     footprintBytes() const
     {
-        return static_cast<std::uint64_t>(sizeof(*this)) +
-               core_.footprintBytes();
+        return sizeof(*this) + core_.footprintBytes();
     }
 
     /** @name Introspection (conservation audit, postmortem and

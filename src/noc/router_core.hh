@@ -21,19 +21,21 @@
  *
  * Hot/cold packing (§6g): the slot FIFOs, the parallel arrays with the
  * request masks, and the per-output downstream credit counters (one
- * 64-byte-aligned row per output port) are raw pointers into three
- * packed sections of the network's hot arena, each array starting on
- * its own cache line. A cycle's RC/VA/SA work therefore streams one
- * contiguous region per router instead of a dozen scattered heap
- * blocks — the unit the cache-blocked Network step order is sized
- * around.
+ * 64-byte-aligned row per output port) are raw pointers into packed
+ * sections of the network's arena, each array starting on its own
+ * cache line, after a wiring section that holds the FIFO ring headers
+ * and the per-port input channels and output records. A cycle's
+ * RC/VA/SA work therefore streams one contiguous region per router
+ * instead of a dozen scattered heap blocks — the unit the
+ * cache-blocked Network step order is sized around.
  *
- * A core is sized in two steps, init() (ports, VCs, depth) and
- * connectOutput() (downstream VC counts, heterogeneous and known only
- * after wiring), and then placed once: place() carves and initialises
- * every section straight from the arena. The arena is the storage's
- * only home, so the steady state performs zero heap allocations
- * (test_perf_zero_alloc, which also pins the sizing formulas below).
+ * A core is sized by init() (ports, VCs, depth and the widest
+ * downstream VC count, which sets the credit rows) and then placed
+ * once: place() carves and initialises every section straight from the
+ * arena, and connectOutput() wires each output into its carved record.
+ * The arena is the storage's only home, so neither construction nor
+ * the steady state touches the heap (test_perf_zero_alloc, which also
+ * pins the sizing formulas below).
  */
 
 #ifndef HNOC_NOC_ROUTER_CORE_HH
@@ -42,7 +44,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/bitops.hh"
 #include "common/hot_arena.hh"
@@ -74,8 +75,6 @@ struct RouterCore
          *  per-cycle part is implicit (ptr = (rrOffset + now) %
          *  total), so skipped idle cycles cannot desynchronise it. */
         unsigned rrOffset = 0;
-        /** Initial credit count, held until place(). */
-        int initDepth = 0;
     };
 
     int ports = 0;
@@ -83,11 +82,12 @@ struct RouterCore
     int total = 0; ///< ports * vcs input-VC slots
     int words = 0; ///< 64-bit words per slot mask
     int depth = 0; ///< flits per input VC
+    int maxDownVcs = 0; ///< widest downstream VC count (credit rows)
 
     /** @name Per-slot parallel arrays (slot = port * vcs + vc),
      *  pointing into the placed hot section */
     ///@{
-    std::vector<RingBuffer<Flit>> fifo; ///< fixed capacity = depth
+    RingBuffer<Flit> *fifo = nullptr; ///< fixed capacity = depth
     PortId *outPort = nullptr;
     VcId *outVc = nullptr; ///< INVALID until VA succeeds
     VcId *vcLo = nullptr;  ///< admissible downstream VC range
@@ -116,22 +116,28 @@ struct RouterCore
     PortId *saGrantOut = nullptr;
     ///@}
 
-    std::vector<Channel *> inChan; ///< upstream channel per input port
-    std::vector<Output> outputs;
+    /** @name Wiring section: per input port, per output port */
+    ///@{
+    Channel **inChan = nullptr; ///< upstream channel per input port
+    Output *outputs = nullptr;
+    ///@}
 
     /** Size the core for @p num_ports x @p num_vcs input VCs of
-     *  @p buffer_depth flits each; place() provides the storage. */
+     *  @p buffer_depth flits each, and outputs toward at most
+     *  @p max_down_vcs downstream VCs (capped at 64 by the single-word
+     *  allocated/credit masks); place() provides the storage. */
     void
-    init(int num_ports, int num_vcs, int buffer_depth)
+    init(int num_ports, int num_vcs, int buffer_depth, int max_down_vcs)
     {
+        if (max_down_vcs > bitops::kWordBits)
+            fatal("router core: %d downstream VCs exceed the 64-wide "
+                  "allocator mask", max_down_vcs);
         ports = num_ports;
         vcs = num_vcs;
         total = num_ports * num_vcs;
         words = bitops::maskWords(total);
         depth = buffer_depth;
-        fifo.resize(static_cast<std::size_t>(total));
-        inChan.assign(static_cast<std::size_t>(ports), nullptr);
-        outputs.assign(static_cast<std::size_t>(ports), Output{});
+        maxDownVcs = max_down_vcs;
     }
 
     int
@@ -161,41 +167,52 @@ struct RouterCore
                                static_cast<std::size_t>(words);
     }
 
-    /** Wire output port @p p. @p down_vcs is capped at 64 by the
-     *  single-word allocated/credit masks. Credit counters become
-     *  live when place() carves them. */
+    /** Wire output port @p p toward @p down_vcs downstream VCs (at most
+     *  init()'s max_down_vcs) of @p down_depth credits each. Call after
+     *  place(). */
     void
     connectOutput(PortId p, Channel *chan, int chan_lanes, int down_vcs,
                   int down_depth)
     {
-        if (down_vcs > bitops::kWordBits)
-            fatal("router core: %d downstream VCs exceed the 64-wide "
-                  "allocator mask", down_vcs);
+        if (down_vcs > maxDownVcs)
+            fatal("router core: %d downstream VCs exceed the %d the core "
+                  "was sized for", down_vcs, maxDownVcs);
         Output &op = outputs[static_cast<std::size_t>(p)];
         op.chan = chan;
         op.lanes = chan_lanes;
         op.downVcs = down_vcs;
         op.allocMask = 0;
-        op.credits = nullptr;
-        op.initDepth = down_depth;
+        std::fill_n(op.credits, down_vcs, down_depth);
     }
 
-    /** Bytes place() carves from the arena (each section rounded up to
-     *  whole cache lines). */
+    /** Bytes place() carves from the arena for a core of these sizes
+     *  (each section rounded up to whole cache lines). */
+    static std::size_t
+    arenaBytes(int ports, int vcs, int depth, int max_down_vcs)
+    {
+        auto n = static_cast<std::size_t>(ports * vcs);
+        auto np = static_cast<std::size_t>(ports);
+        return wiringBytes(n, np) +
+               HotArena::bytesFor<Flit>(n * fifoCap(depth)) +
+               hotBytes(n, np, static_cast<std::size_t>(
+                                   bitops::maskWords(ports * vcs))) +
+               HotArena::bytesFor<int>(np * creditRowInts(max_down_vcs));
+    }
+
     std::size_t
     arenaBytes() const
     {
-        return HotArena::lineBytes(fifoBytes()) + hotBytes() +
-               HotArena::lineBytes(creditBytes());
+        return arenaBytes(ports, vcs, depth, maxDownVcs);
     }
 
     /**
-     * Carve and initialise the FIFO, hot and credit sections from
-     * @p arena, in that order: slot i's FIFO owns [i*cap, (i+1)*cap)
-     * of the first, each hot array starts a cache line of the second
-     * (masks first), and output port p's
-     * credits are row p of the third, roundUp(max downVcs, 16) ints
-     * wide. Call once, after the last connectOutput().
+     * Carve and initialise the wiring, FIFO, hot and credit sections
+     * from @p arena, in that order: the wiring section holds the FIFO
+     * ring headers, the output records and the input channels, each on
+     * its own line; slot i's FIFO owns [i*cap, (i+1)*cap) of the
+     * second; each hot array starts a cache line of the third (masks
+     * first); and output port p's credits are row p of the fourth,
+     * roundUp(max_down_vcs, 16) ints wide. Call once, before wiring.
      */
     void
     place(HotArena &arena)
@@ -203,7 +220,11 @@ struct RouterCore
         auto n = static_cast<std::size_t>(total);
         auto np = static_cast<std::size_t>(ports);
         auto w = static_cast<std::size_t>(words);
-        std::size_t cap = fifoCap();
+        fifo = arena.carveArray<RingBuffer<Flit>>(n);
+        outputs = arena.carve<Output>(np);
+        inChan = arena.carve<Channel *>(np, nullptr);
+
+        std::size_t cap = fifoCap(depth);
         fifoBase_ = arena.carve<Flit>(n * cap);
         for (std::size_t i = 0; i < n; ++i)
             fifo[i].bindStorage(fifoBase_ + i * cap,
@@ -223,38 +244,37 @@ struct RouterCore
         saGrants = arena.carve<int>(np);
         saGrantOut = arena.carve<PortId>(np, INVALID_PORT);
 
-        std::size_t row = creditRowInts();
+        std::size_t row = creditRowInts(maxDownVcs);
         creditBase_ = arena.carve<int>(np * row);
-        for (std::size_t p = 0; p < np; ++p) {
-            Output &op = outputs[p];
-            op.credits = creditBase_ + p * row;
-            std::fill_n(op.credits, op.downVcs, op.initDepth);
-        }
+        for (std::size_t p = 0; p < np; ++p)
+            outputs[p].credits = creditBase_ + p * row;
     }
 
     /** Start and size of each placed section, in carve order. */
-    std::array<HotSpan, 3>
+    std::array<HotSpan, 4>
     placedSections() const
     {
-        return {{{fifoBase_, fifoBytes()},
-                 {activeMask, hotBytes()},
-                 {creditBase_, creditBytes()}}};
+        auto n = static_cast<std::size_t>(total);
+        auto np = static_cast<std::size_t>(ports);
+        auto w = static_cast<std::size_t>(words);
+        const auto *wiring = reinterpret_cast<const std::byte *>(fifo);
+        const auto *wired = reinterpret_cast<const std::byte *>(inChan + np);
+        return {{{fifo, static_cast<std::size_t>(wired - wiring)},
+                 {fifoBase_, n * fifoCap(depth) * sizeof(Flit)},
+                 {activeMask, hotBytes(n, np, w)},
+                 {creditBase_, np * creditRowInts(maxDownVcs) *
+                                   sizeof(int)}}};
     }
 
     /**
-     * Steady-state memory footprint, a pure function of ports, VCs,
-     * depth and downstream VC counts: the FIFO ring headers and
-     * storage, the hot section (slot arrays + request bitmasks, each
-     * cache-line rounded), the credit rows, and the wiring vectors.
-     * The sizing contract tests pin it against these formulas.
+     * Memory footprint, a pure function of ports, VCs, depth and the
+     * widest downstream VC count: every section as carved. The sizing
+     * contract tests pin it against these formulas.
      */
     std::uint64_t
     footprintBytes() const
     {
-        auto n = static_cast<std::uint64_t>(total);
-        auto np = static_cast<std::uint64_t>(ports);
-        return n * sizeof(RingBuffer<Flit>) + fifoBytes() + hotBytes() +
-               creditBytes() + np * (sizeof(Channel *) + sizeof(Output));
+        return arenaBytes();
     }
 
     /** Pull the step working set toward the cache one active-list
@@ -265,6 +285,7 @@ struct RouterCore
     void
     prefetchStep() const
     {
+        bitops::prefetch(fifo);
         bitops::prefetch(activeMask);
         bitops::prefetch(saReqMask);
         bitops::prefetch(creditBase_);
@@ -282,27 +303,29 @@ struct RouterCore
 
   private:
     /** Slots per FIFO ring (depth rounded up to a power of two). */
-    std::size_t
-    fifoCap() const
+    static std::size_t
+    fifoCap(int depth)
     {
         return RingBuffer<Flit>::boundCapacity(
             static_cast<std::size_t>(depth));
     }
 
-    std::size_t
-    fifoBytes() const
+    /** The wiring section: @p n FIFO ring headers, then @p np output
+     *  records and @p np input channels. */
+    static std::size_t
+    wiringBytes(std::size_t n, std::size_t np)
     {
-        return static_cast<std::size_t>(total) * fifoCap() * sizeof(Flit);
+        return HotArena::bytesFor<RingBuffer<Flit>>(n) +
+               HotArena::bytesFor<Output>(np) +
+               HotArena::bytesFor<Channel *>(np);
     }
 
-    /** The hot section: every array place() carves between the FIFOs
-     *  and the credits, each rounded up to whole cache lines. */
-    std::size_t
-    hotBytes() const
+    /** The hot section of @p n slots, @p np ports and @p w mask words:
+     *  every array place() carves between the FIFOs and the credits,
+     *  each rounded up to whole cache lines. */
+    static std::size_t
+    hotBytes(std::size_t n, std::size_t np, std::size_t w)
     {
-        auto n = static_cast<std::size_t>(total);
-        auto np = static_cast<std::size_t>(ports);
-        auto w = static_cast<std::size_t>(words);
         auto lines = HotArena::lineBytes;
         return 3 * lines(w * sizeof(std::uint64_t)) +
                lines(w * np * sizeof(std::uint64_t)) +
@@ -311,22 +334,12 @@ struct RouterCore
                lines(np * sizeof(int)) + lines(np * sizeof(PortId));
     }
 
-    /** Ints per credit row: the widest downstream VC count rounded up
-     *  to whole cache lines (0 while no output is wired). */
-    std::size_t
-    creditRowInts() const
+    /** Ints per credit row: @p max_down_vcs rounded up to whole cache
+     *  lines. */
+    static std::size_t
+    creditRowInts(int max_down_vcs)
     {
-        int maxVcs = 0;
-        for (const Output &op : outputs)
-            maxVcs = op.downVcs > maxVcs ? op.downVcs : maxVcs;
-        return static_cast<std::size_t>((maxVcs + 15) / 16) * 16;
-    }
-
-    std::size_t
-    creditBytes() const
-    {
-        return creditRowInts() * static_cast<std::size_t>(ports) *
-               sizeof(int);
+        return static_cast<std::size_t>((max_down_vcs + 15) / 16) * 16;
     }
 
     Flit *fifoBase_ = nullptr;  ///< placed FIFO storage (prefetch)

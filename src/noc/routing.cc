@@ -1,6 +1,7 @@
 #include "noc/routing.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <queue>
 
@@ -35,27 +36,34 @@ RoutingAlgorithm::create(const NetworkConfig &config, const Topology &topo)
 
 void
 RoutingAlgorithm::fillPath(NodeId src, NodeId dst,
-                           std::vector<RouterId> &routers) const
+                           std::vector<RouteHop> &hops) const
 {
-    // Generic walk: repeatedly apply outputPort until the local port.
-    routers.clear();
     Packet probe;
     probe.src = src;
     probe.dst = dst;
-    RouterId r = topo_.routerOfNode(src);
-    routers.push_back(r);
+    walkPath(probe, hops);
+}
+
+void
+RoutingAlgorithm::walkPath(const Packet &probe,
+                           std::vector<RouteHop> &hops) const
+{
+    // Generic walk: repeatedly apply outputPort until the local port.
+    hops.clear();
+    RouterId r = topo_.routerOfNode(probe.src);
     int guard = topo_.numRouters() * 4;
     while (--guard > 0) {
         PortId p = outputPort(r, probe);
+        hops.push_back({r, p});
         if (p >= topo_.numDirPorts())
             return; // reached the destination's local port
         const PortPeer &peer = topo_.peer(r, p);
         if (peer.router == INVALID_ROUTER)
             panic("routing walked off the topology at router %d", r);
         r = peer.router;
-        routers.push_back(r);
     }
-    panic("routing loop detected between nodes %d and %d", src, dst);
+    panic("routing loop detected between nodes %d and %d", probe.src,
+          probe.dst);
 }
 
 // ---------------------------------------------------------------- XY --
@@ -73,6 +81,25 @@ XYRouting::outputPort(RouterId r, const Packet &pkt) const
     if (cur.x > dst.x)
         return WEST;
     return cur.y < dst.y ? SOUTH : NORTH;
+}
+
+void
+XYRouting::fillPath(NodeId src, NodeId dst,
+                    std::vector<RouteHop> &hops) const
+{
+    hops.clear();
+    RouterId r = topo_.routerOfNode(src);
+    Coord cur = topo_.routerCoord(r);
+    Coord to = topo_.routerCoord(topo_.routerOfNode(dst));
+    auto run = [&](int steps, PortId port) {
+        for (int i = 0; i < steps; ++i) {
+            hops.push_back({r, port});
+            r = topo_.peer(r, port).router;
+        }
+    };
+    run(std::abs(to.x - cur.x), cur.x < to.x ? EAST : WEST);
+    run(std::abs(to.y - cur.y), cur.y < to.y ? SOUTH : NORTH);
+    hops.push_back({r, topo_.localPortOfNode(dst)});
 }
 
 PortId
@@ -325,25 +352,13 @@ TableXYRouting::vcBounds(RouterId r, PortId out, const Packet &pkt,
 
 void
 TableXYRouting::fillPath(NodeId src, NodeId dst,
-                         std::vector<RouterId> &routers) const
+                         std::vector<RouteHop> &hops) const
 {
-    routers.clear();
-    bool table = isTableNode(src) || isTableNode(dst);
     Packet probe;
     probe.src = src;
     probe.dst = dst;
-    probe.tableRouted = table;
-    RouterId r = topo_.routerOfNode(src);
-    routers.push_back(r);
-    int guard = topo_.numRouters() * 4;
-    while (--guard > 0) {
-        PortId p = outputPort(r, probe);
-        if (p >= topo_.numDirPorts())
-            return;
-        r = topo_.peer(r, p).router;
-        routers.push_back(r);
-    }
-    panic("table routing loop between nodes %d and %d", src, dst);
+    probe.tableRouted = isTableNode(src) || isTableNode(dst);
+    walkPath(probe, hops);
 }
 
 } // namespace hnoc

@@ -19,6 +19,14 @@
 namespace hnoc
 {
 
+/** One hop of a route: a router and the output port it forwards on
+ *  (at the last hop, the destination node's local port). */
+struct RouteHop
+{
+    RouterId router = INVALID_ROUTER;
+    PortId port = INVALID_PORT;
+};
+
 /**
  * A routing algorithm maps (current router, packet) to an output port
  * and an admissible VC range at that output. Stateless with respect to
@@ -69,19 +77,27 @@ class RoutingAlgorithm
     std::vector<RouterId>
     path(NodeId src, NodeId dst) const
     {
+        std::vector<RouteHop> hops;
+        fillPath(src, dst, hops);
         std::vector<RouterId> routers;
-        fillPath(src, dst, routers);
+        routers.reserve(hops.size());
+        for (const RouteHop &h : hops)
+            routers.push_back(h.router);
         return routers;
     }
 
-    /** path() into @p routers, reusing its storage. */
+    /** The hops of path() into @p hops, reusing its storage. The
+     *  default walks outputPort() from the source router. */
     virtual void fillPath(NodeId src, NodeId dst,
-                          std::vector<RouterId> &routers) const;
+                          std::vector<RouteHop> &hops) const;
 
   protected:
     RoutingAlgorithm(const NetworkConfig &config, const Topology &topo)
         : config_(config), topo_(topo)
     {}
+
+    /** fillPath()'s walk for a packet like @p probe. */
+    void walkPath(const Packet &probe, std::vector<RouteHop> &hops) const;
 
     const NetworkConfig &config_;
     const Topology &topo_;
@@ -96,6 +112,10 @@ class XYRouting : public RoutingAlgorithm
     {}
 
     PortId outputPort(RouterId r, const Packet &pkt) const override;
+
+    /** The X run, then the Y run, without a per-hop outputPort(). */
+    void fillPath(NodeId src, NodeId dst,
+                  std::vector<RouteHop> &hops) const override;
 };
 
 /** Deterministic dimension-order Y-X routing (column first). */
@@ -184,7 +204,7 @@ class TableXYRouting : public RoutingAlgorithm
     PortId escapePort(RouterId r, const Packet &pkt) const;
 
     void fillPath(NodeId src, NodeId dst,
-                  std::vector<RouterId> &routers) const override;
+                  std::vector<RouteHop> &hops) const override;
 
     /** @return true when node @p n is table-routed (a large core). */
     bool isTableNode(NodeId n) const;

@@ -96,9 +96,15 @@ TEST(PageAllocator, HugePagesOnlyFromHalfAHugePage)
         detail::keepPagedBlock(p, bytes);
         return size;
     };
-    // An 8x8 network's hot state (~0.4 MB) keeps to 4 KiB pages.
+    // An 8x8 network's state (~0.6 MB) keeps to 4 KiB pages: whole
+    // pages up to 64 KiB, then four block sizes per doubling, so the
+    // arenas of the 8x8 layouts (149-152 pages) share one size.
     EXPECT_EQ(block(1, kPage), kPage);
-    EXPECT_EQ(block(600 * 1024 + 1, kPage), 151 * kPage);
+    EXPECT_EQ(block(64 * 1024, kPage), 16 * kPage);
+    EXPECT_EQ(block(64 * 1024 + 1, kPage), 80 * 1024);
+    EXPECT_EQ(block(96 * 1024, kPage), 96 * 1024);
+    EXPECT_EQ(block(149 * kPage, kPage), 640 * 1024);
+    EXPECT_EQ(block(152 * kPage, kPage), 640 * 1024);
     EXPECT_EQ(block(kHugePage / 2 - 1, kPage), kHugePage / 2);
     // From 1 MiB up, whole huge pages, 2 MiB-aligned.
     EXPECT_EQ(block(kHugePage / 2, kHugePage), kHugePage);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "heteronoc/layout.hh"
 #include "noc/network.hh"
 
@@ -87,6 +89,89 @@ TEST(WidePath, BaselineUnaffectedByPairingFlag)
     NetworkConfig b = a;
     b.intraPacketPairing = false;
     EXPECT_EQ(measure(a, 27, 28), measure(b, 27, 28));
+}
+
+/**
+ * The contention-free bound as the route walk defines it: apply the
+ * routing's outputPort() hop by hop from the source router (a probe
+ * packet flagged the way enqueuePacket() flags a real one), and take
+ * the narrowest of the source's local channel, every inter-router
+ * channel and the destination's local channel.
+ */
+Cycle
+walkedTransferCycles(const Network &net, NodeId src, NodeId dst,
+                     int num_flits)
+{
+    const NetworkConfig &cfg = net.config();
+    const Topology &topo = net.topology();
+    Packet probe;
+    probe.src = src;
+    probe.dst = dst;
+    if (cfg.routing == RoutingMode::TableXY) {
+        const auto &table =
+            static_cast<const TableXYRouting &>(net.routing());
+        probe.tableRouted = table.isTableNode(src) || table.isTableNode(dst);
+    }
+    auto lanes = [&](int bits) {
+        return std::max(1, bits / cfg.flitWidthBits);
+    };
+    RouterId r = topo.routerOfNode(src);
+    int min_lanes = lanes(cfg.localChannelBits(r));
+    Cycle hops = 1;
+    for (PortId p = net.routing().outputPort(r, probe);
+         p < topo.numDirPorts(); p = net.routing().outputPort(r, probe)) {
+        RouterId next = topo.peer(r, p).router;
+        min_lanes = std::min(min_lanes, lanes(cfg.channelBits(r, next)));
+        r = next;
+        ++hops;
+    }
+    min_lanes = std::min(min_lanes, lanes(cfg.localChannelBits(r)));
+    if (!cfg.intraPacketPairing)
+        min_lanes = 1;
+    Cycle head = static_cast<Cycle>(cfg.linkLatency) +
+                 hops * static_cast<Cycle>(cfg.pipelineStages +
+                                           cfg.linkLatency);
+    return head + static_cast<Cycle>((num_flits - 1 + min_lanes - 1) /
+                                     min_lanes);
+}
+
+/** minTransferCycles() against the walk for every (src, dst) pair and
+ *  both packet lengths. */
+void
+expectEveryPairMatchesTheWalk(const NetworkConfig &cfg)
+{
+    Network net(cfg);
+    int nodes = net.topology().numNodes();
+    int mismatches = 0;
+    for (NodeId src = 0; src < nodes; ++src)
+        for (NodeId dst = 0; dst < nodes; ++dst)
+            for (int flits : {1, cfg.dataPacketFlits()})
+                if (src != dst &&
+                    net.minTransferCycles(src, dst, flits) !=
+                        walkedTransferCycles(net, src, dst, flits))
+                    ++mismatches;
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(MinTransferCycles, MatchesTheRouteWalkOnEveryLayout)
+{
+    for (LayoutKind kind : allLayouts()) {
+        SCOPED_TRACE(layoutName(kind));
+        expectEveryPairMatchesTheWalk(makeLayoutConfig(kind));
+    }
+}
+
+TEST(MinTransferCycles, MatchesTheRouteWalkOnBigAndTableRoutedMeshes)
+{
+    expectEveryPairMatchesTheWalk(
+        makeLayoutConfig(LayoutKind::DiagonalBL, 16));
+    NetworkConfig table = makeLayoutConfig(LayoutKind::DiagonalBL);
+    table.routing = RoutingMode::TableXY;
+    table.tableRoutedNodes = {0, 7, 56, 63};
+    expectEveryPairMatchesTheWalk(table);
+    NetworkConfig unpaired = makeLayoutConfig(LayoutKind::DiagonalBL);
+    unpaired.intraPacketPairing = false;
+    expectEveryPairMatchesTheWalk(unpaired);
 }
 
 } // namespace

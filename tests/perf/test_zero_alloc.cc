@@ -27,12 +27,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <mutex>
 #include <new>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "heteronoc/layout.hh"
@@ -157,6 +161,102 @@ TEST(ZeroAlloc, CountingShimSeesColdStartAllocations)
     }
     g_counting.store(false);
     EXPECT_GT(g_allocs.load(), 0u);
+}
+
+TEST(ZeroAlloc, NetworkConstructionAllocationsDoNotGrowWithTheMesh)
+{
+    // Every component object and every array a network owns is carved
+    // from its one arena. What stays on the heap — the config copy,
+    // the topology and routing objects, the build's scratch vectors —
+    // is a fixed handful of blocks whatever the radix; a component
+    // that allocates per router, channel or block shows up here.
+    auto construction_allocs = [](int radix) {
+        NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL, radix);
+        g_allocs.store(0);
+        g_counting.store(true);
+        {
+            Network net(cfg);
+            (void)net;
+        }
+        g_counting.store(false);
+        return g_allocs.load();
+    };
+    std::uint64_t at8 = construction_allocs(8);
+    EXPECT_GT(at8, 0u);
+    EXPECT_LT(at8, 32u);
+    EXPECT_EQ(construction_allocs(16), at8);
+    EXPECT_EQ(construction_allocs(32), at8);
+}
+
+/** This process's peak resident set (VmHWM), in KiB; 0 if unknown. */
+std::uint64_t
+peakRssKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmHWM:") {
+            std::uint64_t kb = 0;
+            status >> kb;
+            return kb;
+        }
+        status.ignore(4096, '\n');
+    }
+    return 0;
+}
+
+TEST(ZeroAlloc, FreedNetworksStayWithNoThread)
+{
+    // glibc keeps freed memory in the malloc arena of the thread that
+    // allocated it, until that thread exits. Four long-lived threads
+    // take turns to build, step and destroy a short 32x32 point, and
+    // none exits before the last turn ends: state a network kept on
+    // the heap would stay behind in four arenas, and the process peak
+    // would climb by about one network per turn. From the network's
+    // own page blocks, the fourth turn reuses what the first freed.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer allocators keep freed memory on purpose";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+    GTEST_SKIP() << "sanitizer allocators keep freed memory on purpose";
+#endif
+#endif
+#if !defined(__GLIBC__)
+    GTEST_SKIP() << "the per-thread arenas measured here are glibc's";
+#endif
+    if (peakRssKb() == 0)
+        GTEST_SKIP() << "no VmHWM in /proc/self/status";
+
+    constexpr int kTurns = 4;
+    std::mutex m;
+    std::condition_variable cv;
+    int turn = 0;
+    std::uint64_t peak[kTurns] = {};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kTurns; ++t) {
+        threads.emplace_back([&, t] {
+            std::unique_lock<std::mutex> lock(m);
+            cv.wait(lock, [&] { return turn == t; });
+            {
+                Network net(makeLayoutConfig(LayoutKind::DiagonalBL, 32));
+                int nodes = net.topology().numNodes();
+                for (int c = 0; c < 400; ++c) {
+                    injectOne(net, nodes, net.dataPacketFlits());
+                    net.step();
+                }
+                EXPECT_GT(net.packetsDelivered(), 0u);
+            }
+            peak[t] = peakRssKb();
+            ++turn;
+            cv.notify_all();
+            cv.wait(lock, [&] { return turn == kTurns; });
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_LE(peak[kTurns - 1], peak[0] + 1024)
+        << "first turn " << peak[0] << " KiB, last " << peak[kTurns - 1]
+        << " KiB";
 }
 
 TEST(ZeroAlloc, ActiveSetLoadedStepIsAllocationFree)
@@ -363,23 +463,26 @@ lineAligned(const void *p)
 
 TEST(Footprint, RouterCoreScalesExactlyWithBufferDepth)
 {
-    // slot FIFO storage is total-slots x depth x sizeof(Flit); every
-    // other array in the core is depth-independent. Placement carves
-    // that storage without changing the footprint.
+    // slot FIFO storage is total-slots x depth x sizeof(Flit), carved
+    // as whole cache lines; every other array in the core is
+    // depth-independent. Placement carves that storage without
+    // changing the footprint.
     RouterCore shallow, deep;
-    shallow.init(/*ports=*/5, /*vcs=*/3, /*depth=*/4);
-    deep.init(5, 3, 8);
+    shallow.init(/*ports=*/5, /*vcs=*/3, /*depth=*/4, /*max_down_vcs=*/3);
+    deep.init(5, 3, 8, 3);
     const std::uint64_t diff =
         static_cast<std::uint64_t>(5 * 3) * 4 * sizeof(Flit);
-    EXPECT_EQ(deep.footprintBytes() - shallow.footprintBytes(), diff);
+    const std::uint64_t carved = HotArena::bytesFor<Flit>(5 * 3 * 8) -
+                                 HotArena::bytesFor<Flit>(5 * 3 * 4);
+    EXPECT_EQ(deep.footprintBytes() - shallow.footprintBytes(), carved);
 
     HotArena shallowArena, deepArena;
     placeAlone(shallow, shallowArena);
     placeAlone(deep, deepArena);
-    EXPECT_EQ(deep.footprintBytes() - shallow.footprintBytes(), diff);
+    EXPECT_EQ(deep.footprintBytes() - shallow.footprintBytes(), carved);
     EXPECT_EQ(deep.fifo[14].capacity(), 8u);
-    EXPECT_EQ(deep.placedSections()[0].bytes -
-                  shallow.placedSections()[0].bytes,
+    EXPECT_EQ(deep.placedSections()[1].bytes -
+                  shallow.placedSections()[1].bytes,
               diff);
 }
 
@@ -390,9 +493,14 @@ TEST(Footprint, RouterCoreHotSectionsStartOnCacheLines)
     // the line holding a neighbouring array; all of them lie inside
     // the section place() reports.
     RouterCore core;
-    core.init(/*ports=*/5, /*vcs=*/3, /*depth=*/4);
+    core.init(/*ports=*/5, /*vcs=*/3, /*depth=*/4, /*max_down_vcs=*/3);
     HotArena arena;
     placeAlone(core, arena);
+    // The wiring section's arrays lead, each on its own line too.
+    EXPECT_EQ(static_cast<const void *>(core.fifo), arena.base());
+    EXPECT_TRUE(lineAligned(core.outputs));
+    EXPECT_TRUE(lineAligned(core.inChan));
+    EXPECT_EQ(core.inChan[4], nullptr);
     const void *arrays[] = {core.activeMask, core.rcMask,
                             core.vaReqMask,  core.saReqMask,
                             core.headArrive, core.headSince,
@@ -400,7 +508,7 @@ TEST(Footprint, RouterCoreHotSectionsStartOnCacheLines)
                             core.outVc,      core.vcLo,
                             core.vcHi,       core.saGrants,
                             core.saGrantOut};
-    HotSpan hot = core.placedSections()[1];
+    HotSpan hot = core.placedSections()[2];
     const auto *lo = static_cast<const std::byte *>(hot.at);
     const std::byte *prev = nullptr;
     for (const void *p : arrays) {
@@ -418,23 +526,25 @@ TEST(Footprint, RouterCoreHotSectionsStartOnCacheLines)
 
 TEST(Footprint, RouterCoreCountsPackedCreditStorage)
 {
-    // Wiring alone sizes the credit rows: one 64-byte-aligned row of
-    // roundUp(max downVcs, 16) ints per port, with no alignment slack
-    // (the arena aligns the section). place() carves them, holding
-    // each output's initial credits, and leaves the footprint as is.
-    RouterCore core;
-    core.init(5, 3, 4);
-    std::uint64_t unwired = core.footprintBytes();
-    core.connectOutput(/*p=*/0, /*chan=*/nullptr, /*lanes=*/1,
-                       /*down_vcs=*/6, /*down_depth=*/4);
-    core.connectOutput(/*p=*/1, nullptr, 1, /*down_vcs=*/4, 4);
+    // The widest downstream VC count sizes the credit rows: one
+    // 64-byte-aligned row of roundUp(max downVcs, 16) ints per port,
+    // with no alignment slack (the arena aligns the section). place()
+    // carves them, wiring lands each output's initial credits in its
+    // row, and neither changes the footprint.
+    RouterCore rowless, core;
+    rowless.init(5, 3, 4, /*max_down_vcs=*/0);
+    core.init(5, 3, 4, /*max_down_vcs=*/6);
     std::size_t row = (6 + 15) / 16 * 16; // max downVcs rounded to 16
-    EXPECT_EQ(core.footprintBytes() - unwired, 5 * row * sizeof(int));
+    std::uint64_t rows = 5 * row * sizeof(int);
+    EXPECT_EQ(core.footprintBytes() - rowless.footprintBytes(), rows);
 
     HotArena arena;
     placeAlone(core, arena);
-    EXPECT_EQ(core.footprintBytes() - unwired, 5 * row * sizeof(int));
-    EXPECT_EQ(core.outputs[0].credits[5], 4); // initDepth landed
+    core.connectOutput(/*p=*/0, /*chan=*/nullptr, /*lanes=*/1,
+                       /*down_vcs=*/6, /*down_depth=*/4);
+    core.connectOutput(/*p=*/1, nullptr, 1, /*down_vcs=*/4, 4);
+    EXPECT_EQ(core.footprintBytes() - rowless.footprintBytes(), rows);
+    EXPECT_EQ(core.outputs[0].credits[5], 4); // down_depth landed
     EXPECT_EQ(core.outputs[1].credits[3], 4);
     EXPECT_EQ(core.outputs[1].credits - core.outputs[0].credits,
               static_cast<std::ptrdiff_t>(row));
@@ -443,32 +553,43 @@ TEST(Footprint, RouterCoreCountsPackedCreditStorage)
     EXPECT_EQ(reinterpret_cast<const std::byte *>(core.outputs[4].credits +
                                                   row),
               arena.base() + arena.used());
+    // An output wider than the rows is a wiring bug.
+    EXPECT_DEATH(core.connectOutput(2, nullptr, 1, 7, 4), "sized for");
 }
 
-TEST(Footprint, HotArenaHoldsEverySectionLineAlignedInVisitOrder)
+TEST(Footprint, ArenaHoldsEverySectionLineAlignedInVisitOrder)
 {
-    // Every router's FIFO, hot and credit sections and every channel's
-    // two pipes live in the network's one arena: line-aligned, in
-    // ascending order without overlap, from the arena's base to its
-    // used() mark, in a team slot's visit order (per block its
-    // ejection channels, its delivered channels, then its routers).
-    // 16-tile blocks give an 8x8 mesh four of them.
+    // Every component object and every array the network owns lives in
+    // its one arena: line-aligned, in ascending order without overlap,
+    // from the arena's base to its used() mark. The network's tables
+    // (router objects, NI table, channel ends, wide channels, hop
+    // lanes, five arrays of active lists) lead; then each block in a
+    // team slot's visit order: its five lists' storage, its ejection
+    // channels (object, two pipes) each followed by its NI (object,
+    // credits, streams, first queue ring), its delivered channels, and
+    // its routers (wiring, FIFO, hot, credit sections). 16-tile blocks
+    // give an 8x8 mesh four of them.
+    constexpr std::size_t kTables = 10;
+    constexpr std::size_t kLists = 5;
     for (LayoutKind kind : {LayoutKind::Baseline, LayoutKind::DiagonalBL}) {
         SCOPED_TRACE(layoutName(kind));
         NetworkConfig cfg = makeLayoutConfig(kind);
         cfg.blockTiles = 16;
         Network net(cfg);
         const Topology &topo = net.topology();
-        const HotArena &arena = net.hotArena();
-        std::vector<HotSpan> sections = net.hotSections();
+        const HotArena &arena = net.arena();
+        std::vector<HotSpan> sections = net.arenaSections();
 
         std::map<std::string, MemoryAudit::Component> rows;
         for (const auto &c : net.memoryAudit().components)
             rows[c.name] = c;
-        ASSERT_EQ(sections.size(), 2 * rows["channels"].count +
-                                       3 * rows["routers"].count);
-        EXPECT_EQ(rows["hot_arena_pad"].bytes,
-                  arena.reservedBytes() - arena.used());
+        ASSERT_EQ(net.numBlocks(), 4);
+        ASSERT_EQ(sections.size(),
+                  kTables + kLists * 4 + 3 * rows["channels"].count +
+                      4 * rows["network_interfaces"].count +
+                      4 * rows["routers"].count);
+        EXPECT_EQ(rows["arena_pad"].bytes,
+                  arena.reservedBytes() - HotArena::lineBytes(arena.used()));
 
         std::map<const void *, std::size_t> index;
         const std::byte *end = arena.base();
@@ -490,18 +611,19 @@ TEST(Footprint, HotArenaHoldsEverySectionLineAlignedInVisitOrder)
             const Router &r = net.router(topo.routerOfNode(n));
             return at(*r.outputChannel(topo.localPortOfNode(n)));
         };
-        // Each block opens with its ejection channels, in node order,
-        // right after the previous block's routers.
+        // Each block opens with its lists, right after the previous
+        // block's routers, then its ejection channels in node order,
+        // each followed by its NI.
         for (NodeId n = 0; n < topo.numNodes(); ++n) {
             RouterId first = topo.routerOfNode(n) / 16 * 16;
-            std::size_t expect =
-                first == 0 ? 0 : at(net.router(first - 1)) + 3;
+            std::size_t open =
+                first == 0 ? kTables : at(net.router(first - 1)) + 4;
             EXPECT_EQ(eject(n),
-                      expect + 2 * static_cast<std::size_t>(n - first));
+                      open + kLists + 7 * static_cast<std::size_t>(n - first));
+            EXPECT_EQ(sections[eject(n) + 3].bytes, sizeof(NetworkInterface));
         }
         // Routers follow in id order, and each inter-router channel
-        // sits between its sink block's ejection channels and its
-        // routers.
+        // sits between its sink block's last NI and its routers.
         int routers = topo.numRouters();
         for (RouterId r = 1; r < routers; ++r)
             EXPECT_LT(at(net.router(r - 1)), at(net.router(r)));
@@ -513,8 +635,46 @@ TEST(Footprint, HotArenaHoldsEverySectionLineAlignedInVisitOrder)
                 std::size_t chan = at(*net.router(r).outputChannel(p));
                 RouterId first = sink / 16 * 16;
                 EXPECT_LT(chan, at(net.router(first)));
-                EXPECT_GT(chan, eject(first + 15));
+                EXPECT_GT(chan, eject(first + 15) + 6);
             }
+        }
+    }
+}
+
+TEST(Footprint, AuditCoversTheArenaAndThePacketSlabs)
+{
+    // The audit's rows cover the whole network: the arena's rows and
+    // its unused tail add up to its reservation, and once packets flow
+    // the slabs they live in are the rest. Exact sizing: a formula that
+    // drifts from what the components carve breaks the sum (or, short,
+    // overruns the arena at construction).
+    for (int radix : {8, 32}) {
+        for (LayoutKind kind :
+             {LayoutKind::Baseline, LayoutKind::DiagonalBL}) {
+            SCOPED_TRACE(std::string(layoutName(kind)) + " " +
+                         std::to_string(radix));
+            Network net(makeLayoutConfig(kind, radix));
+            auto rows = [&] {
+                std::map<std::string, std::uint64_t> out;
+                for (const auto &c : net.memoryAudit().components)
+                    out[c.name] = c.bytes;
+                return out;
+            };
+            EXPECT_EQ(net.memoryAudit().totalBytes(),
+                      net.arena().reservedBytes());
+            EXPECT_EQ(rows().count("packet_slabs"), 0u);
+            if (radix != 8)
+                continue;
+            // One block: the network steps alone, with no team block.
+            int nodes = net.topology().numNodes();
+            for (int c = 0; c < 2000; ++c) {
+                injectOne(net, nodes, net.dataPacketFlits());
+                net.step();
+            }
+            std::uint64_t slabs = rows().at("packet_slabs");
+            EXPECT_GT(slabs, 0u);
+            EXPECT_EQ(net.memoryAudit().totalBytes(),
+                      net.arena().reservedBytes() + slabs);
         }
     }
 }
@@ -535,11 +695,11 @@ TEST(Footprint, AutoSizedBlocksKeepTheirMeshRows)
                 << layoutName(kind) << " " << radix;
         }
 
-    // On 8x8, the routers row without the Router objects themselves
-    // (the core's FIFO, hot, credit and wiring storage) is 128 B per
-    // router below the pinned bytes of sections that each carried
-    // 64 B of alignment slack (the arena aligns them instead); the
-    // channel row keeps its pinned bytes.
+    // On 8x8, the routers row (the core's wiring, FIFO, hot and credit
+    // storage) is 128 B per router below the pinned bytes of sections
+    // that each carried 64 B of alignment slack (the arena aligns them
+    // instead); the channel row (the pipes) and the channel objects in
+    // the component_objects row keep the channels' pinned bytes.
     const struct
     {
         LayoutKind kind;
@@ -552,10 +712,11 @@ TEST(Footprint, AutoSizedBlocksKeepTheirMeshRows)
         for (const auto &c : net.memoryAudit().components)
             rows[c.name] = c;
         std::uint64_t routers = rows["routers"].count;
-        EXPECT_EQ(rows["routers"].bytes - routers * sizeof(Router),
-                  pin.coreWithSlack - routers * 128)
+        EXPECT_EQ(rows["routers"].bytes, pin.coreWithSlack - routers * 128)
             << layoutName(pin.kind);
-        EXPECT_EQ(rows["channels"].bytes, pin.channels)
+        EXPECT_EQ(rows["channels"].bytes +
+                      rows["channels"].count * sizeof(Channel),
+                  pin.channels)
             << layoutName(pin.kind);
     }
 }
@@ -563,9 +724,9 @@ TEST(Footprint, AutoSizedBlocksKeepTheirMeshRows)
 TEST(Footprint, SteadyStateMemoryAuditIsConstant)
 {
     // Once warm, continued stepping performs zero allocations (proved
-    // above), so no container capacity can change and the audit must
-    // be byte-for-byte stable — including the packet arena's
-    // high-water capacity row.
+    // above) and takes no page block, so no capacity can change and
+    // the audit must be byte-for-byte stable — including the packet
+    // slabs' and the source queues' high-water rows.
     Network net(makeLayoutConfig(LayoutKind::DiagonalBL));
     int nodes = net.topology().numNodes();
     int flits = net.dataPacketFlits();
