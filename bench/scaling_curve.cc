@@ -17,8 +17,8 @@
  *                          HNOC_THREADS threads (DESIGN.md §6h), so
  *                          HNOC_THREADS=1 gives the one-thread cost
  *   bytes_per_tile         end-of-run memory audit (grown capacities;
- *                          deterministic for a fixed seed and thread
- *                          count: a stepping team adds its outboxes)
+ *                          deterministic for a fixed seed, whatever
+ *                          the thread count)
  *   tiles                  radix * radix
  *   serial_ns_per_cycle,   on a network that stepped on a team: the
  *   slot_imbalance         leader's serial ns per timed cycle, and

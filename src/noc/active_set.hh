@@ -25,16 +25,15 @@
  * entry is bit-identical to visiting it.
  *
  * Newly woken ids are sort-merged before each scan, so visits run in
- * canonical ascending id order (§6g) and cost O(active). A list is
- * woken only by the thread that scans it: when a network steps on a
- * team (§6h), a send whose list another thread scans wakes the
- * sender's outbox, an ActiveList that is never scanned; as the next
- * cycle opens, each scanning thread reads every other outbox
- * (forEachPending()) and wakes its own lists, and each sender then
- * empties its own (drainPending()). All storage is carved once from
- * the network's arena (an outbox's from the team's when its team
- * forms), so the steady state allocates nothing. WakeHooks hold raw
- * pointers to the lists, which never move once the hooks are set.
+ * canonical ascending id order (§6g) and cost O(active). Every wake
+ * comes from the list's own block: a channel end whose sender sits in
+ * another block is instead a *pinned* member of its receiving list
+ * (pin()): enlisted for good, never dropped, visited only while its
+ * predicate holds, and its sends wake nothing. So when a network
+ * steps on a team (§6h) no send touches a list another thread scans.
+ * All storage is carved once from the network's arena, so the steady
+ * state allocates nothing. WakeHooks hold raw pointers to the lists,
+ * which never move once the hooks are set.
  */
 
 #ifndef HNOC_NOC_ACTIVE_SET_HH
@@ -43,7 +42,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "common/hot_arena.hh"
 
@@ -57,7 +55,8 @@ namespace hnoc
  * appends); woken ids collect unsorted in a pending array until the
  * next scan merges them. A dropped id clears its in-list byte, so a
  * later wake re-appends it. An id woken during a scan after its
- * position was passed is visited at the next scan, not this one.
+ * position was passed is visited at the next scan, not this one. A
+ * pinned id's byte stays set, so it is never dropped or re-woken.
  */
 class ActiveList
 {
@@ -79,7 +78,7 @@ class ActiveList
     /**
      * Carve all storage once from @p arena: membership bytes cover ids
      * [0, id_space), and the member arrays hold up to @p max_members
-     * entries (the ids that can ever wake this list). Nothing below
+     * entries (the ids that can ever be enlisted). Nothing below
      * ever allocates afterwards.
      */
     void
@@ -96,17 +95,7 @@ class ActiveList
         maxMembers_ = max_members;
     }
 
-    /** place() into an arena of the list's own (a list that lives
-     *  outside a network). */
-    void
-    reserve(std::size_t id_space, std::size_t max_members)
-    {
-        own_ = std::make_unique<HotArena>();
-        own_->reserve(arenaBytes(id_space, max_members));
-        place(*own_, id_space, max_members);
-    }
-
-    /** Enlist id @p i (idempotent). */
+    /** Enlist id @p i (idempotent; a no-op on a pinned id). */
     void
     wake(std::uint32_t i)
     {
@@ -116,9 +105,20 @@ class ActiveList
         }
     }
 
+    /** Make @p i a pinned member: enlisted from the next scan on and
+     *  never dropped, so its producer need not wake this list. Scans
+     *  still visit it only while its predicate holds. */
+    void
+    pin(std::uint32_t i)
+    {
+        if (inList_[i] == 0)
+            pending_[numPending_++] = i;
+        inList_[i] = kPinned;
+    }
+
     /**
      * Merge newly woken ids, then visit, in ascending id order, every
-     * member for which @p busy(id) holds and drop the rest
+     * member for which @p busy(id) holds and drop the unpinned rest
      * (write-index compaction). The predicate runs before the visit,
      * so a visit that drains its own component keeps the entry for
      * one more (dropping) scan — deterministic either way.
@@ -143,38 +143,13 @@ class ActiveList
             if (busy(id)) {
                 fn(id);
                 items_[keep++] = id;
+            } else if (inList_[id] == kPinned) {
+                items_[keep++] = id;
             } else {
                 inList_[id] = 0;
             }
         }
         numItems_ = keep;
-    }
-
-    /**
-     * Use as a wake outbox (a list that is never scanned): hand every
-     * id woken since the last drain to @p fn, in wake order, and
-     * forget it, so the next wake enlists it again.
-     */
-    template <typename Fn>
-    void
-    drainPending(Fn &&fn)
-    {
-        for (std::size_t i = 0; i < numPending_; ++i) {
-            inList_[pending_[i]] = 0;
-            fn(pending_[i]);
-        }
-        numPending_ = 0;
-    }
-
-    /** Hand every id woken since the last drain to @p fn, in wake
-     *  order, and keep it: an outbox that other threads read before
-     *  its owner drains it. */
-    template <typename Fn>
-    void
-    forEachPending(Fn &&fn) const
-    {
-        for (std::size_t i = 0; i < numPending_; ++i)
-            fn(pending_[i]);
     }
 
     /** Current member count (entries that have gone idle included
@@ -196,6 +171,9 @@ class ActiveList
     }
 
   private:
+    /** inList_ value of a pinned id (1: enlisted until dropped). */
+    static constexpr std::uint8_t kPinned = 2;
+
     /** Sort the pending batch and merge it into the (sorted) member
      *  list, restoring canonical ascending order. */
     void
@@ -222,18 +200,17 @@ class ActiveList
     std::uint32_t *items_ = nullptr;   ///< sorted current members
     std::uint32_t *pending_ = nullptr; ///< woken since last merge
     std::uint32_t *scratch_ = nullptr; ///< merge target (swapped)
-    std::uint8_t *inList_ = nullptr;   ///< membership byte per index
+    std::uint8_t *inList_ = nullptr;   ///< 0 out, 1 in, kPinned per index
     const void *storage_ = nullptr;    ///< first carve (placedSpan)
     std::size_t numItems_ = 0;
     std::size_t numPending_ = 0;
     std::size_t idSpace_ = 0;
     std::size_t maxMembers_ = 0;
-    std::unique_ptr<HotArena> own_; ///< reserve()'s arena (else null)
 };
 
 /** A component's link into the ActiveList that schedules it: the list
  *  plus the component's id there. Unset (a component built outside a
- *  Network) it does nothing. */
+ *  Network, or a pinned channel end) it does nothing. */
 struct WakeHook
 {
     ActiveList *list = nullptr;

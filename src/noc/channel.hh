@@ -185,7 +185,9 @@ class alignas(64) Channel
     ///@}
 
     /** Set the active lists this channel's sends wake, both with id
-     *  @p id: @p flits on sendFlit, @p credits on sendCredit (§6a). */
+     *  @p id: @p flits on sendFlit, @p credits on sendCredit (§6a). A
+     *  channel between two blocks keeps none: it is pinned in both of
+     *  its lists (active_set.hh). */
     void
     setWakeHooks(ActiveList *flits, ActiveList *credits, std::uint32_t id)
     {

@@ -112,9 +112,6 @@ Network::Network(const NetworkConfig &config)
             &blockNis_[static_cast<std::size_t>(blockOf(r))],
             static_cast<std::uint32_t>(i));
     }
-
-    // A team needs at least two blocks per thread (§6h).
-    teamEligible_ = !alwaysStep_ && numBlocks_ >= 4;
 }
 
 Network::~Network()
@@ -122,18 +119,15 @@ Network::~Network()
     // The team's helpers leave before the state they stepped goes.
     team_.reset();
     // The arena runs no destructors. A grown source queue holds storage
-    // of its own; every other arena object's destructor (the lists',
-    // the channels') releases nothing, but runs all the same.
+    // of its own; every other arena object's destructor (the
+    // channels') releases nothing, but runs all the same.
     for (NetworkInterface *ni : nis_)
         if (ni != nullptr)
             std::destroy_at(ni);
     for (const ChannelEnds &e : ends_)
         if (e.chan != nullptr)
             std::destroy_at(e.chan);
-    for (auto lists : {blockEjectEnds_, blockFlitEnds_, blockCreditEnds_,
-                       blockRouters_, blockNis_, slotFlitOutbox_,
-                       slotCreditOutbox_})
-        std::destroy(lists.begin(), lists.end());
+    static_assert(std::is_trivially_destructible_v<ActiveList>);
     static_assert(std::is_trivially_destructible_v<Router>);
     static_assert(std::is_trivially_destructible_v<TeamBlock>);
     while (packetSlabs_ != nullptr) {
@@ -214,6 +208,19 @@ Network::maxDownVcs(RouterId r) const
     return down;
 }
 
+template <typename Lanes>
+std::size_t
+Network::teamStateBytes(std::size_t nb, Lanes &&lanes)
+{
+    const std::size_t ms = nb / 2;
+    std::size_t bytes = HotArena::bytesFor<int>(ms + 1) +
+                        HotArena::bytesFor<TeamBlock>(nb) +
+                        HotArena::bytesFor<TeamSlotNs>(ms);
+    for (std::size_t b = 0; b < nb; ++b)
+        bytes += HotArena::bytesFor<EjectedPacket>(lanes(b));
+    return bytes;
+}
+
 void
 Network::build()
 {
@@ -241,6 +248,8 @@ Network::build()
         tile_bytes += NetworkInterface::footprintBytes(
             config_.vcsOf(topo_->routerOfNode(n)));
     setupBlocks(tile_bytes);
+    // A team needs at least two blocks per thread (§6h).
+    teamEligible_ = !alwaysStep_ && numBlocks_ >= 4;
 
     // Each block's active lists hold exactly their possible members,
     // so the steady state never outgrows them.
@@ -258,9 +267,14 @@ Network::build()
     auto count = [&](Role role, RouterId r) {
         ++members[kRoles * static_cast<std::size_t>(blockOf(r)) + role];
     };
+    // A block's in-team eject pass completes at most one packet per
+    // lane of its ejection channels per cycle.
+    std::vector<std::size_t> eject_lanes(nb, 0);
     forEachEnd([&](const ChannelEnds &e) {
         if (!e.sinkIsRouter) {
             count(kEject, e.driverRouter);
+            eject_lanes[static_cast<std::size_t>(blockOf(e.driverRouter))] +=
+                static_cast<std::size_t>(shapeOf(e).lanes);
             return;
         }
         count(kFlits, e.sinkRouter);
@@ -277,6 +291,10 @@ Network::build()
     for (std::size_t i = 0; i < members.size(); ++i)
         list_bytes +=
             ActiveList::arenaBytes(list_space(i % kRoles), members[i]);
+    std::size_t team_bytes = 0;
+    if (teamEligible_)
+        team_bytes = teamStateBytes(
+            nb, [&](std::size_t b) { return eject_lanes[b]; });
 
     // The router objects are one array; every other component object
     // is a carve of its own (its footprint formula counts both).
@@ -287,7 +305,7 @@ Network::build()
                    HotArena::bytesFor<std::uint8_t>(
                        nr * static_cast<std::size_t>(ports)) +
                    kRoles * HotArena::bytesFor<ActiveList>(nb) + list_bytes +
-                   tile_bytes - nr * sizeof(Router));
+                   team_bytes + tile_bytes - nr * sizeof(Router));
 
     // The network's tables lead the arena.
     routers_ = {arena_.take<Router>(nr), nr};
@@ -307,10 +325,19 @@ Network::build()
          {&blockEjectEnds_, &blockFlitEnds_, &blockCreditEnds_,
           &blockRouters_, &blockNis_})
         *lists = {arena_.carveArray<ActiveList>(nb), nb};
+    // A network that may step on a team carves its state too, for the
+    // most slots it can have, whatever the thread count (§6h); the
+    // slot spans take their length when the team forms.
+    if (teamEligible_) {
+        slotBlocks_ = {arena_.carve<int>(nb / 2 + 1), 0};
+        teamBlocks_ = {arena_.carveArray<TeamBlock>(nb), nb};
+        slotNs_ = {arena_.carveArray<TeamSlotNs>(nb / 2), 0};
+    }
 
     // Then each block in visit order, so the per-cycle stream walks the
-    // arena front to back: its lists' storage, its ejection channels
-    // each followed by its NI, its delivered channels, its routers.
+    // arena front to back: its lists' storage, its team eject queue,
+    // its ejection channels each followed by its NI, its delivered
+    // channels, its routers.
     forEachInVisitOrder(
         [&](std::size_t b) {
             const std::size_t *m = &members[kRoles * b];
@@ -319,6 +346,11 @@ Network::build()
             blockCreditEnds_[b].place(arena_, n_ends, m[kCredits]);
             blockRouters_[b].place(arena_, nr, m[kRouters]);
             blockNis_[b].place(arena_, nn, m[kNis]);
+            if (teamEligible_) {
+                Ejected &q = teamBlocks_[b].ejected;
+                q.capacity = eject_lanes[b];
+                q.packets = arena_.carve<EjectedPacket>(q.capacity);
+            }
         },
         [&](std::uint32_t id) {
             ChannelEnds &e = ends_[id];
@@ -365,8 +397,16 @@ Network::build()
                 .markEjectionPort(e.driverPort);
             nis_[static_cast<std::size_t>(e.sinkNode)]->connectEjection(ch);
         }
-        ch->setWakeHooks(&flitListOf(e), &creditListOf(e),
-                         static_cast<std::uint32_t>(id));
+        // An end between two blocks is pinned in both its lists and
+        // keeps null hooks, so no send wakes another block's list.
+        auto i32 = static_cast<std::uint32_t>(id);
+        if (e.driverIsRouter && e.sinkIsRouter &&
+            blockOf(e.driverRouter) != blockOf(e.sinkRouter)) {
+            flitListOf(e).pin(i32);
+            creditListOf(e).pin(i32);
+        } else {
+            ch->setWakeHooks(&flitListOf(e), &creditListOf(e), i32);
+        }
     }
 }
 
@@ -457,11 +497,22 @@ Network::arenaSections() const
     for (auto lists : {blockEjectEnds_, blockFlitEnds_, blockCreditEnds_,
                        blockRouters_, blockNis_})
         table(lists);
+    if (!teamBlocks_.empty()) {
+        const std::size_t ms = teamBlocks_.size() / 2;
+        out.push_back({slotBlocks_.data(), (ms + 1) * sizeof(int)});
+        table(teamBlocks_);
+        out.push_back({slotNs_.data(), ms * sizeof(TeamSlotNs)});
+    }
     forEachInVisitOrder(
         [&](std::size_t b) {
             for (auto lists : {blockEjectEnds_, blockFlitEnds_,
                                blockCreditEnds_, blockRouters_, blockNis_})
                 out.push_back(lists[b].placedSpan());
+            if (!teamBlocks_.empty()) {
+                const Ejected &q = teamBlocks_[b].ejected;
+                out.push_back(
+                    {q.packets, q.capacity * sizeof(EjectedPacket)});
+            }
         },
         [&](std::uint32_t id) {
             const ChannelEnds &e = ends_[id];
@@ -706,6 +757,16 @@ Network::memoryAudit() const
     }
     a.add("active_set", lists, ne + nr + nn);
 
+    // The stepping team's state, carved for every network that may
+    // form a team, whatever the thread count (§6h).
+    if (!teamBlocks_.empty())
+        a.add("step_team",
+              teamStateBytes(teamBlocks_.size(),
+                             [&](std::size_t b) {
+                                 return teamBlocks_[b].ejected.capacity;
+                             }),
+              teamBlocks_.size());
+
     if (arena_.reservedBytes() > 0)
         a.add("arena_pad",
               arena_.reservedBytes() - HotArena::lineBytes(arena_.used()),
@@ -714,14 +775,6 @@ Network::memoryAudit() const
     if (numPacketSlabs_ > 0)
         a.add("packet_slabs", numPacketSlabs_ * kPacketSlabBytes,
               numPacketSlabs_);
-
-    // The stepping team's block (outboxes, per-block eject queues and
-    // costs, per-slot times) exists only once a team has formed, which
-    // depends on HNOC_THREADS and the host's cores (§6h), so this row,
-    // unlike the others, is not fixed by the seed alone.
-    if (team_)
-        a.add("step_team", teamArena_.reservedBytes(),
-              slotFlitOutbox_.size());
 
     if (attached_.registry)
         a.add("metric_registry", attached_.registry->footprintBytes(), 1);
@@ -1038,10 +1091,6 @@ Network::step()
             ++cycle_;
             return;
         }
-        // A team's cross-slot wakes wait in its outboxes until the
-        // next cycle; a serial one hands them all on first.
-        if (team_)
-            mergeWakeOutboxes();
     }
 
     if (client_)
@@ -1197,89 +1246,18 @@ Network::formTeam(JobPool &pool)
         return;
     }
 
-    // Every cut moves slot boundaries along block boundaries, so a
-    // cross-slot end is always a cross-block one: outboxes sized for
-    // those never overflow, whatever the cut. A block's eject pass
-    // completes at most one packet per lane of each of its ejection
-    // channels per cycle.
-    auto ns = static_cast<std::size_t>(threads);
-    const auto nb = static_cast<std::size_t>(numBlocks_);
-    std::size_t cross = 0;
-    std::vector<std::size_t> lanes(nb, 0);
-    for (const ChannelEnds &e : ends_) {
-        cross += e.driverIsRouter && e.sinkIsRouter &&
-                 blockOf(e.driverRouter) != blockOf(e.sinkRouter);
-        if (!e.sinkIsRouter)
-            lanes[static_cast<std::size_t>(blockOf(e.driverRouter))] +=
-                static_cast<std::size_t>(e.chan->lanes());
-    }
-    using EjectedPacket = std::pair<Packet *, std::uint64_t>;
-    std::size_t bytes = 2 * HotArena::bytesFor<int>(ns + 1) +
-                        2 * HotArena::bytesFor<ActiveList>(ns) +
-                        2 * ns * ActiveList::arenaBytes(ends_.size(), cross) +
-                        HotArena::bytesFor<TeamBlock>(nb) +
-                        HotArena::bytesFor<TeamSlotNs>(ns);
-    for (std::size_t b = 0; b < nb; ++b)
-        bytes += HotArena::bytesFor<EjectedPacket>(lanes[b]);
-    teamArena_.reserve(bytes);
-
     // One slot per team thread: contiguous block ranges, even by count
-    // until the first cut by cost.
-    slotBlocks_ = {teamArena_.carve<int>(ns + 1), ns + 1};
-    cutScratch_ = {teamArena_.carve<int>(ns + 1), ns + 1};
+    // until the first cut by cost. build() carved the state.
+    auto ns = static_cast<std::size_t>(threads);
+    slotBlocks_ = {slotBlocks_.data(), ns + 1};
+    slotNs_ = {slotNs_.data(), ns};
     for (int s = 0; s <= threads; ++s)
         slotBlocks_[static_cast<std::size_t>(s)] = numBlocks_ * s / threads;
     nextCut_ = kFirstCutCycles;
-
-    slotFlitOutbox_ = {teamArena_.carveArray<ActiveList>(ns), ns};
-    slotCreditOutbox_ = {teamArena_.carveArray<ActiveList>(ns), ns};
-    for (std::size_t s = 0; s < ns; ++s) {
-        slotFlitOutbox_[s].place(teamArena_, ends_.size(), cross);
-        slotCreditOutbox_[s].place(teamArena_, ends_.size(), cross);
-    }
-    routeTeamWakes();
-
-    teamBlocks_ = {teamArena_.carveArray<TeamBlock>(nb), nb};
-    for (std::size_t b = 0; b < nb; ++b)
-        teamBlocks_[b].ejected.packets =
-            teamArena_.carve<EjectedPacket>(lanes[b]);
-    slotNs_ = {teamArena_.carveArray<TeamSlotNs>(ns), ns};
     teamStats_.slots = threads;
     team_ = std::make_unique<StepTeam>(pool, threads, &Network::teamSlot,
                                        this, &Network::teamOpening,
                                        &Network::deliverEjected);
-}
-
-void
-Network::routeTeamWakes()
-{
-    // A send in the step phase (router steps, NI injection) may wake
-    // a list that another slot scans; those wakes go to the sending
-    // slot's outbox. A router-driven end's flits are sent by its
-    // driver, its credits by its sink; an NI-driven end lives inside
-    // one block, and so does an ejection end, whose flits its driver
-    // router sends and whose credits its NI returns.
-    // (A re-cut routes them again, so this allocates nothing.)
-    auto slot_of = [&](RouterId r) {
-        return static_cast<std::size_t>(
-            std::upper_bound(slotBlocks_.begin(), slotBlocks_.end(),
-                             blockOf(r)) -
-            slotBlocks_.begin() - 1);
-    };
-    for (std::size_t i = 0; i < ends_.size(); ++i) {
-        const ChannelEnds &e = ends_[i];
-        ActiveList *flits = &flitListOf(e);
-        ActiveList *credits = &creditListOf(e);
-        if (e.driverIsRouter && e.sinkIsRouter) {
-            std::size_t driver = slot_of(e.driverRouter);
-            std::size_t sink = slot_of(e.sinkRouter);
-            if (sink != driver) {
-                flits = &slotFlitOutbox_[driver];
-                credits = &slotCreditOutbox_[sink];
-            }
-        }
-        e.chan->setWakeHooks(flits, credits, static_cast<std::uint32_t>(i));
-    }
 }
 
 void
@@ -1319,26 +1297,20 @@ Network::cutSlotsByCost()
             lo = mid + 1;
     }
     // Fill each slot up to the bound, but leave a block for each
-    // slot after it.
+    // slot after it. The team reads the cut only inside a cycle.
     std::size_t b = 0;
     for (std::size_t s = 0; s < ns; ++s) {
-        cutScratch_[s] = static_cast<int>(b);
+        slotBlocks_[s] = static_cast<int>(b);
         std::uint64_t sum = (s == 0 ? openingCostNs_ : 0) + cost(b++);
         while (b < nb && nb - b > ns - 1 - s &&
                (s + 1 == ns || sum + cost(b) <= lo))
             sum += cost(b++);
     }
-    cutScratch_[ns] = numBlocks_;
+    slotBlocks_[ns] = numBlocks_;
 
     for (TeamBlock &tb : teamBlocks_)
         tb.costNs = 0;
     openingCostNs_ = 0;
-    if (!std::equal(cutScratch_.begin(), cutScratch_.end(),
-                    slotBlocks_.begin())) {
-        mergeWakeOutboxes();
-        std::swap(slotBlocks_, cutScratch_);
-        routeTeamWakes();
-    }
 }
 
 void
@@ -1348,15 +1320,8 @@ Network::teamSlot(void *net, int phase, int slot)
     auto s = static_cast<std::size_t>(slot);
     const Cycle now = n.cycle_;
     const Clock::time_point start = Clock::now();
-    if (phase == 0) {
-        n.collectWakes(s);
-    } else {
-        // Every slot has read this slot's outboxes in phase 0.
-        n.slotFlitOutbox_[s].drainPending([](std::uint32_t) {});
-        n.slotCreditOutbox_[s].drainPending([](std::uint32_t) {});
-    }
     // Each block's time feeds the next cut by cost.
-    Clock::time_point t = Clock::now();
+    Clock::time_point t = start;
     for (int b = n.slotBlocks_[s]; b < n.slotBlocks_[s + 1]; ++b) {
         auto bb = static_cast<std::size_t>(b);
         TeamBlock &tb = n.teamBlocks_[bb];
@@ -1434,42 +1399,6 @@ Network::finishTeamCycle(Clock::time_point start)
             teamStats_.slotNs[phase] += slot.ns[phase];
         }
         teamStats_.slowestSlotNs[phase] += slowest;
-    }
-}
-
-void
-Network::collectWakes(std::size_t slot)
-{
-    // Every cross-slot end is router-driven with a router sink: its
-    // flits wake the sink's block, its credits the driver's.
-    const int lo = slotBlocks_[slot];
-    const int hi = slotBlocks_[slot + 1];
-    auto mine = [&](RouterId r) {
-        int b = blockOf(r);
-        return b >= lo && b < hi;
-    };
-    for (std::size_t s = 0; s < slotFlitOutbox_.size(); ++s) {
-        if (s == slot)
-            continue;
-        slotFlitOutbox_[s].forEachPending([&](std::uint32_t i) {
-            if (mine(ends_[i].sinkRouter))
-                flitListOf(ends_[i]).wake(i);
-        });
-        slotCreditOutbox_[s].forEachPending([&](std::uint32_t i) {
-            if (mine(ends_[i].driverRouter))
-                creditListOf(ends_[i]).wake(i);
-        });
-    }
-}
-
-void
-Network::mergeWakeOutboxes()
-{
-    for (std::size_t s = 0; s < slotFlitOutbox_.size(); ++s) {
-        slotFlitOutbox_[s].drainPending(
-            [&](std::uint32_t i) { flitListOf(ends_[i]).wake(i); });
-        slotCreditOutbox_[s].drainPending(
-            [&](std::uint32_t i) { creditListOf(ends_[i]).wake(i); });
     }
 }
 

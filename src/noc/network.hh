@@ -319,11 +319,11 @@ class Network
      * Memory breakdown of everything the network owns: the arena's
      * rows — router cores, channel pipes, NI arrays (plus any source
      * queue grown past the arena), the component objects, the channel
-     * ends and the active lists, and the arena's unused tail — then
-     * the packet slabs, the stepping team's block once a team has
-     * formed, and any attached registry/recorder/collector. With no
-     * source queue grown and no team, the total is the arena's
-     * reserved bytes plus the packet slabs.
+     * ends, the active lists, the stepping team's state on a network
+     * that may form one, and the arena's unused tail — then the packet
+     * slabs and any attached registry/recorder/collector. With no
+     * source queue grown, the total is the arena's reserved bytes plus
+     * the packet slabs, whatever the thread count.
      */
     MemoryAudit memoryAudit() const;
 
@@ -331,9 +331,10 @@ class Network
     const HotArena &arena() const { return arena_; }
 
     /** Every section carved from the arena, in carve order: the
-     *  network's tables, then per block (= visit order) its active
-     *  lists' storage, its ejection channels each followed by its NI,
-     *  its delivered channels and its routers' sections. */
+     *  network's tables (the team's among them), then per block (=
+     *  visit order) its active lists' storage, its team eject queue,
+     *  its ejection channels each followed by its NI, its delivered
+     *  channels and its routers' sections. */
     std::vector<HotSpan> arenaSections() const;
     ///@}
 
@@ -463,13 +464,16 @@ class Network
     void deliverPacket(Packet &pkt, Cycle now);
     /** Deliver the credits of @p e due at @p now to its driver. */
     void deliverCreditsOf(ChannelEnds &e, Cycle now);
-    /** Packets a block's in-team eject pass completed this cycle,
-     *  each with the block's ejection flits up to its tail. */
+    /** A packet an in-team eject pass completed, with its block's
+     *  ejection flits up to its tail. */
+    using EjectedPacket = std::pair<Packet *, std::uint64_t>;
+    /** Packets a block's in-team eject pass completed this cycle. */
     struct Ejected
     {
         /** Room for one packet per lane of the block's ejection
-         *  channels, carved when the team forms. */
-        std::pair<Packet *, std::uint64_t> *packets = nullptr;
+         *  channels (capacity), carved by build(). */
+        EjectedPacket *packets = nullptr;
+        std::size_t capacity = 0;
         std::size_t count = 0;
         std::uint64_t flits = 0;
     };
@@ -492,15 +496,16 @@ class Network
     /** Run this cycle's block passes on the team. @return false, with
      *  nothing run, when the cycle must step serially. */
     bool stepOnTeam();
-    /** Partition the blocks into slots, carve the team's state from
-     *  its own page block, route cross-slot wakes to outboxes and
+    /** Bytes build() carves for the team's state: the slot tables
+     *  for at most nb / 2 slots and the nb blocks' state, block b's
+     *  eject queue holding @p lanes(b) packets. */
+    template <typename Lanes>
+    static std::size_t teamStateBytes(std::size_t nb, Lanes &&lanes);
+    /** Pick the team's thread count and the first even cut, and
      *  create team_ on @p pool, or rule the team out for good. */
     void formTeam(JobPool &pool);
-    /** Point every channel's wake hooks at its lists, or at the
-     *  sending slot's outbox when another slot scans the list. */
-    void routeTeamWakes();
     /** Re-cut the slots into contiguous block ranges of even measured
-     *  cost, and re-route the wakes if the cut moved. */
+     *  cost. */
     void cutSlotsByCost();
     /** StepTeam item: phase 0 ejects and delivers, phase 1 steps, the
      *  blocks of slot @p slot. */
@@ -514,12 +519,6 @@ class Network
     /** After a team cycle: its accounting and the cut schedule.
      *  @p start is when step() began. */
     void finishTeamCycle(std::chrono::steady_clock::time_point start);
-    /** Phase 0 of slot @p slot: hand on the wakes the other slots'
-     *  outboxes hold for its lists. */
-    void collectWakes(std::size_t slot);
-    /** Hand every outboxed wake to its list, in slot order, and empty
-     *  the outboxes (before a serial cycle or a re-cut). */
-    void mergeWakeOutboxes();
     ///@}
 
     /** Call @p on_block(block), then @p on_end(end index) for each of
@@ -586,9 +585,11 @@ class Network
      *    routers, woken by both sends, dropped once both pipes are
      *    empty. Every block's eject list is scanned before any
      *    router step of the cycle.
-     * Nodes number their routers in order, so block order is node
-     * order. Components hold raw pointers to these lists, which are
-     * carved once and never move.
+     * An end between two blocks is pinned instead (active_set.hh) in
+     * its sink's flit list and its driver's credit list, so no send
+     * wakes another block's list. Nodes number their routers in
+     * order, so block order is node order. Components hold raw
+     * pointers to these lists, which are carved once and never move.
      */
     int blockTiles_ = 0;
     int numBlocks_ = 1;
@@ -625,18 +626,13 @@ class Network
      * two blocks per team thread is eligible; the team forms at the
      * first step with nothing attached. Slot s steps the blocks
      * [slotBlocks_[s], slotBlocks_[s + 1]), re-cut by measured cost
-     * after teamCycles_ reaches nextCut_. A send whose wake belongs to
-     * a list another slot scans wakes the sending slot's outbox
-     * instead; the scanning slot collects it as the next cycle opens.
-     * All of the team's state is carved from teamArena_, one page
-     * block sized when the team forms.
+     * after teamCycles_ reaches nextCut_. build() carves the team's
+     * state from arena_ for every eligible network, sized for
+     * numBlocks_ / 2 slots; the slot spans take their length when the
+     * team forms.
      */
     bool teamEligible_ = false;
-    HotArena teamArena_;
     std::span<int> slotBlocks_;
-    std::span<int> cutScratch_;
-    std::span<ActiveList> slotFlitOutbox_;
-    std::span<ActiveList> slotCreditOutbox_;
     std::uint64_t teamCycles_ = 0;
     std::uint64_t nextCut_ = 0;
 

@@ -62,9 +62,9 @@ main()
     }
 
     // One multi-block point alone on the pool: its Network steps on a
-    // team of the idle workers (barrier, wake outboxes, helpers joining
-    // and leaving; DESIGN.md §6h), checked against the always-step
-    // loop.
+    // team of the idle workers (barrier, pinned boundary ends, helpers
+    // joining and leaving; DESIGN.md §6h), checked against the
+    // always-step loop.
     NetworkConfig blocked = cfg;
     blocked.blockTiles = 8;
     NetworkConfig always = blocked;

@@ -39,10 +39,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/job_pool.hh"
 #include "heteronoc/layout.hh"
 #include "noc/active_set.hh"
 #include "noc/network.hh"
 #include "noc/router_core.hh"
+#include "noc/traffic.hh"
 #include "sys/cmp_system.hh"
 #include "sys/workloads.hh"
 #include "telemetry/profiler.hh"
@@ -290,24 +292,36 @@ TEST(ZeroAlloc, SingleTileBlocksAreAllocationFree)
 
 TEST(ZeroAlloc, ActiveListChurnIsAllocationFree)
 {
-    // Direct contract on the list itself: once reserve() has run,
+    // Direct contract on the list itself: once place() has run,
     // random wake/merge/drop churn never touches the heap, and every
     // scan consults exactly the ids a naive reference predicts — those
-    // woken since they were last dropped — in ascending order, and
-    // visits exactly those still busy at their check.
+    // woken since they were last dropped, and the pinned ids — in
+    // ascending order, and visits exactly those still busy at their
+    // check. A pinned id is never dropped, and a wake of it changes
+    // nothing.
     constexpr std::uint32_t kIds = 64;
+    HotArena arena;
+    arena.reserve(ActiveList::arenaBytes(kIds, kIds));
     ActiveList list;
-    list.reserve(/*id_space=*/kIds, /*max_members=*/kIds);
+    list.place(arena, /*id_space=*/kIds, /*max_members=*/kIds);
+    bool pinned[kIds] = {};
+    for (std::uint32_t i : {0u, 9u, 10u, 41u, 63u}) {
+        pinned[i] = true;
+        list.pin(i);
+    }
     bool busy[kIds] = {};
-    // Reference: event stamps of each id's latest wake and drop; an id
-    // is enlisted iff its latest wake is the newer event.
+    // Reference: event stamps of each id's latest wake and drop; an
+    // unpinned id is enlisted iff its latest wake is the newer event.
     std::uint64_t woke[kIds] = {};
     std::uint64_t dropped[kIds] = {};
     std::uint64_t stamp = 0;
+    int pinnedWakeEffects = 0; // wakes of a pinned id that grew the list
     auto wake = [&](std::uint32_t i) {
         busy[i] = true;
         woke[i] = ++stamp;
+        std::size_t before = list.size();
         list.wake(i);
+        pinnedWakeEffects += pinned[i] && list.size() != before;
     };
     std::vector<std::uint32_t> expect, checked, wantVisits, visited;
     for (auto *v : {&expect, &checked, &wantVisits, &visited})
@@ -316,6 +330,7 @@ TEST(ZeroAlloc, ActiveListChurnIsAllocationFree)
     int mismatches = 0;
     int idleThenWoken = 0; // enlisted, went idle, woke before the scan
     int passedWakes = 0;   // dropped this scan, re-woken later in it
+    int pinnedIdle = 0;    // pinned ids kept while idle at their check
 
     g_allocs.store(0);
     g_counting.store(true);
@@ -340,7 +355,7 @@ TEST(ZeroAlloc, ActiveListChurnIsAllocationFree)
 
         expect.clear();
         for (std::uint32_t i = 0; i < kIds; ++i)
-            if (woke[i] > dropped[i])
+            if (pinned[i] || woke[i] > dropped[i])
                 expect.push_back(i);
         checked.clear();
         wantVisits.clear();
@@ -351,6 +366,8 @@ TEST(ZeroAlloc, ActiveListChurnIsAllocationFree)
                 checked.push_back(id);
                 if (busy[id])
                     wantVisits.push_back(id);
+                else if (pinned[id])
+                    ++pinnedIdle;
                 else
                     dropped[id] = ++stamp;
                 return busy[id];
@@ -377,8 +394,10 @@ TEST(ZeroAlloc, ActiveListChurnIsAllocationFree)
     g_counting.store(false);
     EXPECT_EQ(g_allocs.load(), 0u);
     EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(pinnedWakeEffects, 0);
     EXPECT_GT(idleThenWoken, 0);
     EXPECT_GT(passedWakes, 0);
+    EXPECT_GT(pinnedIdle, 0);
 }
 
 TEST(ZeroAlloc, HeterogeneousDiagonalBlAlwaysStepIsAllocationFree)
@@ -563,14 +582,16 @@ TEST(Footprint, ArenaHoldsEverySectionLineAlignedInVisitOrder)
     // its one arena: line-aligned, in ascending order without overlap,
     // from the arena's base to its used() mark. The network's tables
     // (router objects, NI table, channel ends, wide channels, hop
-    // lanes, five arrays of active lists) lead; then each block in a
-    // team slot's visit order: its five lists' storage, its ejection
-    // channels (object, two pipes) each followed by its NI (object,
-    // credits, streams, first queue ring), its delivered channels, and
-    // its routers (wiring, FIFO, hot, credit sections). 16-tile blocks
-    // give an 8x8 mesh four of them.
-    constexpr std::size_t kTables = 10;
-    constexpr std::size_t kLists = 5;
+    // lanes, five arrays of active lists, and the step team's slot
+    // cut, block states and slot times) lead; then each block in a
+    // team slot's visit order: its five lists' storage and its team
+    // eject queue, its ejection channels (object, two pipes) each
+    // followed by its NI (object, credits, streams, first queue ring),
+    // its delivered channels, and its routers (wiring, FIFO, hot,
+    // credit sections). 16-tile blocks give an 8x8 mesh four of them,
+    // enough for a team.
+    constexpr std::size_t kTables = 13;
+    constexpr std::size_t kBlockHead = 6; // five lists, eject queue
     for (LayoutKind kind : {LayoutKind::Baseline, LayoutKind::DiagonalBL}) {
         SCOPED_TRACE(layoutName(kind));
         NetworkConfig cfg = makeLayoutConfig(kind);
@@ -585,7 +606,7 @@ TEST(Footprint, ArenaHoldsEverySectionLineAlignedInVisitOrder)
             rows[c.name] = c;
         ASSERT_EQ(net.numBlocks(), 4);
         ASSERT_EQ(sections.size(),
-                  kTables + kLists * 4 + 3 * rows["channels"].count +
+                  kTables + kBlockHead * 4 + 3 * rows["channels"].count +
                       4 * rows["network_interfaces"].count +
                       4 * rows["routers"].count);
         EXPECT_EQ(rows["arena_pad"].bytes,
@@ -611,15 +632,16 @@ TEST(Footprint, ArenaHoldsEverySectionLineAlignedInVisitOrder)
             const Router &r = net.router(topo.routerOfNode(n));
             return at(*r.outputChannel(topo.localPortOfNode(n)));
         };
-        // Each block opens with its lists, right after the previous
-        // block's routers, then its ejection channels in node order,
+        // Each block opens with its lists and eject queue, right after
+        // the previous block's routers, then its ejection channels in
+        // node order,
         // each followed by its NI.
         for (NodeId n = 0; n < topo.numNodes(); ++n) {
             RouterId first = topo.routerOfNode(n) / 16 * 16;
             std::size_t open =
                 first == 0 ? kTables : at(net.router(first - 1)) + 4;
             EXPECT_EQ(eject(n),
-                      open + kLists + 7 * static_cast<std::size_t>(n - first));
+                      open + kBlockHead + 7 * static_cast<std::size_t>(n - first));
             EXPECT_EQ(sections[eject(n) + 3].bytes, sizeof(NetworkInterface));
         }
         // Routers follow in id order, and each inter-router channel
@@ -751,6 +773,53 @@ TEST(Footprint, SteadyStateMemoryAuditIsConstant)
     EXPECT_GT(warm.totalBytes(), 0u);
     EXPECT_EQ(warm.totalBytes(), later.totalBytes());
     EXPECT_EQ(warm.tiles, nodes);
+}
+
+TEST(Footprint, AuditDoesNotDependOnTheTeam)
+{
+    // A network that may step on a team carves the team's state when
+    // it is built, so its audit is the same whether a team formed or
+    // not: a 16x16 network (four blocks) under uniform random load,
+    // stepped on a 1-thread pool (no team) and on a 4-thread one.
+    auto run = [](JobPool &pool, int *threads) {
+        return pool
+            .submit([threads] {
+                Network net(makeLayoutConfig(LayoutKind::DiagonalBL, 16));
+                const Topology &topo = net.topology();
+                TrafficGenerator gen(TrafficPattern::UniformRandom,
+                                     topo.numNodes(), topo.gridCols(), 5);
+                for (int c = 0; c < 600; ++c) {
+                    for (NodeId n = 0; n < topo.numNodes(); ++n) {
+                        if (!gen.shouldInject(n, 0.012, net.now()))
+                            continue;
+                        if (NodeId dst = gen.pickDest(n); dst != INVALID_NODE)
+                            net.enqueuePacket(n, dst, net.dataPacketFlits());
+                    }
+                    net.step();
+                }
+                *threads = net.stepThreads();
+                return net.memoryAudit();
+            })
+            .get();
+    };
+    JobPool pool1(1);
+    JobPool pool4(4);
+    int t1 = 0;
+    int t4 = 0;
+    MemoryAudit serial = run(pool1, &t1);
+    MemoryAudit team = run(pool4, &t4);
+
+    EXPECT_EQ(t1, 1);
+    ASSERT_GE(t4, 2) << "the 4-thread team never formed";
+    ASSERT_EQ(serial.components.size(), team.components.size());
+    for (std::size_t i = 0; i < serial.components.size(); ++i) {
+        const auto &a = serial.components[i];
+        const auto &b = team.components[i];
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.bytes, b.bytes) << a.name;
+        EXPECT_EQ(a.count, b.count) << a.name;
+    }
+    EXPECT_EQ(serial.totalBytes(), team.totalBytes());
 }
 
 TEST(Footprint, WarmedCmpMetadataMatchesGeometry)
