@@ -62,6 +62,10 @@ struct Packet
      *  HNOC_TELEMETRY=OFF). Report-only: never read by the model. */
     BlameLedger *blame = nullptr;
 
+    /** The next packet in its source's queue while queued
+     *  (NetworkInterface::enqueue until stepInject takes it). */
+    Packet *queueNext = nullptr;
+
     /** @return total network residency in cycles (eject - inject). */
     Cycle
     networkLatency() const

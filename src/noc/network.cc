@@ -35,7 +35,7 @@ constexpr std::uint64_t kFirstCutCycles = 256;
  *  slot's blocks stay in one core's cache between them. */
 constexpr std::uint64_t kCutSpacing = 4;
 
-/** One packet slab: a page block (about 200 packets), which any
+/** One packet slab: a page block (185 packets), which any
  *  thread's network reuses once it is released (§6i). Small enough that
  *  an 8x8 CMP system, with a few hundred packets live, holds no more
  *  than it used to on the heap. */
@@ -118,15 +118,9 @@ Network::~Network()
 {
     // The team's helpers leave before the state they stepped goes.
     team_.reset();
-    // The arena runs no destructors. A grown source queue holds storage
-    // of its own; every other arena object's destructor (the
-    // channels') releases nothing, but runs all the same.
-    for (NetworkInterface *ni : nis_)
-        if (ni != nullptr)
-            std::destroy_at(ni);
-    for (const ChannelEnds &e : ends_)
-        if (e.chan != nullptr)
-            std::destroy_at(e.chan);
+    // The arena runs no destructors, and none of its objects needs one.
+    static_assert(std::is_trivially_destructible_v<Channel>);
+    static_assert(std::is_trivially_destructible_v<NetworkInterface>);
     static_assert(std::is_trivially_destructible_v<ActiveList>);
     static_assert(std::is_trivially_destructible_v<Router>);
     static_assert(std::is_trivially_destructible_v<TeamBlock>);
@@ -727,11 +721,9 @@ Network::memoryAudit() const
         b += e.chan->arenaBytes();
     a.add("channels", b, ne);
 
-    // A source queue grown past its first ring holds storage outside
-    // the arena: its high-water mark.
     b = 0;
     for (const NetworkInterface *ni : nis_)
-        b += ni->arenaBytes() + ni->queueGrownBytes();
+        b += ni->arenaBytes();
     a.add("network_interfaces", b, nn);
 
     a.add("component_objects",

@@ -317,13 +317,13 @@ class Network
 
     /**
      * Memory breakdown of everything the network owns: the arena's
-     * rows — router cores, channel pipes, NI arrays (plus any source
-     * queue grown past the arena), the component objects, the channel
-     * ends, the active lists, the stepping team's state on a network
-     * that may form one, and the arena's unused tail — then the packet
-     * slabs and any attached registry/recorder/collector. With no
-     * source queue grown, the total is the arena's reserved bytes plus
-     * the packet slabs, whatever the thread count.
+     * rows — router cores, channel pipes, NI arrays, the component
+     * objects, the channel ends, the active lists, the stepping team's
+     * state on a network that may form one, and the arena's unused
+     * tail — then the packet slabs and any attached
+     * registry/recorder/collector. Without those attachments, the total
+     * is the arena's reserved bytes plus the packet slabs, whatever the
+     * thread count and however long the source queues.
      */
     MemoryAudit memoryAudit() const;
 

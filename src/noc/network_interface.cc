@@ -27,10 +27,13 @@ NetworkInterface::stepInject(Cycle now)
                                     static_cast<unsigned>(vcs));
         Stream &s = streams_[static_cast<std::size_t>(vc)];
         if (!s.pkt) {
-            if (sourceQueue_.empty())
+            if (queueHead_ == nullptr)
                 continue;
-            s.pkt = sourceQueue_.front();
-            sourceQueue_.pop_front();
+            s.pkt = queueHead_;
+            queueHead_ = queueHead_->queueNext;
+            if (queueHead_ == nullptr)
+                queueTail_ = nullptr;
+            --queued_;
             s.nextSeq = 0;
             ++activeStreams_;
         }

@@ -8,11 +8,11 @@
  * in order on one VC). Ejection side: an always-consuming sink that
  * immediately returns credits (the "consumption assumption").
  *
- * The NI object, its per-VC credit and stream arrays and the source
- * queue's first ring are carved from the network's arena (place()).
- * The source queue is a growable ring buffer: past its first ring it
- * moves to PageAllocator storage, retained across drain/refill cycles,
- * so the steady state enqueues and dequeues without touching the heap.
+ * The NI object and its per-VC credit and stream arrays are carved
+ * from the network's arena (place()). The source queue is an intrusive
+ * FIFO linked through the queued packets (Packet::queueNext), so it
+ * holds any backlog without storage of its own and never touches the
+ * heap.
  *
  * Active-set scheduling: the NI is busy while the source queue holds a
  * packet or any per-VC stream is mid-packet. stepInject on an NI
@@ -27,7 +27,6 @@
 #include <array>
 
 #include "common/hot_arena.hh"
-#include "common/ring_buffer.hh"
 #include "common/types.hh"
 #include "noc/active_set.hh"
 #include "noc/channel.hh"
@@ -54,35 +53,28 @@ class NetworkInterface
     arenaBytes(int router_vcs)
     {
         auto v = static_cast<std::size_t>(router_vcs);
-        return HotArena::bytesFor<int>(v) + HotArena::bytesFor<Stream>(v) +
-               HotArena::bytesFor<Packet *>(kInitialQueueCapacity);
+        return HotArena::bytesFor<int>(v) + HotArena::bytesFor<Stream>(v);
     }
 
-    /** Carve the credit and stream arrays and the source queue's first
-     *  ring from @p arena. Call once, before wiring. */
+    /** Carve the credit and stream arrays from @p arena. Call once,
+     *  before wiring. */
     void
     place(HotArena &arena)
     {
         auto v = static_cast<std::size_t>(vcs_);
         credits_ = arena.carve<int>(v);
         streams_ = arena.carve<Stream>(v);
-        sourceQueue_.bindStorage(
-            arena.carve<Packet *>(kInitialQueueCapacity),
-            kInitialQueueCapacity, /*growable=*/true);
     }
 
     /** Start and size of the NI object and of each array place()
      *  carved, in carve order. */
-    std::array<HotSpan, 4>
+    std::array<HotSpan, 3>
     placedSections() const
     {
         auto v = static_cast<std::size_t>(vcs_);
-        const auto *ring = reinterpret_cast<const std::byte *>(streams_) +
-                           HotArena::bytesFor<Stream>(v);
         return {{{this, sizeof(*this)},
                  {credits_, v * sizeof(int)},
-                 {streams_, v * sizeof(Stream)},
-                 {ring, kInitialQueueCapacity * sizeof(Packet *)}}};
+                 {streams_, v * sizeof(Stream)}}};
     }
 
     /** Wire the injection channel toward the router's local port.
@@ -101,11 +93,19 @@ class NetworkInterface
     /** Wire the ejection channel from the router's local port. */
     void connectEjection(Channel *chan) { ej_ = chan; }
 
-    /** Queue a packet for injection. */
+    /** Queue a packet for injection, behind every packet queued
+     *  before it. The packet's link belongs to the queue until
+     *  stepInject takes it. */
     void
     enqueue(Packet *pkt)
     {
-        sourceQueue_.push_back(pkt);
+        pkt->queueNext = nullptr;
+        if (queueTail_ == nullptr)
+            queueHead_ = pkt;
+        else
+            queueTail_->queueNext = pkt;
+        queueTail_ = pkt;
+        ++queued_;
         wake_.wake();
     }
 
@@ -123,7 +123,7 @@ class NetworkInterface
      *  (tail arrived) or nullptr. */
     Packet *receiveFlit(const Flit &flit, Cycle now);
 
-    std::size_t sourceQueueDepth() const { return sourceQueue_.size(); }
+    std::size_t sourceQueueDepth() const { return queued_; }
 
     /**
      * @return true if stepInject this cycle can have any effect:
@@ -131,7 +131,7 @@ class NetworkInterface
      * (possibly stalled on credits — stalled streams stay busy so the
      * credit return needs no wakeup hook of its own).
      */
-    bool busy() const { return !sourceQueue_.empty() || activeStreams_ > 0; }
+    bool busy() const { return queued_ > 0 || activeStreams_ > 0; }
 
     /** Set the probe that sees Launch events (nullptr: none). */
     void setProbe(Probe *probe) { probe_ = probe; }
@@ -153,14 +153,11 @@ class NetworkInterface
 
     NodeId node() const { return node_; }
 
-    /** Bytes of the storage the source queue grew into (0 while it
-     *  holds its first ring): the high-water mark past the arena. */
-    std::uint64_t queueGrownBytes() const { return sourceQueue_.ownedBytes(); }
-
     std::size_t arenaBytes() const { return arenaBytes(vcs_); }
 
-    /** Memory footprint of an NI toward @p router_vcs VCs, before any
-     *  source-queue growth: the object and its carved arrays. */
+    /** Memory footprint of an NI toward @p router_vcs VCs: the object
+     *  and its carved arrays (queued packets live in the packet
+     *  slabs). */
     static std::uint64_t
     footprintBytes(int router_vcs)
     {
@@ -168,12 +165,7 @@ class NetworkInterface
                arenaBytes(router_vcs);
     }
 
-    /** The same, plus the storage a grown source queue holds. */
-    std::uint64_t
-    footprintBytes() const
-    {
-        return footprintBytes(vcs_) + queueGrownBytes();
-    }
+    std::uint64_t footprintBytes() const { return footprintBytes(vcs_); }
 
   private:
     /** An in-progress packet transmission bound to one VC. */
@@ -182,8 +174,6 @@ class NetworkInterface
         Packet *pkt = nullptr;
         int nextSeq = 0;
     };
-
-    static constexpr std::size_t kInitialQueueCapacity = 16;
 
     /** The live probe; folds to nullptr under HNOC_TELEMETRY=OFF. */
     Probe *probe() const { return kTelemetryEnabled ? probe_ : nullptr; }
@@ -198,7 +188,9 @@ class NetworkInterface
     Channel *ej_ = nullptr;
     int *credits_ = nullptr;
     Stream *streams_ = nullptr;
-    RingBuffer<Packet *> sourceQueue_;
+    Packet *queueHead_ = nullptr; ///< source queue, oldest first
+    Packet *queueTail_ = nullptr;
+    std::size_t queued_ = 0;
     int activeStreams_ = 0; ///< streams with a packet in flight
     bool intraPairing_ = true;
     WakeHook wake_;

@@ -85,7 +85,6 @@ CmpSystem::CmpSystem(const NetworkConfig &net_config,
             core.window = config_.smallWindowInstrs;
             core.maxOutstanding = config_.smallMaxOutstanding;
         }
-        core.loads.reset(static_cast<std::size_t>(core.maxOutstanding));
         core.mshrs.reserve(static_cast<std::size_t>(core.maxOutstanding));
 
         Bank &bank = banks_[static_cast<std::size_t>(n)];
@@ -101,6 +100,19 @@ CmpSystem::CmpSystem(const NetworkConfig &net_config,
                                       config_.blockBytes) / 2));
     }
 
+    // Each core's loads ring over its own run of one allocation.
+    std::size_t slots = 0;
+    for (const Core &core : cores_)
+        slots += RingBuffer<OutstandingLoad>::boundCapacity(
+            static_cast<std::size_t>(core.maxOutstanding));
+    loadSlots_.resize(slots);
+    slots = 0;
+    for (Core &core : cores_) {
+        core.loads.bindStorage(loadSlots_.data() + slots,
+                               static_cast<std::size_t>(core.maxOutstanding));
+        slots += core.loads.capacity();
+    }
+
     // Contention-free transfer time per route for a control and a data
     // packet, the only two lengths sent (Network::minTransferCycles
     // walks the route, so it is not called per delivery).
@@ -114,11 +126,8 @@ CmpSystem::CmpSystem(const NetworkConfig &net_config,
         }
     }
     mcTiles_ = mcTiles(config_.mcPlacement, net_config.radixX);
-    for (NodeId t : mcTiles_) {
-        MemController &mc = mcs_[static_cast<std::size_t>(t)];
-        mc.present = true;
-        mc.queue.reset(64, /*growable=*/true);
-    }
+    for (NodeId t : mcTiles_)
+        mcs_[static_cast<std::size_t>(t)].present = true;
 }
 
 CmpSystem::~CmpSystem() = default;
@@ -257,8 +266,7 @@ CmpSystem::allocMsg(const Msg &proto)
         m = msgFree_.back();
         msgFree_.pop_back();
     } else {
-        msgArena_.push_back(std::make_unique<Msg>());
-        m = msgArena_.back().get();
+        m = &msgArena_.emplace_back();
     }
     *m = proto;
     return m;
@@ -342,8 +350,7 @@ CmpSystem::preCycle(Network &, Cycle now)
     for (NodeId t : mcTiles_) {
         MemController &mc = mcs_[static_cast<std::size_t>(t)];
         while (!mc.queue.empty() && now >= mc.nextFree) {
-            Msg req = mc.queue.front();
-            mc.queue.pop_front();
+            Msg req = mc.queue.pop(mcPool_);
             mc.nextFree = now + static_cast<Cycle>(
                 config_.mcServiceInterval);
             // DRAM access completes after the access latency; then the
@@ -824,7 +831,7 @@ CmpSystem::mcHandle(NodeId tile, const Msg &msg, Cycle now)
     if (!mc.present)
         panic("memory message at tile %d without a controller", tile);
     if (msg.type == MsgType::MemRead)
-        mc.queue.push_back(msg);
+        mc.queue.push(mcPool_, msg);
     // MemWrite is absorbed (write drains modeled as free).
 }
 
@@ -875,17 +882,16 @@ CmpSystem::memoryAudit() const
     a.add("directory_txns", b, txns);
 
     a.add("msg_arena",
-          msgArena_.size() * (sizeof(std::unique_ptr<Msg>) + sizeof(Msg)) +
+          msgArena_.size() * sizeof(Msg) +
               msgFree_.capacity() * sizeof(Msg *),
           msgArena_.size());
 
     // The controller-event calendar (bucket heads and the shared node
-    // pool), the memory-controller queues and the transfer-time table.
+    // pool), the memory-controller queues' shared node pool and the
+    // transfer-time table.
     b = calendar_.capacity() * sizeof(PoolFifo<Event>) +
-        eventPool_.footprintBytes() +
+        eventPool_.footprintBytes() + mcPool_.footprintBytes() +
         transferCycles_.capacity() * sizeof(Cycle);
-    for (const MemController &mc : mcs_)
-        b += mc.queue.capacity() * sizeof(Msg);
     a.add("cmp_queues", b, calendar_.size() + mcTiles_.size() + 1);
     return a;
 }

@@ -178,7 +178,8 @@ class CmpSystem : public NetworkClient
         bool hasPending = false;
         int nonMemLeft = 0;
 
-        /** Loads in issue order (fixed capacity maxOutstanding). */
+        /** Loads in issue order (fixed capacity maxOutstanding, in
+         *  CmpSystem::loadSlots_). */
         RingBuffer<OutstandingLoad> loads;
         /** Outstanding misses, unordered; reserved to maxOutstanding,
          *  which issueMemOp never exceeds. */
@@ -225,7 +226,7 @@ class CmpSystem : public NetworkClient
     struct MemController
     {
         bool present = false;
-        RingBuffer<Msg> queue;
+        MsgFifo queue; ///< in CmpSystem::mcPool_, arrival order
         Cycle nextFree = 0;
     };
 
@@ -282,6 +283,9 @@ class CmpSystem : public NetworkClient
     std::vector<Bank> banks_;
     std::vector<MemController> mcs_;
     std::vector<NodeId> mcTiles_;
+    /** Every core's loads ring storage, sized once and never moved. */
+    std::vector<OutstandingLoad> loadSlots_;
+    MsgPool mcPool_; ///< every memory controller's queue
 
     int blockShift_ = 0; ///< log2(blockBytes)
 
@@ -299,7 +303,7 @@ class CmpSystem : public NetworkClient
     Cycle calendarMask_ = 0;
     Cycle now_ = 0; ///< cycle of the latest preCycle
 
-    std::deque<std::unique_ptr<Msg>> msgArena_;
+    std::deque<Msg> msgArena_; ///< stable addresses: packet contexts
     std::vector<Msg *> msgFree_;
 
     // measurement

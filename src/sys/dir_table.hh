@@ -14,7 +14,8 @@
  *    inline and the rest in pooled chunks. The order is observable:
  *    invalidations fan out in it.
  *  - PoolFifo: a FIFO over a ChainPool (a transaction's deferred
- *    requests; one cycle's events of the CMP calendar queue).
+ *    requests; one cycle's events of the CMP calendar queue; a memory
+ *    controller's requests).
  */
 
 #ifndef HNOC_SYS_DIR_TABLE_HH
@@ -112,7 +113,7 @@ class AddrTable
                 break;
         }
         if ((size_ + 1) * 4 > slots_.size() * 3) {
-            grow();
+            rehashDoubled();
             i = home(key);
             while (slots_[i].key != EMPTY_KEY)
                 i = (i + 1) & mask_;
@@ -171,8 +172,9 @@ class AddrTable
         return static_cast<std::size_t>(Hash{}(key)) & mask_;
     }
 
+    /** Double the slots and reinsert every entry. */
     void
-    grow()
+    rehashDoubled()
     {
         std::vector<Slot, PageAllocator<Slot>> old(slots_.size() * 2,
                                                    Slot{});
@@ -357,9 +359,10 @@ class SharerList
 
 /**
  * A FIFO whose elements live in a ChainPool: a transaction's deferred
- * requests, or one cycle's events in the CMP's calendar queue. Many
- * FIFOs share one pool, so together they stop allocating once the
- * pool reaches the high-water mark of their combined length.
+ * requests, one cycle's events in the CMP's calendar queue, or a
+ * memory controller's waiting requests. Many FIFOs share one pool, so
+ * together they stop allocating once the pool reaches the high-water
+ * mark of their combined length.
  */
 template <typename T>
 struct PoolFifo
@@ -383,6 +386,19 @@ struct PoolFifo
         tail = n;
     }
 
+    /** Pop the oldest element (the FIFO must not be empty). */
+    T
+    pop(Pool &pool)
+    {
+        T value = pool[head].value;
+        std::uint32_t next = pool[head].next;
+        pool.release(head);
+        head = next;
+        if (head == Pool::NIL)
+            tail = Pool::NIL;
+        return value;
+    }
+
     /** Pop and pass each element to @p f in push order. Each node is
      *  released before @p f sees its copy, so @p f may push to this or
      *  any FIFO of the pool (elements pushed here are drained too). */
@@ -390,15 +406,8 @@ struct PoolFifo
     void
     drain(Pool &pool, F &&f)
     {
-        while (head != Pool::NIL) {
-            T value = pool[head].value;
-            std::uint32_t next = pool[head].next;
-            pool.release(head);
-            head = next;
-            if (head == Pool::NIL)
-                tail = Pool::NIL;
-            f(value);
-        }
+        while (head != Pool::NIL)
+            f(pop(pool));
     }
 };
 

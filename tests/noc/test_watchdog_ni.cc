@@ -3,6 +3,8 @@
  * Watchdog and network-interface behaviour tests.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "heteronoc/layout.hh"
@@ -112,8 +114,10 @@ TEST(Watchdog, TripDiagnosticsIncludeTelemetrySummary)
 
 TEST(NetworkInterface, SourceQueueDrainsInOrder)
 {
-    // Two packets from the same node to the same destination must
-    // arrive in creation order (same VC stream or ordered VCs).
+    // Packets from the same node to the same destination must arrive
+    // in creation order (same VC stream or ordered VCs): a short queue,
+    // and a backlog far longer than any fixed ring the queue could
+    // have started in.
     struct OrderCheck : NetworkClient
     {
         std::vector<PacketId> order;
@@ -122,17 +126,22 @@ TEST(NetworkInterface, SourceQueueDrainsInOrder)
         {
             order.push_back(pkt.id);
         }
-    } check;
+    };
 
-    Network net(makeLayoutConfig(LayoutKind::Baseline));
-    net.setClient(&check);
-    Packet *a = net.enqueuePacket(0, 63, 6);
-    PacketId first = a->id;
-    net.enqueuePacket(0, 63, 6);
-    net.enqueuePacket(0, 63, 6);
-    net.run(400);
-    ASSERT_EQ(check.order.size(), 3u);
-    EXPECT_EQ(check.order.front(), first);
+    for (int packets : {3, 240}) {
+        SCOPED_TRACE(packets);
+        OrderCheck check;
+        Network net(makeLayoutConfig(LayoutKind::Baseline));
+        net.setClient(&check);
+        std::vector<PacketId> sent;
+        for (int i = 0; i < packets; ++i)
+            sent.push_back(net.enqueuePacket(0, 63, 6)->id);
+        EXPECT_EQ(net.totalSourceQueueDepth(),
+                  static_cast<std::size_t>(packets));
+        net.run(400 + 10 * packets);
+        EXPECT_EQ(net.totalSourceQueueDepth(), 0u);
+        EXPECT_EQ(check.order, sent);
+    }
 }
 
 TEST(NetworkInterface, QueueDepthVisible)

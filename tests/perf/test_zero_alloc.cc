@@ -131,10 +131,9 @@ measureSteadyStateAllocs(NetworkConfig cfg)
     int nodes = net.topology().numNodes();
     int flits = net.dataPacketFlits();
 
-    // Warm the packet arena, free list, source-queue rings, and
-    // per-router scratch vectors. The traffic is periodic (period =
-    // node count), so the warmed high-water marks cover the measured
-    // window exactly.
+    // Warm the packet slabs, free list and per-router scratch vectors.
+    // The traffic is periodic (period = node count), so the warmed
+    // high-water marks cover the measured window exactly.
     for (int c = 0; c < 20000; ++c) {
         injectOne(net, nodes, flits);
         net.step();
@@ -421,6 +420,35 @@ directoryRows(const CmpSystem &sys)
     return rows;
 }
 
+TEST(ZeroAlloc, SourceQueueBacklogIsAllocationFree)
+{
+    // A backlog far past 16 packets at one NI, once the packet slabs
+    // can hold it, is queued and drained without touching the heap.
+    Network net(makeLayoutConfig(LayoutKind::Baseline));
+    int flits = net.dataPacketFlits();
+    auto backlog = [&] {
+        for (int i = 0; i < 64; ++i)
+            net.enqueuePacket(0, 63, flits);
+    };
+    backlog();
+    for (int c = 0; c < 3000; ++c)
+        net.step();
+    ASSERT_EQ(net.totalSourceQueueDepth(), 0u);
+
+    std::uint64_t delivered = net.packetsDelivered();
+    g_allocs.store(0);
+    g_counting.store(true);
+    backlog();
+    std::size_t depth = net.totalSourceQueueDepth();
+    for (int c = 0; c < 3000; ++c)
+        net.step();
+    g_counting.store(false);
+    EXPECT_EQ(g_allocs.load(), 0u);
+    EXPECT_EQ(depth, 64u);
+    EXPECT_EQ(net.totalSourceQueueDepth(), 0u);
+    EXPECT_EQ(net.packetsDelivered() - delivered, 64u);
+}
+
 TEST(ZeroAlloc, WarmedCmpSystemIsAllocationFree)
 {
     // vips on the 8x8 Baseline: its whole footprint (64 x 1024 private
@@ -586,7 +614,7 @@ TEST(Footprint, ArenaHoldsEverySectionLineAlignedInVisitOrder)
     // cut, block states and slot times) lead; then each block in a
     // team slot's visit order: its five lists' storage and its team
     // eject queue, its ejection channels (object, two pipes) each
-    // followed by its NI (object, credits, streams, first queue ring),
+    // followed by its NI (object, credits, streams),
     // its delivered channels, and its routers (wiring, FIFO, hot,
     // credit sections). 16-tile blocks give an 8x8 mesh four of them,
     // enough for a team.
@@ -607,7 +635,7 @@ TEST(Footprint, ArenaHoldsEverySectionLineAlignedInVisitOrder)
         ASSERT_EQ(net.numBlocks(), 4);
         ASSERT_EQ(sections.size(),
                   kTables + kBlockHead * 4 + 3 * rows["channels"].count +
-                      4 * rows["network_interfaces"].count +
+                      3 * rows["network_interfaces"].count +
                       4 * rows["routers"].count);
         EXPECT_EQ(rows["arena_pad"].bytes,
                   arena.reservedBytes() - HotArena::lineBytes(arena.used()));
@@ -641,7 +669,7 @@ TEST(Footprint, ArenaHoldsEverySectionLineAlignedInVisitOrder)
             std::size_t open =
                 first == 0 ? kTables : at(net.router(first - 1)) + 4;
             EXPECT_EQ(eject(n),
-                      open + kBlockHead + 7 * static_cast<std::size_t>(n - first));
+                      open + kBlockHead + 6 * static_cast<std::size_t>(n - first));
             EXPECT_EQ(sections[eject(n) + 3].bytes, sizeof(NetworkInterface));
         }
         // Routers follow in id order, and each inter-router channel
@@ -657,7 +685,7 @@ TEST(Footprint, ArenaHoldsEverySectionLineAlignedInVisitOrder)
                 std::size_t chan = at(*net.router(r).outputChannel(p));
                 RouterId first = sink / 16 * 16;
                 EXPECT_LT(chan, at(net.router(first)));
-                EXPECT_GT(chan, eject(first + 15) + 6);
+                EXPECT_GT(chan, eject(first + 15) + 5);
             }
         }
     }
@@ -697,6 +725,17 @@ TEST(Footprint, AuditCoversTheArenaAndThePacketSlabs)
             EXPECT_GT(slabs, 0u);
             EXPECT_EQ(net.memoryAudit().totalBytes(),
                       net.arena().reservedBytes() + slabs);
+
+            // A backlog at one NI queues through its packets, so it
+            // holds nothing outside the arena and the slabs.
+            for (int i = 0; i < 96; ++i)
+                net.enqueuePacket(0, nodes - 1, net.dataPacketFlits());
+            for (int c = 0; c < 50; ++c)
+                net.step();
+            EXPECT_GE(net.totalSourceQueueDepth(), 64u);
+            slabs = rows().at("packet_slabs");
+            EXPECT_EQ(net.memoryAudit().totalBytes(),
+                      net.arena().reservedBytes() + slabs);
         }
     }
 }
@@ -706,28 +745,35 @@ TEST(Footprint, AutoSizedBlocksKeepTheirMeshRows)
     // Block auto-sizing divides a 768 KiB budget by the mean
     // per-tile footprint and rounds down to whole mesh rows. The
     // footprint formulas must leave these partitions as they were
-    // measured when the hot state was last re-laid out (per-tile
-    // quotients of 83-95 tiles stay inside the same row bucket).
-    const std::pair<int, int> expect[] = {
-        {8, 64}, {16, 80}, {32, 64}, {48, 48}};
-    for (LayoutKind kind : {LayoutKind::Baseline, LayoutKind::DiagonalBL})
-        for (auto [radix, tiles] : expect) {
-            Network net(makeLayoutConfig(kind, radix));
-            EXPECT_EQ(net.blockTiles(), tiles)
-                << layoutName(kind) << " " << radix;
+    // measured when the hot state was last re-laid out: Diagonal+BL's
+    // 32x32 and 48x48 quotients reach 96 tiles (three and two rows).
+    const struct
+    {
+        int radix, baselineTiles, diagonalTiles;
+    } expect[] = {{8, 64, 64}, {16, 80, 80}, {32, 64, 96}, {48, 48, 96}};
+    for (const auto &e : expect) {
+        for (LayoutKind kind :
+             {LayoutKind::Baseline, LayoutKind::DiagonalBL}) {
+            Network net(makeLayoutConfig(kind, e.radix));
+            EXPECT_EQ(net.blockTiles(), kind == LayoutKind::Baseline
+                                            ? e.baselineTiles
+                                            : e.diagonalTiles)
+                << layoutName(kind) << " " << e.radix;
         }
+    }
 
     // On 8x8, the routers row (the core's wiring, FIFO, hot and credit
     // storage) is 128 B per router below the pinned bytes of sections
     // that each carried 64 B of alignment slack (the arena aligns them
     // instead); the channel row (the pipes) and the channel objects in
-    // the component_objects row keep the channels' pinned bytes.
+    // the component_objects row keep the channels' pinned bytes. The
+    // core's bytes are pinned with 32 B FIFO ring headers.
     const struct
     {
         LayoutKind kind;
         std::uint64_t coreWithSlack, channels;
-    } pinned[] = {{LayoutKind::Baseline, 339968, 202752},
-                  {LayoutKind::DiagonalBL, 350208, 202752}};
+    } pinned[] = {{LayoutKind::Baseline, 331776, 202752},
+                  {LayoutKind::DiagonalBL, 339968, 202752}};
     for (const auto &pin : pinned) {
         Network net(makeLayoutConfig(pin.kind));
         std::map<std::string, MemoryAudit::Component> rows;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <random>
 #include <unordered_map>
 #include <vector>
@@ -291,6 +292,50 @@ TEST(PoolFifo, DrainsInPushOrderAndRecyclesNodes)
             first_round_bytes = pool.footprintBytes();
         EXPECT_EQ(pool.footprintBytes(), first_round_bytes);
     }
+}
+
+TEST(PoolFifo, PopInterleavesAcrossFifosOfOnePool)
+{
+    // Two memory-controller queues on one pool: pushes and pops
+    // interleave, each FIFO pops in its own push order, and an emptied
+    // FIFO starts over cleanly.
+    MsgPool pool;
+    MsgFifo a, b;
+    std::deque<NodeId> want_a, want_b;
+    NodeId next = 0;
+    auto push = [&](MsgFifo &f, std::deque<NodeId> &want) {
+        Msg m;
+        m.sender = next++;
+        f.push(pool, m);
+        want.push_back(m.sender);
+    };
+    auto pop = [&](MsgFifo &f, std::deque<NodeId> &want) {
+        ASSERT_FALSE(f.empty());
+        EXPECT_EQ(f.pop(pool).sender, want.front());
+        want.pop_front();
+        EXPECT_EQ(f.empty(), want.empty());
+    };
+    for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i <= round % 4; ++i)
+            push(round % 2 ? a : b, round % 2 ? want_a : want_b);
+        push(a, want_a);
+        pop(b.empty() ? a : b, b.empty() ? want_a : want_b);
+        if (round % 3 == 0)
+            while (!want_a.empty())
+                pop(a, want_a);
+        EXPECT_EQ(pool.live(), want_a.size() + want_b.size());
+    }
+    while (!want_b.empty())
+        pop(b, want_b);
+    while (!want_a.empty())
+        pop(a, want_a);
+    EXPECT_TRUE(a.empty());
+    EXPECT_TRUE(b.empty());
+    EXPECT_EQ(pool.live(), 0u);
+    // A push after the drain is the only element again.
+    push(b, want_b);
+    pop(b, want_b);
+    EXPECT_EQ(pool.live(), 0u);
 }
 
 } // namespace
