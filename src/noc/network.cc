@@ -123,7 +123,7 @@ Network::~Network()
     static_assert(std::is_trivially_destructible_v<NetworkInterface>);
     static_assert(std::is_trivially_destructible_v<ActiveList>);
     static_assert(std::is_trivially_destructible_v<Router>);
-    static_assert(std::is_trivially_destructible_v<TeamBlock>);
+    static_assert(std::is_trivially_destructible_v<BlockState>);
     while (packetSlabs_ != nullptr) {
         PacketSlab *next = packetSlabs_->next;
         detail::keepPagedBlock(packetSlabs_, kPacketSlabBytes);
@@ -208,7 +208,7 @@ Network::teamStateBytes(std::size_t nb, Lanes &&lanes)
 {
     const std::size_t ms = nb / 2;
     std::size_t bytes = HotArena::bytesFor<int>(ms + 1) +
-                        HotArena::bytesFor<TeamBlock>(nb) +
+                        HotArena::bytesFor<BlockState>(nb) +
                         HotArena::bytesFor<TeamSlotNs>(ms);
     for (std::size_t b = 0; b < nb; ++b)
         bytes += HotArena::bytesFor<EjectedPacket>(lanes(b));
@@ -261,8 +261,8 @@ Network::build()
     auto count = [&](Role role, RouterId r) {
         ++members[kRoles * static_cast<std::size_t>(blockOf(r)) + role];
     };
-    // A block's in-team eject pass completes at most one packet per
-    // lane of its ejection channels per cycle.
+    // A block's eject pass completes at most one packet per lane of
+    // its ejection channels per cycle.
     std::vector<std::size_t> eject_lanes(nb, 0);
     forEachEnd([&](const ChannelEnds &e) {
         if (!e.sinkIsRouter) {
@@ -285,10 +285,8 @@ Network::build()
     for (std::size_t i = 0; i < members.size(); ++i)
         list_bytes +=
             ActiveList::arenaBytes(list_space(i % kRoles), members[i]);
-    std::size_t team_bytes = 0;
-    if (teamEligible_)
-        team_bytes = teamStateBytes(
-            nb, [&](std::size_t b) { return eject_lanes[b]; });
+    const std::size_t team_bytes = teamStateBytes(
+        nb, [&](std::size_t b) { return eject_lanes[b]; });
 
     // The router objects are one array; every other component object
     // is a carve of its own (its footprint formula counts both).
@@ -319,17 +317,15 @@ Network::build()
          {&blockEjectEnds_, &blockFlitEnds_, &blockCreditEnds_,
           &blockRouters_, &blockNis_})
         *lists = {arena_.carveArray<ActiveList>(nb), nb};
-    // A network that may step on a team carves its state too, for the
-    // most slots it can have, whatever the thread count (§6h); the
-    // slot spans take their length when the team forms.
-    if (teamEligible_) {
-        slotBlocks_ = {arena_.carve<int>(nb / 2 + 1), 0};
-        teamBlocks_ = {arena_.carveArray<TeamBlock>(nb), nb};
-        slotNs_ = {arena_.carveArray<TeamSlotNs>(nb / 2), 0};
-    }
+    // The blocks' states, and the team's slot tables for the most
+    // slots the network can have, whatever the thread count (§6h);
+    // the slot spans take their length when a team forms.
+    slotBlocks_ = {arena_.carve<int>(nb / 2 + 1), 0};
+    blocks_ = {arena_.carveArray<BlockState>(nb), nb};
+    slotNs_ = {arena_.carveArray<TeamSlotNs>(nb / 2), 0};
 
     // Then each block in visit order, so the per-cycle stream walks the
-    // arena front to back: its lists' storage, its team eject queue,
+    // arena front to back: its lists' storage, its eject queue,
     // its ejection channels each followed by its NI, its delivered
     // channels, its routers.
     forEachInVisitOrder(
@@ -340,11 +336,8 @@ Network::build()
             blockCreditEnds_[b].place(arena_, n_ends, m[kCredits]);
             blockRouters_[b].place(arena_, nr, m[kRouters]);
             blockNis_[b].place(arena_, nn, m[kNis]);
-            if (teamEligible_) {
-                Ejected &q = teamBlocks_[b].ejected;
-                q.capacity = eject_lanes[b];
-                q.packets = arena_.carve<EjectedPacket>(q.capacity);
-            }
+            blocks_[b].ejected = {
+                arena_.carve<EjectedPacket>(eject_lanes[b]), eject_lanes[b]};
         },
         [&](std::uint32_t id) {
             ChannelEnds &e = ends_[id];
@@ -491,22 +484,16 @@ Network::arenaSections() const
     for (auto lists : {blockEjectEnds_, blockFlitEnds_, blockCreditEnds_,
                        blockRouters_, blockNis_})
         table(lists);
-    if (!teamBlocks_.empty()) {
-        const std::size_t ms = teamBlocks_.size() / 2;
-        out.push_back({slotBlocks_.data(), (ms + 1) * sizeof(int)});
-        table(teamBlocks_);
-        out.push_back({slotNs_.data(), ms * sizeof(TeamSlotNs)});
-    }
+    const std::size_t ms = blocks_.size() / 2;
+    out.push_back({slotBlocks_.data(), (ms + 1) * sizeof(int)});
+    table(blocks_);
+    out.push_back({slotNs_.data(), ms * sizeof(TeamSlotNs)});
     forEachInVisitOrder(
         [&](std::size_t b) {
             for (auto lists : {blockEjectEnds_, blockFlitEnds_,
                                blockCreditEnds_, blockRouters_, blockNis_})
                 out.push_back(lists[b].placedSpan());
-            if (!teamBlocks_.empty()) {
-                const Ejected &q = teamBlocks_[b].ejected;
-                out.push_back(
-                    {q.packets, q.capacity * sizeof(EjectedPacket)});
-            }
+            table(blocks_[b].ejected);
         },
         [&](std::uint32_t id) {
             const ChannelEnds &e = ends_[id];
@@ -645,26 +632,27 @@ Network::attachProfiler(Profiler *prof)
     for (auto &r : routers_)
         r.setProfiler(prof);
     if (prof && !alwaysStep_) {
-        // Arm per-block attribution: each block's pass time plus its
-        // steady-state hot footprint (routers, channels keyed by the
-        // block that delivers their flits, attached NIs), from which
-        // reports derive bytes-streamed-per-cycle.
+        // Arm per-block attribution: each block's time plus its
+        // steady-state hot footprint (what the block walks: channels
+        // keyed by the block that takes their flits, NIs with their
+        // ejection channels, routers), from which reports derive
+        // bytes-streamed-per-cycle.
         auto nb = static_cast<std::size_t>(numBlocks_);
         prof->enableBlocks(nb);
         std::vector<std::uint64_t> bytes(nb, 0);
-        for (std::size_t i = 0; i < routers_.size(); ++i)
-            bytes[static_cast<std::size_t>(
-                blockOf(static_cast<RouterId>(i)))] +=
-                routers_[i].footprintBytes();
-        for (const ChannelEnds &e : ends_) {
-            RouterId r = e.sinkIsRouter ? e.sinkRouter : e.driverRouter;
-            bytes[static_cast<std::size_t>(blockOf(r))] +=
-                e.chan->footprintBytes();
-        }
-        for (std::size_t i = 0; i < nis_.size(); ++i)
-            bytes[static_cast<std::size_t>(blockOf(
-                topo_->routerOfNode(static_cast<NodeId>(i))))] +=
-                nis_[i]->footprintBytes();
+        std::size_t block = 0;
+        forEachInVisitOrder(
+            [&](std::size_t b) { block = b; },
+            [&](std::uint32_t id) {
+                const ChannelEnds &e = ends_[id];
+                bytes[block] += e.chan->footprintBytes();
+                if (!e.sinkIsRouter)
+                    bytes[block] += nis_[static_cast<std::size_t>(e.sinkNode)]
+                                        ->footprintBytes();
+            },
+            [&](std::size_t r) {
+                bytes[block] += routers_[r].footprintBytes();
+            });
         for (std::size_t b = 0; b < nb; ++b)
             prof->setBlockBytes(b, bytes[b]);
     }
@@ -749,15 +737,14 @@ Network::memoryAudit() const
     }
     a.add("active_set", lists, ne + nr + nn);
 
-    // The stepping team's state, carved for every network that may
-    // form a team, whatever the thread count (§6h).
-    if (!teamBlocks_.empty())
-        a.add("step_team",
-              teamStateBytes(teamBlocks_.size(),
-                             [&](std::size_t b) {
-                                 return teamBlocks_[b].ejected.capacity;
-                             }),
-              teamBlocks_.size());
+    // The blocks' eject queues and costs and the team's tables,
+    // carved for every network, whatever the thread count (§6h).
+    a.add("step_team",
+          teamStateBytes(blocks_.size(),
+                         [&](std::size_t b) {
+                             return blocks_[b].ejected.size();
+                         }),
+          blocks_.size());
 
     if (arena_.reservedBytes() > 0)
         a.add("arena_pad",
@@ -993,27 +980,27 @@ Network::deliverCreditsOf(ChannelEnds &e, Cycle now)
 }
 
 void
-Network::ejectBlock(std::size_t b, Cycle now, Ejected *defer)
+Network::ejectBlock(std::size_t b, Cycle now)
 {
-    // Per end: flit consumption (callbacks now or deferred), then the
-    // credit return to the driver router's ejection port.
+    // Per end: flit consumption, each completed packet queued for
+    // deliverEjected(), then the credit return to the driver router's
+    // ejection port.
+    BlockState &q = blocks_[b];
     const bool look_ahead = numBlocks_ > 1;
     blockEjectEnds_[b].forEachActive(
         [&](std::uint32_t i) { return !ends_[i].chan->idle(); },
         [&](std::uint32_t i) {
             ChannelEnds &e = ends_[i];
-            if (defer) {
-                NetworkInterface &ni =
-                    *nis_[static_cast<std::size_t>(e.sinkNode)];
-                e.chan->deliverFlitsTo(now, [&](const Flit &f) {
-                    ++defer->flits;
-                    if (Packet *done = ni.receiveFlit(f, now))
-                        defer->packets[defer->count++] = {done,
-                                                          defer->flits};
-                });
-            } else {
-                deliverFlitsOf(e, now);
-            }
+            NetworkInterface &ni = *nis_[static_cast<std::size_t>(e.sinkNode)];
+            e.chan->deliverFlitsTo(now, [&](const Flit &f) {
+                ++q.flits;
+                if (Probe *pr = probe())
+                    pr->flitEject(now, f,
+                                  config_.intraPacketPairing &&
+                                      e.chan->lanes() > 1);
+                if (Packet *done = ni.receiveFlit(f, now))
+                    q.ejected[q.count++] = {done, q.flits};
+            });
             deliverCreditsOf(e, now);
         },
         [&](std::uint32_t i) {
@@ -1073,6 +1060,7 @@ Network::step()
     // A big network may run the cycle on its team (§6h): the client's
     // preCycle on this thread while the team ejects and delivers, the
     // delivery callbacks on this thread, then every block's steps.
+    // Otherwise this thread runs the same cycle alone.
     if (teamEligible_) {
         // Team accounting (report-only) times the leader from here.
         Clock::time_point start;
@@ -1131,49 +1119,14 @@ Network::step()
                 ni->stepInject(now);
         }
     } else {
-        // Cache-blocked tile-major passes (§6g). Every channel delay
-        // is >= 1 cycle, so nothing sent this cycle becomes
-        // deliverable this cycle, and deliveries to distinct
-        // receivers commute — the per-receiver event order (one
-        // point-to-point channel per receiver, FIFO pipes) and the
-        // canonical node order of terminal ejections are what the
-        // results depend on, and both are preserved. See DESIGN.md
-        // §6g for the full bit-identity argument.
-        //
-        // Each list scan asks the component's own predicate before the
-        // visit and drops entries with no work (active_set.hh).
-        //
-        // Eject passes first, block by block, which is canonical node
-        // order: flit consumption, delivery callbacks, and the credit
-        // return to the driver router's ejection port (a commutative
-        // counter increment that precedes every router step).
-        const auto nb = static_cast<std::size_t>(numBlocks_);
+        // The cycle of §6h, with one slot holding every block.
+        const bool timed = prof != nullptr;
+        walkBlocks(0, 0, numBlocks_, timed);
         {
             ProfScope s(prof, ProfPhase::NiEject);
-            for (std::size_t b = 0; b < nb; ++b)
-                if (blockEjectEnds_[b].size() > 0)
-                    ejectBlock(b, now, nullptr);
+            deliverEjected();
         }
-        // Then per block: deliver the block's inbound flits and
-        // outbound-channel credits, step its routers, inject from its
-        // NIs — touching each block's packed hot state once per cycle
-        // while it is cache-resident.
-        for (std::size_t b = 0; b < nb; ++b) {
-            if (blockFlitEnds_[b].size() == 0 &&
-                blockCreditEnds_[b].size() == 0 &&
-                blockRouters_[b].size() == 0 && blockNis_[b].size() == 0)
-                continue;
-            Clock::time_point t0;
-            if (prof)
-                t0 = Clock::now();
-            {
-                ProfScope s(prof, ProfPhase::ChannelDelivery);
-                deliverBlock(b, now);
-            }
-            stepBlock(b, now, prof);
-            if (prof)
-                prof->addBlock(b, nsBetween(t0, Clock::now()));
-        }
+        walkBlocks(1, 0, numBlocks_, timed);
     }
 
     if (Probe *pr = probe()) {
@@ -1195,7 +1148,7 @@ bool
 Network::stepOnTeam()
 {
     // Attached instruments see events in serial order, so they keep
-    // the serial loop.
+    // the cycle on this thread.
     if (probe_ != nullptr || profiler_ != nullptr)
         return false;
     // Helpers come from the pool running this thread, else the shared
@@ -1249,7 +1202,7 @@ Network::formTeam(JobPool &pool)
     teamStats_.slots = threads;
     team_ = std::make_unique<StepTeam>(pool, threads, &Network::teamSlot,
                                        this, &Network::teamOpening,
-                                       &Network::deliverEjected);
+                                       &Network::teamBetween);
 }
 
 void
@@ -1262,7 +1215,7 @@ Network::cutSlotsByCost()
     // leader's slot also carries the leader's opening section.
     const auto nb = static_cast<std::size_t>(numBlocks_);
     const std::size_t ns = slotBlocks_.size() - 1;
-    auto cost = [&](std::size_t b) { return teamBlocks_[b].costNs; };
+    auto cost = [&](std::size_t b) { return blocks_[b].costNs; };
     std::uint64_t lo = openingCostNs_ + cost(0);
     std::uint64_t hi = openingCostNs_;
     for (std::size_t b = 0; b < nb; ++b) {
@@ -1300,9 +1253,58 @@ Network::cutSlotsByCost()
     }
     slotBlocks_[ns] = numBlocks_;
 
-    for (TeamBlock &tb : teamBlocks_)
-        tb.costNs = 0;
+    for (BlockState &bs : blocks_)
+        bs.costNs = 0;
     openingCostNs_ = 0;
+}
+
+std::uint64_t
+Network::walkBlocks(int phase, int lo, int hi, bool timed)
+{
+    // Every channel delay is >= 1 cycle, so nothing sent this cycle is
+    // deliverable this cycle: every block's eject and delivery before
+    // any block's steps delivers what an interleaved order would
+    // (§6g, §6h). Each list scan asks the component's own predicate
+    // before the visit and drops entries with no work (active_set.hh).
+    const Cycle now = cycle_;
+    Profiler *prof = kTelemetryEnabled ? profiler_ : nullptr;
+    Clock::time_point start;
+    if (timed)
+        start = Clock::now();
+    Clock::time_point t = start;
+    for (int b = lo; b < hi; ++b) {
+        auto bb = static_cast<std::size_t>(b);
+        BlockState &bs = blocks_[bb];
+        // A pass with empty lists is skipped. A block is touched in a
+        // cycle in which a delivery or step list of it has work: one
+        // visit to its profiler row.
+        if (phase == 0) {
+            if (blockEjectEnds_[bb].size() > 0) {
+                ProfScope s(prof, ProfPhase::NiEject);
+                ejectBlock(bb, now);
+            }
+            bs.touched = blockFlitEnds_[bb].size() > 0 ||
+                         blockCreditEnds_[bb].size() > 0;
+            if (bs.touched) {
+                ProfScope s(prof, ProfPhase::ChannelDelivery);
+                deliverBlock(bb, now);
+            }
+        } else if (blockRouters_[bb].size() > 0 || blockNis_[bb].size() > 0) {
+            bs.touched = true;
+            stepBlock(bb, now, prof);
+        }
+        if (!timed)
+            continue;
+        // One clock per block and phase: the cut's cost and the
+        // profiler's block row.
+        Clock::time_point t1 = Clock::now();
+        std::uint64_t ns = nsBetween(t, t1);
+        t = t1;
+        bs.costNs += ns;
+        if (prof)
+            prof->addBlock(bb, ns, phase == 1 && bs.touched);
+    }
+    return timed ? nsBetween(start, t) : 0;
 }
 
 void
@@ -1310,25 +1312,10 @@ Network::teamSlot(void *net, int phase, int slot)
 {
     auto &n = *static_cast<Network *>(net);
     auto s = static_cast<std::size_t>(slot);
-    const Cycle now = n.cycle_;
-    const Clock::time_point start = Clock::now();
-    // Each block's time feeds the next cut by cost.
-    Clock::time_point t = start;
-    for (int b = n.slotBlocks_[s]; b < n.slotBlocks_[s + 1]; ++b) {
-        auto bb = static_cast<std::size_t>(b);
-        TeamBlock &tb = n.teamBlocks_[bb];
-        if (phase == 0) {
-            n.ejectBlock(bb, now, &tb.ejected);
-            n.deliverBlock(bb, now);
-        } else {
-            n.stepBlock(bb, now, nullptr);
-        }
-        Clock::time_point t1 = Clock::now();
-        tb.costNs += nsBetween(t, t1);
-        t = t1;
-    }
+    std::uint64_t ns = n.walkBlocks(phase, n.slotBlocks_[s],
+                                    n.slotBlocks_[s + 1], true);
     if (kTelemetryEnabled)
-        n.slotNs_[s].ns[phase] = nsBetween(start, t);
+        n.slotNs_[s].ns[phase] = ns;
 }
 
 void
@@ -1345,26 +1332,31 @@ Network::teamOpening(void *net)
 }
 
 void
-Network::deliverEjected(void *net)
+Network::deliverEjected()
+{
+    // Block order is node order, and each block queued its packets in
+    // node order: the alwaysStep loop's callback order, and its counter
+    // values at each callback.
+    for (BlockState &bs : blocks_) {
+        std::uint64_t base = flitsDelivered_;
+        for (std::size_t i = 0; i < bs.count; ++i) {
+            auto [pkt, flits] = bs.ejected[i];
+            flitsDelivered_ = base + flits;
+            deliverPacket(*pkt, cycle_);
+        }
+        flitsDelivered_ = base + bs.flits;
+        bs.count = 0;
+        bs.flits = 0;
+    }
+}
+
+void
+Network::teamBetween(void *net)
 {
     auto &n = *static_cast<Network *>(net);
     if (kTelemetryEnabled)
         n.teamMarks_[1] = Clock::now();
-    // Block order is node order, and each block queued its packets in
-    // node order: the serial loop's callback order, and its counter
-    // values at each callback.
-    for (TeamBlock &tb : n.teamBlocks_) {
-        Ejected &out = tb.ejected;
-        std::uint64_t base = n.flitsDelivered_;
-        for (std::size_t i = 0; i < out.count; ++i) {
-            auto [pkt, flits] = out.packets[i];
-            n.flitsDelivered_ = base + flits;
-            n.deliverPacket(*pkt, n.cycle_);
-        }
-        n.flitsDelivered_ = base + out.flits;
-        out.count = 0;
-        out.flits = 0;
-    }
+    n.deliverEjected();
     if (kTelemetryEnabled)
         n.teamMarks_[2] = Clock::now();
 }

@@ -102,9 +102,9 @@ class NetworkClient
      * A cycle's deliveries come in canonical node order, on the
      * thread that calls step(), before any router step or NI
      * injection of that cycle, with the delivery counters as they
-     * stand after that packet. On a cycle stepped by a team (DESIGN.md
-     * §6h) every block's channel deliveries of the cycle have already
-     * run, so read no router or channel state here.
+     * stand after that packet. Every channel delivery of the cycle
+     * has already run (DESIGN.md §6h; the alwaysStep reference loop
+     * interleaves them), so read no router or channel state here.
      */
     virtual void
     onPacketDelivered(Network &net, Packet &pkt, Cycle now)
@@ -318,8 +318,8 @@ class Network
     /**
      * Memory breakdown of everything the network owns: the arena's
      * rows — router cores, channel pipes, NI arrays, the component
-     * objects, the channel ends, the active lists, the stepping team's
-     * state on a network that may form one, and the arena's unused
+     * objects, the channel ends, the active lists, the blocks' eject
+     * queues with the stepping team's tables, and the arena's unused
      * tail — then the packet slabs and any attached
      * registry/recorder/collector. Without those attachments, the total
      * is the arena's reserved bytes plus the packet slabs, whatever the
@@ -332,7 +332,7 @@ class Network
 
     /** Every section carved from the arena, in carve order: the
      *  network's tables (the team's among them), then per block (=
-     *  visit order) its active lists' storage, its team eject queue,
+     *  visit order) its active lists' storage, its eject queue,
      *  its ejection channels each followed by its NI, its delivered
      *  channels and its routers' sections. */
     std::vector<HotSpan> arenaSections() const;
@@ -456,39 +456,49 @@ class Network
 
     /** @name Per-cycle passes (§6g) */
     ///@{
-    /** Deliver the flits of @p e due at @p now to its sink, with
-     *  immediate delivery callbacks. */
+    /** Deliver the flits of @p e due at @p now to its sink; an NI sink
+     *  (the alwaysStep loop's) delivers its packets at once. */
     void deliverFlitsOf(ChannelEnds &e, Cycle now);
     /** A packet whose tail was ejected at @p now: the delivery
      *  counters, the client's callback, then recycling. */
     void deliverPacket(Packet &pkt, Cycle now);
     /** Deliver the credits of @p e due at @p now to its driver. */
     void deliverCreditsOf(ChannelEnds &e, Cycle now);
-    /** A packet an in-team eject pass completed, with its block's
-     *  ejection flits up to its tail. */
+    /** A packet an eject pass completed, with its block's ejection
+     *  flits up to its tail. */
     using EjectedPacket = std::pair<Packet *, std::uint64_t>;
-    /** Packets a block's in-team eject pass completed this cycle. */
-    struct Ejected
+    /** A block's cycle state, written by the thread walking it; a
+     *  cache line apart from its neighbours'. */
+    struct alignas(64) BlockState
     {
-        /** Room for one packet per lane of the block's ejection
-         *  channels (capacity), carved by build(). */
-        EjectedPacket *packets = nullptr;
-        std::size_t capacity = 0;
+        /** The packets its eject pass completed this cycle: room for
+         *  one per lane of its ejection channels, carved by build(). */
+        std::span<EjectedPacket> ejected;
         std::size_t count = 0;
-        std::uint64_t flits = 0;
+        std::uint64_t flits = 0;  ///< ejection flits this cycle
+        std::uint64_t costNs = 0; ///< both phases, since the last cut
+        bool touched = false;     ///< this cycle found work (profiler)
     };
 
     /** Block @p b's eject pass: its NIs consume their ejection flits
-     *  and return the credits, in node order. Completed packets are
-     *  delivered at once, or with @p defer queued there for
-     *  deliverEjected(). */
-    void ejectBlock(std::size_t b, Cycle now, Ejected *defer);
+     *  and return the credits, in node order, and completed packets
+     *  queue on the block for deliverEjected(). */
+    void ejectBlock(std::size_t b, Cycle now);
     /** Block @p b's deliveries: its inbound flits, then the credits
      *  its routers and NIs receive. */
     void deliverBlock(std::size_t b, Cycle now);
     /** Block @p b's router steps, then its NI injections (timed as
      *  NiInject on @p prof). */
     void stepBlock(std::size_t b, Cycle now, Profiler *prof);
+    /** Phase @p phase of the active-set cycle (§6h) over blocks
+     *  [@p lo, @p hi): phase 0 ejects, then delivers, each block;
+     *  phase 1 steps each block. With @p timed, each block's time
+     *  feeds the cut by cost and an attached profiler's block rows.
+     *  @return the range's time when @p timed, else 0. */
+    std::uint64_t walkBlocks(int phase, int lo, int hi, bool timed);
+    /** Between the phases: the callbacks of every block's ejected
+     *  packets, in block (= node) order. */
+    void deliverEjected();
     ///@}
 
     /** @name Stepping team (§6h) */
@@ -496,9 +506,9 @@ class Network
     /** Run this cycle's block passes on the team. @return false, with
      *  nothing run, when the cycle must step serially. */
     bool stepOnTeam();
-    /** Bytes build() carves for the team's state: the slot tables
-     *  for at most nb / 2 slots and the nb blocks' state, block b's
-     *  eject queue holding @p lanes(b) packets. */
+    /** Bytes build() carves for the blocks' and the team's state: the
+     *  slot tables for at most nb / 2 slots and the nb blocks' state,
+     *  block b's eject queue holding @p lanes(b) packets. */
     template <typename Lanes>
     static std::size_t teamStateBytes(std::size_t nb, Lanes &&lanes);
     /** Pick the team's thread count and the first even cut, and
@@ -507,15 +517,14 @@ class Network
     /** Re-cut the slots into contiguous block ranges of even measured
      *  cost. */
     void cutSlotsByCost();
-    /** StepTeam item: phase 0 ejects and delivers, phase 1 steps, the
-     *  blocks of slot @p slot. */
+    /** StepTeam item: phase @p phase of the blocks of slot @p slot. */
     static void teamSlot(void *net, int phase, int slot);
     /** StepTeam opening: the client's preCycle, on the leader while
      *  the helpers eject and deliver. */
     static void teamOpening(void *net);
-    /** StepTeam between section: the callbacks of every block's
-     *  ejected packets, in block (= node) order. */
-    static void deliverEjected(void *net);
+    /** StepTeam between section: deliverEjected(), marked for the
+     *  team's accounting. */
+    static void teamBetween(void *net);
     /** After a team cycle: its accounting and the cut schedule.
      *  @p start is when step() began. */
     void finishTeamCycle(std::chrono::steady_clock::time_point start);
@@ -627,23 +636,15 @@ class Network
      * first step with nothing attached. Slot s steps the blocks
      * [slotBlocks_[s], slotBlocks_[s + 1]), re-cut by measured cost
      * after teamCycles_ reaches nextCut_. build() carves the team's
-     * state from arena_ for every eligible network, sized for
-     * numBlocks_ / 2 slots; the slot spans take their length when the
-     * team forms.
+     * state from arena_ for every network, sized for numBlocks_ / 2
+     * slots; the slot spans take their length when the team forms.
      */
     bool teamEligible_ = false;
     std::span<int> slotBlocks_;
     std::uint64_t teamCycles_ = 0;
     std::uint64_t nextCut_ = 0;
 
-    /** A block's team-only state, written by the thread running its
-     *  slot; a cache line apart from its neighbours'. */
-    struct alignas(64) TeamBlock
-    {
-        Ejected ejected;
-        std::uint64_t costNs = 0; ///< both phases, since the last cut
-    };
-    std::span<TeamBlock> teamBlocks_;
+    std::span<BlockState> blocks_;
     /** This cycle's time of each slot's two items (team accounting). */
     struct alignas(64) TeamSlotNs
     {

@@ -124,14 +124,14 @@ class Profiler
      *  when already sized; clears on shrink-to-zero via reset()). */
     void enableBlocks(std::size_t n);
 
-    /** Charge @p ns of wall clock to block @p b (one visit = one
-     *  touched cycle: empty blocks are skipped, not visited). */
+    /** Charge @p ns of wall clock and @p visits visits to block @p b
+     *  (one visit = one touched cycle: empty blocks are not visited). */
     void
-    addBlock(std::size_t b, std::uint64_t ns)
+    addBlock(std::size_t b, std::uint64_t ns, std::uint64_t visits = 1)
     {
         if (b < blocks_.size()) {
             blocks_[b].ns += ns;
-            ++blocks_[b].visits;
+            blocks_[b].visits += visits;
         }
     }
 

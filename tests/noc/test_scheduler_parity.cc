@@ -9,13 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/job_pool.hh"
 #include "heteronoc/layout.hh"
 #include "noc/network.hh"
 #include "noc/sim_harness.hh"
+#include "telemetry/blame.hh"
+#include "telemetry/flight_recorder.hh"
 
 namespace hnoc
 {
@@ -170,6 +174,65 @@ TEST(SchedulerParityHetero, DiagonalBlMatchesAlwaysStep)
         opts.injectionRate = 0.02;
         expectBitIdentical(runOpenLoop(active_cfg, p, opts),
                            runOpenLoop(always_cfg, p, opts));
+    }
+}
+
+/** A recorder's events as sortable tuples, packet first, then cycle. */
+using EventKey = std::tuple<std::uint32_t, Cycle, int, int, int, int, int,
+                            int>;
+
+std::vector<EventKey>
+eventsByPacket(const FlightRecorder &fr)
+{
+    std::vector<EventKey> out;
+    for (const FlightRecorder::Event &e : fr.snapshot())
+        out.emplace_back(e.pkt, e.t, e.kind, e.router, e.port, e.vc, e.head,
+                         e.seq);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(SchedulerParityInstruments, BlameAndRecorderMatchAcrossWalks)
+{
+    if (!kTelemetryEnabled)
+        GTEST_SKIP() << "instruments compile out under HNOC_TELEMETRY=OFF";
+    // The blame document must be byte-identical across the exhaustive
+    // loop, single-router blocks and the auto-sized block. The record
+    // order within one cycle differs between walks (the active-set
+    // cycle records a packet's Eject after that cycle's deliveries), so
+    // the recorder's events are compared per packet and cycle.
+    NetworkConfig auto_cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
+    NetworkConfig one_cfg = auto_cfg;
+    one_cfg.blockTiles = 1;
+    NetworkConfig always_cfg = auto_cfg;
+    always_cfg.alwaysStep = true;
+
+    SimPointOptions opts = quickOptions(421);
+    opts.warmupCycles = 200;
+    opts.measureCycles = 800;
+    opts.drainCycles = 3000;
+    opts.injectionRate = 0.02;
+    opts.collectBlame = true;
+    opts.flightRecorder = true;
+    opts.flightRecorderCapacity = 1u << 19;
+
+    SimPointResult always =
+        runOpenLoop(always_cfg, TrafficPattern::UniformRandom, opts);
+    ASSERT_TRUE(always.blame && always.flightRecorder);
+    // The ring must hold the whole run, or where it wrapped would
+    // depend on the record order.
+    ASSERT_EQ(always.flightRecorder->overwritten(), 0u);
+    const std::vector<EventKey> reference =
+        eventsByPacket(*always.flightRecorder);
+    EXPECT_GT(reference.size(), 10000u);
+    for (const NetworkConfig *cfg : {&one_cfg, &auto_cfg}) {
+        SCOPED_TRACE("block_tiles " + std::to_string(cfg->blockTiles));
+        SimPointResult got =
+            runOpenLoop(*cfg, TrafficPattern::UniformRandom, opts);
+        ASSERT_TRUE(got.blame && got.flightRecorder);
+        EXPECT_EQ(got.blame->json(), always.blame->json());
+        ASSERT_EQ(got.flightRecorder->overwritten(), 0u);
+        EXPECT_TRUE(eventsByPacket(*got.flightRecorder) == reference);
     }
 }
 

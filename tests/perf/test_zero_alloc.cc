@@ -612,12 +612,11 @@ TEST(Footprint, ArenaHoldsEverySectionLineAlignedInVisitOrder)
     // (router objects, NI table, channel ends, wide channels, hop
     // lanes, five arrays of active lists, and the step team's slot
     // cut, block states and slot times) lead; then each block in a
-    // team slot's visit order: its five lists' storage and its team
-    // eject queue, its ejection channels (object, two pipes) each
+    // slot's visit order: its five lists' storage and its eject
+    // queue, its ejection channels (object, two pipes) each
     // followed by its NI (object, credits, streams),
     // its delivered channels, and its routers (wiring, FIFO, hot,
-    // credit sections). 16-tile blocks give an 8x8 mesh four of them,
-    // enough for a team.
+    // credit sections). 16-tile blocks give an 8x8 mesh four of them.
     constexpr std::size_t kTables = 13;
     constexpr std::size_t kBlockHead = 6; // five lists, eject queue
     for (LayoutKind kind : {LayoutKind::Baseline, LayoutKind::DiagonalBL}) {
